@@ -15,13 +15,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Dict, Mapping
 
-from repro.circuit.devices.base import NonlinearDevice, NonlinearStamper
+import numpy as np
 
-__all__ = ["DiodeModel", "Diode"]
+from repro.circuit.devices.base import DeviceStamps, NonlinearDevice, gather_params, stamp_branch
+
+__all__ = ["DiodeModel", "Diode", "junction_depletion"]
 
 #: Boltzmann constant times 300K over the electron charge (thermal voltage).
 THERMAL_VOLTAGE = 0.02585
+
+#: exponent above which the I-V curve is linearized to avoid overflow
+_EXP_CLIP = 80.0
 
 
 @dataclass
@@ -53,6 +59,12 @@ class DiodeModel:
             raise ValueError("diode emission coefficient must be positive")
         if not (0.0 < self.fc < 1.0):
             raise ValueError("diode fc must lie in (0, 1)")
+        if self.vj <= 0:
+            raise ValueError("diode junction potential vj must be positive")
+        if not (0.0 <= self.m < 1.0):
+            raise ValueError("diode grading coefficient m must lie in [0, 1)")
+        if self.cj0 < 0:
+            raise ValueError("diode cj0 must be non-negative")
 
     @property
     def vte(self) -> float:
@@ -65,11 +77,46 @@ class DiodeModel:
         return self.vte * math.log(self.vte / (math.sqrt(2.0) * self.isat))
 
 
+def junction_depletion(v, cj0, vj, m, fc):
+    """Depletion charge and capacitance of a pn junction at bias ``v``.
+
+    Shared by the diode and the MOSFET drain/source-bulk junctions.  Above
+    ``fc * vj`` the charge continues as the C1-continuous quadratic
+    extension; the power-law branch is evaluated at ``min(v, fc * vj)`` so
+    that the discarded branch stays finite.
+    """
+    fcv = fc * vj
+    below = v < fcv
+    arg = 1.0 - np.minimum(v, fcv) / vj
+    f1 = vj / (1.0 - m) * (1.0 - (1.0 - fc) ** (1.0 - m))
+    f2 = (1.0 - fc) ** (1.0 + m)
+    f3 = 1.0 - fc * (1.0 + m)
+    dv = v - fcv
+    q = np.where(below, cj0 * vj / (1.0 - m) * (1.0 - arg ** (1.0 - m)),
+                 cj0 * (f1 + (f3 * dv + 0.5 * m / vj * dv * dv) / f2))
+    c = np.where(below, cj0 * arg ** (-m), cj0 * (f3 + m * dv / vj) / f2)
+    return q, c
+
+
+def _junction(p: Mapping[str, np.ndarray], vd: np.ndarray):
+    """Return ``(I, dI/dV, Q, dQ/dV)`` of diode junctions at bias ``vd``.
+
+    The Shockley exponential is linearized beyond ``_EXP_CLIP``; the
+    charge is the depletion charge plus the diffusion charge ``tt * I``.
+    """
+    arg = vd / p["vte"]
+    e = np.exp(np.minimum(arg, _EXP_CLIP))
+    i = p["isat"] * (e * (1.0 + np.maximum(arg - _EXP_CLIP, 0.0)) - 1.0) + p["gmin"] * vd
+    g = p["isat"] * e / p["vte"] + p["gmin"]
+    q, c = junction_depletion(vd, p["cj0"], p["vj"], p["m"], p["fc"])
+    return i, g, q + p["tt"] * i, c + p["tt"] * g
+
+
 class Diode(NonlinearDevice):
     """Two-terminal junction diode between ``anode`` and ``cathode``."""
 
-    #: exponent above which the I-V curve is linearized to avoid overflow
-    _EXP_CLIP = 80.0
+    G_STAMPS = ((0, 0), (0, 1), (1, 0), (1, 1))
+    C_STAMPS = G_STAMPS
 
     def __init__(self, name: str, anode: str, cathode: str, model: DiodeModel | None = None,
                  area: float = 1.0):
@@ -79,78 +126,35 @@ class Diode(NonlinearDevice):
             raise ValueError(f"Diode {name}: area must be positive")
         self.area = float(area)
 
-    # -- static characteristic -------------------------------------------------
+    def params(self) -> Dict[str, float]:
+        mdl = self.model
+        return dict(isat=mdl.isat * self.area, vte=mdl.vte, gmin=mdl.gmin,
+                    cj0=mdl.cj0 * self.area, vj=mdl.vj, m=mdl.m, fc=mdl.fc, tt=mdl.tt)
+
+    @staticmethod
+    def evaluate_batch(p: Mapping[str, np.ndarray], v: np.ndarray) -> DeviceStamps:
+        vd = v[:, 0] - v[:, 1]
+        m = len(vd)
+        f, q = np.zeros((m, 2)), np.zeros((m, 2))
+        G, C = np.zeros((m, 2, 2)), np.zeros((m, 2, 2))
+        i, g, charge, cap = _junction(p, vd)
+        stamp_branch(f, G, 0, 1, i, g)
+        stamp_branch(q, C, 0, 1, charge, cap)
+        return DeviceStamps(f, q, G, C)
+
+    # -- scalar views of the kernel -----------------------------------------------
 
     def current_and_conductance(self, vd: float) -> tuple:
         """Return ``(I, dI/dV)`` of the junction at voltage ``vd``."""
-        mdl = self.model
-        isat = mdl.isat * self.area
-        vte = mdl.vte
-        arg = vd / vte
-        if arg > self._EXP_CLIP:
-            # Linearize beyond the clip point to keep the model finite and C1.
-            e = math.exp(self._EXP_CLIP)
-            i = isat * (e * (1.0 + (arg - self._EXP_CLIP)) - 1.0)
-            g = isat * e / vte
-        else:
-            e = math.exp(arg)
-            i = isat * (e - 1.0)
-            g = isat * e / vte
-        i += mdl.gmin * vd
-        g += mdl.gmin
-        return i, g
-
-    # -- charge storage ---------------------------------------------------------
+        return self._scalar(vd)[:2]
 
     def charge_and_capacitance(self, vd: float) -> tuple:
         """Return ``(Q, dQ/dV)`` of the junction at voltage ``vd``."""
-        mdl = self.model
-        cj0 = mdl.cj0 * self.area
-        q = 0.0
-        c = 0.0
-        if cj0 > 0.0:
-            fcv = mdl.fc * mdl.vj
-            if vd < fcv:
-                # depletion region: q = cj0*vj/(1-m) * (1 - (1 - v/vj)^(1-m))
-                arg = 1.0 - vd / mdl.vj
-                q += cj0 * mdl.vj / (1.0 - mdl.m) * (1.0 - arg ** (1.0 - mdl.m))
-                c += cj0 * arg ** (-mdl.m)
-            else:
-                # forward bias: linearized extension, C1-continuous at fc*vj
-                f1 = mdl.vj / (1.0 - mdl.m) * (1.0 - (1.0 - mdl.fc) ** (1.0 - mdl.m))
-                f2 = (1.0 - mdl.fc) ** (1.0 + mdl.m)
-                f3 = 1.0 - mdl.fc * (1.0 + mdl.m)
-                dv = vd - fcv
-                q += cj0 * (f1 + (f3 * dv + 0.5 * mdl.m / mdl.vj * dv * dv) / f2)
-                c += cj0 * (f3 + mdl.m * dv / mdl.vj) / f2
-        if mdl.tt > 0.0:
-            i, g = self.current_and_conductance(vd)
-            q += mdl.tt * i
-            c += mdl.tt * g
-        return q, c
+        return self._scalar(vd)[2:]
 
-    # -- stamping ---------------------------------------------------------------
-
-    def stamp_nonlinear(self, st: NonlinearStamper) -> None:
-        a, c = self.nodes
-        vd = st.voltage(a) - st.voltage(c)
-
-        i, g = self.current_and_conductance(vd)
-        st.add_current(a, i)
-        st.add_current(c, -i)
-        st.add_jacobian(a, a, g)
-        st.add_jacobian(a, c, -g)
-        st.add_jacobian(c, a, -g)
-        st.add_jacobian(c, c, g)
-
-        q, cap = self.charge_and_capacitance(vd)
-        if q != 0.0 or cap != 0.0:
-            st.add_charge(a, q)
-            st.add_charge(c, -q)
-            st.add_capacitance(a, a, cap)
-            st.add_capacitance(a, c, -cap)
-            st.add_capacitance(c, a, -cap)
-            st.add_capacitance(c, c, cap)
+    def _scalar(self, vd: float) -> tuple:
+        out = _junction(gather_params([self]), np.array([vd], dtype=float))
+        return tuple(float(a[0]) for a in out)
 
     # -- Newton helpers ----------------------------------------------------------
 

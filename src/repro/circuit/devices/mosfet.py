@@ -28,40 +28,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Dict, Mapping
 
-from repro.circuit.devices.base import NonlinearDevice, NonlinearStamper
+import numpy as np
+
+from repro.circuit.devices.base import DeviceStamps, NonlinearDevice, gather_params, stamp_branch
+from repro.circuit.devices.diode import junction_depletion
 
 __all__ = ["MOSFETModel", "MOSFET"]
 
 THERMAL_VOLTAGE = 0.02585
 
-
-def _smooth_max(x: float, floor: float) -> tuple:
-    """Smooth approximation of ``max(x, floor)`` and its derivative."""
-    d = x - floor
-    s = math.sqrt(d * d + 4.0 * floor * floor)
-    val = floor + 0.5 * (d + s)
-    dval = 0.5 * (1.0 + d / s)
-    return val, dval
-
-
-def junction_charge_cap(v: float, cj0: float, vj: float, m: float, fc: float) -> tuple:
-    """Depletion junction charge and capacitance (shared D/S-bulk helper)."""
-    if cj0 <= 0.0:
-        return 0.0, 0.0
-    fcv = fc * vj
-    if v < fcv:
-        arg = 1.0 - v / vj
-        q = cj0 * vj / (1.0 - m) * (1.0 - arg ** (1.0 - m))
-        c = cj0 * arg ** (-m)
-    else:
-        f1 = vj / (1.0 - m) * (1.0 - (1.0 - fc) ** (1.0 - m))
-        f2 = (1.0 - fc) ** (1.0 + m)
-        f3 = 1.0 - fc * (1.0 + m)
-        dv = v - fcv
-        q = cj0 * (f1 + (f3 * dv + 0.5 * m / vj * dv * dv) / f2)
-        c = cj0 * (f3 + m * dv / vj) / f2
-    return q, c
+#: terminal positions
+D, G, S, B = range(4)
 
 
 @dataclass
@@ -115,6 +94,16 @@ class MOSFETModel:
             raise ValueError("kp must be positive")
         if self.phi <= 0:
             raise ValueError("phi must be positive")
+        if self.nfactor <= 0:
+            raise ValueError("nfactor must be positive")
+        if self.pb <= 0:
+            raise ValueError("bulk junction potential pb must be positive")
+        if not (0.0 <= self.mj < 1.0):
+            raise ValueError("bulk junction grading coefficient mj must lie in [0, 1)")
+        if not (0.0 < self.fc < 1.0):
+            raise ValueError("fc must lie in (0, 1)")
+        if self.cj < 0:
+            raise ValueError("cj must be non-negative")
 
     @property
     def polarity(self) -> float:
@@ -122,8 +111,87 @@ class MOSFETModel:
         return 1.0 if self.mos_type == "nmos" else -1.0
 
 
+def _smooth_max(x: np.ndarray, floor: float):
+    """Smooth approximation of ``max(x, floor)`` and its derivative."""
+    d = x - floor
+    s = np.sqrt(d * d + 4.0 * floor * floor)
+    return floor + 0.5 * (d + s), 0.5 * (1.0 + d / s)
+
+
+def _threshold(p: Mapping[str, np.ndarray], vbs: np.ndarray):
+    """Return ``(vth, dvth/dvbs)`` with a smooth body-effect clamp."""
+    s, ds = _smooth_max(p["phi"] - vbs, 1e-3)
+    sq = np.sqrt(s)
+    vth = p["vt0"] + p["gamma"] * (sq - np.sqrt(p["phi"]))
+    return vth, -p["gamma"] * ds / (2.0 * sq)
+
+
+def _level1(p, vgs, vds, vth, dvth):
+    """Shichman-Hodges model: ``(ids, gm, gds, gmb)`` for vds >= 0, without gmin."""
+    beta, lam = p["beta"], p["lam"]
+    vgst = vgs - vth
+    clm = 1.0 + lam * vds
+    triode = vds < vgst
+    body = vgst * vds - 0.5 * vds * vds
+    ids = np.where(triode, beta * body * clm, 0.5 * beta * vgst * vgst * clm)
+    gm = np.where(triode, beta * vds * clm, beta * vgst * clm)
+    gds = np.where(triode, beta * (vgst - vds) * clm + beta * body * lam,
+                   0.5 * beta * vgst * vgst * lam)
+    cutoff = vgst <= 0.0
+    ids, gm, gds = (np.where(cutoff, 0.0, a) for a in (ids, gm, gds))
+    return ids, gm, gds, -gm * dvth
+
+
+def _softplus_sq(v_over, two_nvt):
+    """EKV ``log(1 + e^a)^2`` interpolation (a = v_over / 2nVt) and its derivative.
+
+    Beyond ``|a| > 40`` the asymptotes replace the exact forms; the
+    exponentials see clipped arguments so the discarded branches cannot
+    overflow.
+    """
+    a = v_over / two_nvt
+    e = np.exp(np.minimum(a, 40.0))
+    logistic = 1.0 / (1.0 + np.exp(-np.clip(a, -40.0, 40.0)))
+    sp = np.where(a > 40.0, a, np.where(a < -40.0, e, np.log1p(e)))
+    sig = np.where(a > 40.0, 1.0, np.where(a < -40.0, e, logistic))
+    return sp * sp, 2.0 * sp * sig / two_nvt
+
+
+def _level2(p, vgs, vds, vth, dvth):
+    """Smooth EKV-style model: ``(ids, gm, gds, gmb)`` for vds >= 0, without gmin."""
+    beta, lam, n = p["beta"], p["lam"], p["nfactor"]
+    vt = THERMAL_VOLTAGE
+    i0 = 2.0 * n * beta * vt * vt
+    clm = 1.0 + lam * vds
+    two_nvt = 2.0 * n * vt
+    i_f, di_f = _softplus_sq(vgs - vth, two_nvt)
+    i_r, di_r = _softplus_sq(vgs - vth - n * vds, two_nvt)
+    core = i0 * (i_f - i_r)
+    gm = i0 * (di_f - di_r) * clm
+    return core * clm, gm, i0 * (n * di_r) * clm + core * lam, gm * (-dvth)
+
+
+def _channel(p: Mapping[str, np.ndarray], vgs, vds, vbs):
+    """Forward-normalized drain current ``(ids, gm, gds, gmb)`` for vds >= 0."""
+    vth, dvth = _threshold(p, vbs)
+    level1 = p["level"] == 1
+    if level1.all():
+        ids, gm, gds, gmb = _level1(p, vgs, vds, vth, dvth)
+    elif not level1.any():
+        ids, gm, gds, gmb = _level2(p, vgs, vds, vth, dvth)
+    else:
+        ids, gm, gds, gmb = np.where(level1, np.array(_level1(p, vgs, vds, vth, dvth)),
+                                     np.array(_level2(p, vgs, vds, vth, dvth)))
+    return ids + p["gmin"] * vds, gm, gds + p["gmin"], gmb
+
+
 class MOSFET(NonlinearDevice):
     """Four-terminal MOSFET (drain, gate, source, bulk)."""
+
+    #: channel current: rows {d, s} x columns {d, g, s, b}
+    G_STAMPS = tuple((r, c) for r in (D, S) for c in (D, G, S, B))
+    #: gate and junction capacitors couple every terminal pair but drain-source
+    C_STAMPS = tuple((r, c) for r in range(4) for c in range(4) if {r, c} != {D, S})
 
     def __init__(
         self,
@@ -143,166 +211,67 @@ class MOSFET(NonlinearDevice):
         self.w = float(w)
         self.l = float(l)
 
-    # -- threshold voltage -------------------------------------------------------
-
-    def _threshold(self, vbs: float) -> tuple:
-        """Return ``(vth, dvth/dvbs)`` with a smooth body-effect clamp."""
-        mdl = self.model
-        if mdl.gamma == 0.0:
-            return mdl.vt0, 0.0
-        s, ds = _smooth_max(mdl.phi - vbs, 1e-3)
-        sq = math.sqrt(s)
-        vth = mdl.vt0 + mdl.gamma * (sq - math.sqrt(mdl.phi))
-        dvth_dvbs = -mdl.gamma * ds / (2.0 * sq)
-        return vth, dvth_dvbs
-
-    # -- static models -----------------------------------------------------------
-
-    def _ids_level1(self, vgs: float, vds: float, vbs: float) -> tuple:
-        """Shichman-Hodges model: return ``(ids, gm, gds, gmb)`` for vds >= 0."""
-        mdl = self.model
-        beta = mdl.kp * self.w / self.l
-        vth, dvth = self._threshold(vbs)
-        vgst = vgs - vth
-        clm = 1.0 + mdl.lam * vds
-        if vgst <= 0.0:
-            ids, gm, gds = 0.0, 0.0, 0.0
-        elif vds < vgst:
-            ids = beta * (vgst * vds - 0.5 * vds * vds) * clm
-            gm = beta * vds * clm
-            gds = beta * (vgst - vds) * clm + beta * (vgst * vds - 0.5 * vds * vds) * mdl.lam
-        else:
-            ids = 0.5 * beta * vgst * vgst * clm
-            gm = beta * vgst * clm
-            gds = 0.5 * beta * vgst * vgst * mdl.lam
-        gmb = -gm * dvth
-        ids += mdl.gmin * vds
-        gds += mdl.gmin
-        return ids, gm, gds, gmb
-
-    def _ids_level2(self, vgs: float, vds: float, vbs: float) -> tuple:
-        """Smooth EKV-style model: return ``(ids, gm, gds, gmb)`` for vds >= 0."""
-        mdl = self.model
-        beta = mdl.kp * self.w / self.l
-        n = mdl.nfactor
-        vt = THERMAL_VOLTAGE
-        vth, dvth = self._threshold(vbs)
-        i0 = 2.0 * n * beta * vt * vt
-        clm = 1.0 + mdl.lam * vds
-
-        def half(v_over):
-            """softplus^2 interpolation and its derivative w.r.t. v_over."""
-            a = v_over / (2.0 * n * vt)
-            if a > 40.0:
-                sp = a
-                sig = 1.0
-            elif a < -40.0:
-                sp = math.exp(a)
-                sig = sp
-            else:
-                sp = math.log1p(math.exp(a))
-                sig = 1.0 / (1.0 + math.exp(-a))
-            val = sp * sp
-            dval = 2.0 * sp * sig / (2.0 * n * vt)
-            return val, dval
-
-        i_f, di_f = half(vgs - vth)
-        i_r, di_r = half(vgs - vth - n * vds)
-
-        core = i0 * (i_f - i_r)
-        ids = core * clm
-        gm = i0 * (di_f - di_r) * clm
-        gds = i0 * (n * di_r) * clm + core * mdl.lam
-        gmb = i0 * (di_f - di_r) * clm * (-dvth)
-        ids += mdl.gmin * vds
-        gds += mdl.gmin
-        return ids, gm, gds, gmb
-
-    def _ids(self, vgs: float, vds: float, vbs: float) -> tuple:
-        if self.model.level == 1:
-            return self._ids_level1(vgs, vds, vbs)
-        return self._ids_level2(vgs, vds, vbs)
-
-    # -- stamping ----------------------------------------------------------------
-
-    def stamp_nonlinear(self, st: NonlinearStamper) -> None:
-        d, g, s, b = self.nodes
-        mdl = self.model
-        p = mdl.polarity
-
-        vd, vg, vs, vb = (st.voltage(n) for n in (d, g, s, b))
-
-        # Work in forward-normalized space: swap drain/source if the device
-        # conducts in reverse, and flip polarity for PMOS.
-        if p * (vd - vs) >= 0.0:
-            nd, ns = d, s
-            vnd, vns = vd, vs
-        else:
-            nd, ns = s, d
-            vnd, vns = vs, vd
-        vgs = p * (vg - vns)
-        vds = p * (vnd - vns)
-        vbs = p * (vb - vns)
-
-        ids, gm, gds, gmb = self._ids(vgs, vds, vbs)
-
-        # Current p*ids flows from nd to ns through the channel.
-        i_d = p * ids
-        st.add_current(nd, i_d)
-        st.add_current(ns, -i_d)
-
-        gss = gm + gds + gmb
-        st.add_jacobian(nd, g, gm)
-        st.add_jacobian(nd, nd, gds)
-        st.add_jacobian(nd, b, gmb)
-        st.add_jacobian(nd, ns, -gss)
-        st.add_jacobian(ns, g, -gm)
-        st.add_jacobian(ns, nd, -gds)
-        st.add_jacobian(ns, b, -gmb)
-        st.add_jacobian(ns, ns, gss)
-
-        self._stamp_charges(st, vd, vg, vs, vb)
-
-    def _stamp_charges(self, st: NonlinearStamper, vd: float, vg: float,
-                       vs: float, vb: float) -> None:
-        d, g, s, b = self.nodes
-        mdl = self.model
-        p = mdl.polarity
-
+    def params(self) -> Dict[str, float]:
+        mdl, w, l = self.model, self.w, self.l
         # Gate capacitances: overlap plus a fraction of the intrinsic oxide
         # capacitance split between source and drain (Meyer-style constant
         # partition, 40/40/20).
-        c_ox = mdl.cox * self.w * self.l
-        cgs_c = mdl.cgso * self.w + 0.4 * c_ox
-        cgd_c = mdl.cgdo * self.w + 0.4 * c_ox
-        cgb_c = mdl.cgbo * self.l + 0.2 * c_ox
+        c_ox = mdl.cox * w * l
+        return dict(
+            polarity=mdl.polarity, level=mdl.level, vt0=mdl.vt0, beta=mdl.kp * w / l,
+            lam=mdl.lam, gamma=mdl.gamma, phi=mdl.phi, nfactor=mdl.nfactor, gmin=mdl.gmin,
+            cgs=mdl.cgso * w + 0.4 * c_ox, cgd=mdl.cgdo * w + 0.4 * c_ox,
+            cgb=mdl.cgbo * l + 0.2 * c_ox,
+            cj0=mdl.cj * w * l, pb=mdl.pb, mj=mdl.mj, fc=mdl.fc,
+        )
 
-        for (na, nb_, cval) in ((g, s, cgs_c), (g, d, cgd_c), (g, b, cgb_c)):
-            va = st.voltage(na)
-            vb_ = st.voltage(nb_)
-            q = cval * (va - vb_)
-            st.add_charge(na, q)
-            st.add_charge(nb_, -q)
-            st.add_capacitance(na, na, cval)
-            st.add_capacitance(na, nb_, -cval)
-            st.add_capacitance(nb_, na, -cval)
-            st.add_capacitance(nb_, nb_, cval)
+    @staticmethod
+    def evaluate_batch(p: Mapping[str, np.ndarray], v: np.ndarray) -> DeviceStamps:
+        vd, vg, vs, vb = v.T
+        pol = p["polarity"]
+        m = len(vd)
 
-        # Drain-bulk and source-bulk junction depletion charge.  The junction
-        # is reverse biased when the bulk-to-diffusion voltage (for NMOS) is
-        # negative; for PMOS polarity flips.
-        cj0 = mdl.cj * self.w * self.l
-        if cj0 > 0.0:
-            for diff_node, vdiff in ((d, vd), (s, vs)):
-                vj_bias = p * (vb - vdiff)
-                q, c = junction_charge_cap(vj_bias, cj0, mdl.pb, mdl.mj, mdl.fc)
-                # Charge q (in normalized space) sits on the bulk side.
-                st.add_charge(b, p * q)
-                st.add_charge(diff_node, -p * q)
-                st.add_capacitance(b, b, c)
-                st.add_capacitance(b, diff_node, -c)
-                st.add_capacitance(diff_node, b, -c)
-                st.add_capacitance(diff_node, diff_node, c)
+        # Work in forward-normalized space: swap drain/source where the
+        # device conducts in reverse, and flip polarity for PMOS.
+        fwd = pol * (vd - vs) >= 0.0
+        vns = np.where(fwd, vs, vd)
+        vgs = pol * (vg - vns)
+        vds = pol * (np.where(fwd, vd, vs) - vns)
+        vbs = pol * (vb - vns)
+        ids, gm, gds, gmb = _channel(p, vgs, vds, vbs)
+
+        # Current pol*ids flows through the channel from the normalized
+        # drain to the normalized source; the source row is the negated
+        # drain row.
+        sign = np.where(fwd, 1.0, -1.0)
+        gss = gm + gds + gmb
+        f = np.zeros((m, 4))
+        Gm = np.zeros((m, 4, 4))
+        f[:, D] = sign * pol * ids
+        Gm[:, D, D] = np.where(fwd, gds, gss)
+        Gm[:, D, G] = sign * gm
+        Gm[:, D, S] = -np.where(fwd, gss, gds)
+        Gm[:, D, B] = sign * gmb
+        f[:, S] = -f[:, D]
+        Gm[:, S] = -Gm[:, D]
+
+        q = np.zeros((m, 4))
+        Cm = np.zeros((m, 4, 4))
+        for a, b, cap in ((G, S, p["cgs"]), (G, D, p["cgd"]), (G, B, p["cgb"])):
+            stamp_branch(q, Cm, a, b, cap * (v[:, a] - v[:, b]), cap)
+        # Drain- and source-bulk depletion junctions, reverse biased when
+        # pol * (vb - vdiff) < 0; the (normalized) charge sits on the bulk.
+        for diff in (D, S):
+            qj, cj = junction_depletion(pol * (vb - v[:, diff]), p["cj0"], p["pb"],
+                                        p["mj"], p["fc"])
+            stamp_branch(q, Cm, B, diff, pol * qj, cj)
+        return DeviceStamps(f, q, Gm, Cm)
+
+    def _ids(self, vgs: float, vds: float, vbs: float) -> tuple:
+        """Scalar view of the channel kernel: ``(ids, gm, gds, gmb)`` for vds >= 0."""
+        volts = (np.array([x], dtype=float) for x in (vgs, vds, vbs))
+        out = _channel(gather_params([self]), *volts)
+        return tuple(float(a[0]) for a in out)
 
     # -- Newton helpers -----------------------------------------------------------
 

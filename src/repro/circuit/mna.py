@@ -21,6 +21,13 @@ rows), which is precisely the regime the paper targets: the invert Krylov
 subspace method never needs ``C^{-1}``, whereas the standard Krylov
 baseline requires a regularization pass
 (:mod:`repro.linalg.regularization`).
+
+Nonlinear devices are evaluated by one NumPy kernel per device class
+(:mod:`repro.circuit.devices.base`), prepared once at construction.  Their
+stamps are scattered into ``C``/``G`` sparsity patterns that are fixed at
+construction as well -- the linear entries plus each device's structural
+stamp set -- so every evaluation returns matrices with identical
+``indptr``/``indices``, zero-valued stamps included.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 import scipy.sparse as sp
 
+from repro.circuit.devices.base import NonlinearDevice, gather_params
 from repro.circuit.netlist import Circuit
 from repro.circuit.elements import CircuitElement, CouplingCapacitor
 from repro.circuit.sources import Waveform
@@ -120,51 +128,83 @@ class _LinearAssembler:
         self.inputs.append((i, waveform, scale))
 
 
-class _NonlinearAssembler:
-    """NonlinearStamper implementation used during ``MNASystem.evaluate``."""
+class _FixedPattern:
+    """A CSC sparsity pattern fixed at construction.
 
-    def __init__(self, system: "MNASystem", x: np.ndarray):
-        self._system = system
-        self._x = x
-        n = system.n
-        self.f = np.zeros(n)
-        self.q = np.zeros(n)
-        self.g_rows: List[int] = []
-        self.g_cols: List[int] = []
-        self.g_vals: List[float] = []
-        self.c_rows: List[int] = []
-        self.c_cols: List[int] = []
-        self.c_vals: List[float] = []
+    The pattern is the union of a linear matrix's entries and a set of
+    device stamp positions.  ``base`` holds the linear matrix scattered
+    into the pattern; :meth:`positions` maps ``(row, col)`` stamps to
+    data slots, with slot ``nnz`` the sink for stamps touching ground.
+    """
 
-    def voltage(self, node: str) -> float:
-        idx = self._system.node_index(node)
-        return 0.0 if idx < 0 else float(self._x[idx])
+    def __init__(self, lin: sp.csc_matrix, stamps: Sequence[Tuple[np.ndarray, np.ndarray]]):
+        n = lin.shape[0]
+        self.shape = lin.shape
+        lin = lin.tocoo()
+        rows = np.concatenate([r.ravel() for r, _ in stamps])
+        cols = np.concatenate([c.ravel() for _, c in stamps])
+        live = (rows >= 0) & (cols >= 0)
+        # column-major keys sort exactly like CSC storage with sorted indices
+        self._keys = np.unique(np.concatenate([lin.col.astype(np.int64) * n + lin.row,
+                                               cols[live].astype(np.int64) * n + rows[live]]))
+        self.nnz = len(self._keys)
+        self.indices = (self._keys % n).astype(np.int32)
+        self.indptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(self._keys // n, minlength=n))]).astype(np.int32)
+        self.base = np.zeros(self.nnz)
+        self.base[self.positions(lin.row, lin.col)] = lin.data
 
-    def add_current(self, node: str, value: float) -> None:
-        idx = self._system.node_index(node)
-        if idx >= 0:
-            self.f[idx] += value
+    def positions(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Data slots of the stamps ``(rows, cols)``; ground stamps map to ``nnz``."""
+        rows, cols = np.asarray(rows), np.asarray(cols)
+        slots = np.searchsorted(self._keys, cols.astype(np.int64) * self.shape[0] + rows)
+        return np.where((rows >= 0) & (cols >= 0), slots, self.nnz)
 
-    def add_jacobian(self, row: str, col: str, value: float) -> None:
-        i = self._system.node_index(row)
-        j = self._system.node_index(col)
-        if i >= 0 and j >= 0 and value != 0.0:
-            self.g_rows.append(i)
-            self.g_cols.append(j)
-            self.g_vals.append(value)
+    def matrix(self, data: np.ndarray) -> sp.csc_matrix:
+        return sp.csc_matrix((data, self.indices.copy(), self.indptr.copy()), shape=self.shape)
 
-    def add_charge(self, node: str, value: float) -> None:
-        idx = self._system.node_index(node)
-        if idx >= 0:
-            self.q[idx] += value
 
-    def add_capacitance(self, row: str, col: str, value: float) -> None:
-        i = self._system.node_index(row)
-        j = self._system.node_index(col)
-        if i >= 0 and j >= 0 and value != 0.0:
-            self.c_rows.append(i)
-            self.c_cols.append(j)
-            self.c_vals.append(value)
+class _DeviceGroup:
+    """All instances of one device class, prepared for its batch kernel.
+
+    :meth:`weights` and :meth:`destinations` list the kernel's outputs in
+    one order -- per-terminal currents, per-terminal charges, ``G`` stamps,
+    ``C`` stamps, each device-major -- so that ``MNASystem.evaluate``
+    scatters them all with a single ``np.bincount``.
+    """
+
+    def __init__(self, cls: type, devices: Sequence[NonlinearDevice],
+                 terminals: np.ndarray, n: int):
+        self.kernel = cls.evaluate_batch
+        self.params = gather_params(devices)
+        #: ``(m, k)`` terminal unknowns, -1 for ground
+        self.terminals = terminals
+        #: the same with ground mapped to the sentinel slot ``n`` (reads 0 V)
+        self.slots = np.where(terminals < 0, n, terminals)
+        k = terminals.shape[1]
+        #: ``(rows, cols)`` unknowns of every ``G`` / ``C`` stamp, ``(m, #stamps)`` each
+        self.g_stamps = tuple(terminals[:, list(ends)] for ends in zip(*cls.G_STAMPS))
+        self.c_stamps = tuple(terminals[:, list(ends)] for ends in zip(*cls.C_STAMPS))
+        self._g_flat = [r * k + c for r, c in cls.G_STAMPS]
+        self._c_flat = [r * k + c for r, c in cls.C_STAMPS]
+
+    def weights(self, x_ext: np.ndarray) -> np.ndarray:
+        out = self.kernel(self.params, x_ext[self.slots])
+        m = len(self.slots)
+        return np.concatenate((
+            out.f.ravel(), out.q.ravel(),
+            out.G.reshape(m, -1)[:, self._g_flat].ravel(),
+            out.C.reshape(m, -1)[:, self._c_flat].ravel(),
+        ))
+
+    def destinations(self, n: int, G: "_FixedPattern", g_offset: int,
+                     C: "_FixedPattern", c_offset: int) -> np.ndarray:
+        node = self.slots.ravel()
+        return np.concatenate((
+            node, node + n + 1,
+            g_offset + G.positions(*self.g_stamps).ravel(),
+            c_offset + C.positions(*self.c_stamps).ravel(),
+        ))
 
 
 class MNASystem:
@@ -190,6 +230,7 @@ class MNASystem:
             raise ValueError(f"circuit {circuit.title!r} has no unknowns")
 
         self._assemble_linear()
+        self._prepare_devices()
 
     # -- index resolution -----------------------------------------------------------
 
@@ -255,6 +296,41 @@ class MNASystem:
         ).tocsc()
 
         self._has_nonlinear = bool(self.circuit.devices)
+
+    # -- device preparation -----------------------------------------------------------
+
+    def _prepare_devices(self) -> None:
+        """Group devices by class and fix the ``G``/``C`` patterns and scatter map.
+
+        ``evaluate`` accumulates every device output into one vector laid
+        out as ``[f | q | G data | C data]``, each block followed by one
+        sink slot that absorbs stamps on the ground node.
+        """
+        #: the nonlinear devices, and per device its terminal unknowns (-1 for ground)
+        self.devices: List[NonlinearDevice] = list(self.circuit.devices)
+        self.device_terminals: List[Tuple[int, ...]] = [
+            tuple(self.node_index(node) for node in dev.nodes) for dev in self.devices
+        ]
+        if not self.devices:
+            return
+        members: Dict[type, List[int]] = {}
+        for k, dev in enumerate(self.devices):
+            members.setdefault(type(dev), []).append(k)
+        n = self.n
+        self._groups = [
+            _DeviceGroup(cls, [self.devices[k] for k in ks],
+                         np.array([self.device_terminals[k] for k in ks], dtype=np.int64), n)
+            for cls, ks in members.items()
+        ]
+        self._G_pattern = _FixedPattern(self.G_lin, [g.g_stamps for g in self._groups])
+        self._C_pattern = _FixedPattern(self.C_lin, [g.c_stamps for g in self._groups])
+        self._g_offset = 2 * (n + 1)
+        self._c_offset = self._g_offset + self._G_pattern.nnz + 1
+        self._accumulator_size = self._c_offset + self._C_pattern.nnz + 1
+        self._scatter = np.concatenate([
+            g.destinations(n, self._G_pattern, self._g_offset, self._C_pattern, self._c_offset)
+            for g in self._groups
+        ])
 
     # -- excitation -------------------------------------------------------------------
 
@@ -335,18 +411,19 @@ class MNASystem:
         if not self._has_nonlinear:
             return EvalResult(C=self.C_lin, G=self.G_lin, f=f_lin, q=q_lin)
 
-        asm = _NonlinearAssembler(self, x)
-        for dev in self.circuit.devices:
-            dev.stamp_nonlinear(asm)
-
-        n = self.n
-        G_nl = sp.coo_matrix((asm.g_vals, (asm.g_rows, asm.g_cols)), shape=(n, n)).tocsc()
-        C_nl = sp.coo_matrix((asm.c_vals, (asm.c_rows, asm.c_cols)), shape=(n, n)).tocsc()
+        x_ext = np.append(x, 0.0)
+        acc = np.bincount(
+            self._scatter,
+            weights=np.concatenate([group.weights(x_ext) for group in self._groups]),
+            minlength=self._accumulator_size,
+        )
+        n, G, C = self.n, self._G_pattern, self._C_pattern
+        g0, c0 = self._g_offset, self._c_offset
         return EvalResult(
-            C=(self.C_lin + C_nl).tocsc(),
-            G=(self.G_lin + G_nl).tocsc(),
-            f=f_lin + asm.f,
-            q=q_lin + asm.q,
+            C=C.matrix(C.base + acc[c0:c0 + C.nnz]),
+            G=G.matrix(G.base + acc[g0:g0 + G.nnz]),
+            f=f_lin + acc[:n],
+            q=q_lin + acc[n + 1:2 * n + 1],
         )
 
     # -- solution access -----------------------------------------------------------------
@@ -375,7 +452,8 @@ class MNASystem:
         """Return the structural counters reported in Table I.
 
         When ``x`` is given the nonlinear devices are evaluated there so the
-        reported ``nnz`` include device Jacobian fill; otherwise the linear
+        reported ``nnz`` include the device stamp sets of the fixed
+        pattern (zero-valued stamps included); otherwise the linear
         matrices are reported.
         """
         if x is None:

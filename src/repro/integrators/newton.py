@@ -67,15 +67,13 @@ class NewtonSolver:
 
     def _apply_limiting(self, x_new: np.ndarray, x_old: np.ndarray) -> np.ndarray:
         """Apply per-device junction/FET limiting to the proposed update."""
-        if not self.options.apply_limiting or not self.mna.circuit.devices:
+        if not self.options.apply_limiting or not self.mna.has_nonlinear:
             return x_new
         limited = np.array(x_new, copy=True)
-        for device in self.mna.circuit.devices:
-            for node in device.nodes:
-                idx = self.mna.node_index(node)
-                if idx < 0:
-                    continue
-                limited[idx] = device.limit_voltage(node, limited[idx], float(x_old[idx]))
+        for device, terminals in zip(self.mna.devices, self.mna.device_terminals):
+            for node, idx in zip(device.nodes, terminals):
+                if idx >= 0:
+                    limited[idx] = device.limit_voltage(node, limited[idx], float(x_old[idx]))
         return limited
 
     # -- the iteration -------------------------------------------------------------------

@@ -8,6 +8,10 @@ from hypothesis import strategies as st
 
 from repro.circuit.devices.base import fd_check_stamps
 from repro.circuit.devices.diode import Diode, DiodeModel, THERMAL_VOLTAGE
+from repro.circuit.parser import NetlistSyntaxError, parse_netlist
+
+# np.where evaluates every model branch: discarded ones must stay finite
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def make_diode(**model_kwargs):
@@ -156,6 +160,24 @@ class TestDiodeModelValidation:
             DiodeModel(n=-1.0)
         with pytest.raises(ValueError):
             DiodeModel(fc=1.5)
+
+    @pytest.mark.parametrize("param, card, value", [
+        ("m", "m", 1.0), ("m", "m", -0.5), ("vj", "vj", 0.0), ("vj", "vj", -1.0),
+        ("cj0", "cjo", -1e-15), ("fc", "fc", 1.0), ("fc", "fc", 0.0),
+    ])
+    def test_rejects_out_of_range_junction_parameters(self, param, card, value):
+        with pytest.raises(ValueError, match=param):
+            DiodeModel(**{"cj0": 1e-15, param: value})
+        params = " ".join(f"{k}={v}" for k, v in {"cjo": 1e-15, card: value}.items())
+        text = f".model bad d ({params})\nD1 a 0 bad\nR1 a 0 1k\n"
+        with pytest.raises(NetlistSyntaxError, match=param):
+            parse_netlist(text)
+
+    def test_extreme_bias_is_finite_without_warnings(self):
+        diode = make_diode()
+        for vd in (-1e3, -50.0, 5.0, 50.0, 1e3):
+            assert all(math.isfinite(v) for v in diode.current_and_conductance(vd))
+            assert all(math.isfinite(v) for v in diode.charge_and_capacitance(vd))
 
     def test_v_crit_positive(self):
         assert DiodeModel().v_crit > 0

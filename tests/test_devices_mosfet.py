@@ -1,11 +1,16 @@
 """Unit tests for the MOSFET models (repro.circuit.devices.mosfet)."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuit.devices.base import fd_check_stamps
 from repro.circuit.devices.mosfet import MOSFET, MOSFETModel
+from repro.circuit.parser import NetlistSyntaxError, parse_netlist
+
+# np.where evaluates every model branch: discarded ones must stay finite
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def nmos(level=1, **kwargs):
@@ -198,6 +203,23 @@ class TestMOSFETValidation:
     def test_rejects_bad_geometry(self):
         with pytest.raises(ValueError):
             MOSFET("M1", "d", "g", "s", "b", MOSFETModel(), w=0.0)
+
+    @pytest.mark.parametrize("param, value", [
+        ("pb", 0.0), ("pb", -0.8), ("mj", 1.0), ("mj", -0.1),
+        ("fc", 1.0), ("fc", 0.0), ("cj", -1e-4), ("nfactor", 0.0),
+    ])
+    def test_rejects_out_of_range_junction_parameters(self, param, value):
+        with pytest.raises(ValueError, match=param):
+            MOSFETModel(**{param: value})
+        card = f".model bad nmos ({param}={value})\nM1 d g 0 0 bad\nR1 d 0 1k\n"
+        with pytest.raises(NetlistSyntaxError, match=param):
+            parse_netlist(card)
+
+    def test_forward_biased_junctions_stay_finite(self):
+        """fc just below 1 keeps the forward junction branch finite."""
+        dev = nmos(fc=0.999)
+        G, _, C, _ = fd_check_stamps(dev, {"d": -5.0, "g": 0.0, "s": -5.0, "b": 0.0})
+        assert all(np.isfinite(list(G.values()))) and all(np.isfinite(list(C.values())))
 
     def test_limit_voltage_caps_gate_swing(self):
         dev = nmos()

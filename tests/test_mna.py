@@ -7,6 +7,9 @@ from repro.circuit.devices.diode import DiodeModel
 from repro.circuit.netlist import Circuit
 from repro.circuit.sources import DC, PWL
 
+# the device kernels evaluate every model branch: discarded ones must stay finite
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def voltage_divider():
     ckt = Circuit("divider")

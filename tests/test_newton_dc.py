@@ -87,6 +87,41 @@ class TestNewtonSolver:
             NewtonOptions(damping=0.0).validate()
 
 
+class TestDeviceLimiting:
+    def test_limited_vectors_match_per_terminal_name_lookup(self):
+        """Limiting over precomputed terminal indices keeps the sequential
+        per-device semantics of looking every terminal up by node name."""
+        ckt = Circuit()
+        ckt.add_vsource("V1", "vdd", "0", 1.2)
+        ckt.add_resistor("R1", "vdd", "a", 1e3)
+        ckt.add_diode("D1", "a", "b", DiodeModel(name="D"))
+        ckt.add_diode("D2", "b", "0", DiodeModel(name="D2", isat=1e-12))
+        nmos = MOSFETModel(name="N", level=1)
+        ckt.add_mosfet("M1", "b", "a", "0", "0", nmos)
+        ckt.add_mosfet("M2", "a", "a", "b", "0", nmos)  # gate tied to drain
+        mna = ckt.build()
+        solver = NewtonSolver(mna)
+
+        def by_name(x_new, x_old):
+            limited = np.array(x_new, copy=True)
+            for device in mna.circuit.devices:
+                for node in device.nodes:
+                    idx = mna.node_index(node)
+                    if idx >= 0:
+                        limited[idx] = device.limit_voltage(node, limited[idx], float(x_old[idx]))
+            return limited
+
+        rng = np.random.default_rng(4)
+        changed = 0
+        for _ in range(50):
+            x_old = rng.uniform(-0.5, 1.0, mna.n)
+            x_new = x_old + rng.uniform(-6.0, 6.0, mna.n)
+            limited = solver._apply_limiting(x_new, x_old)
+            np.testing.assert_array_equal(limited, by_name(x_new, x_old))
+            changed += int(np.any(limited != x_new))
+        assert changed > 0
+
+
 class TestDCOperatingPoint:
     def test_voltage_divider(self):
         mna = divider()

@@ -1,10 +1,11 @@
 #!/usr/bin/env python
-"""Hot-path benchmark: cross-step linearization/LU caching on vs off.
+"""Hot-path benchmark: cross-step linearization/LU caching vs the reference.
 
-For every (linear circuit, method) pair the transient runs once with the
-:class:`repro.core.workspace.LinearizationCache` disabled (the pre-cache
-per-step re-assembly/re-factorization behaviour) and once enabled (the
-default), measuring
+For every (linear circuit, method) pair the transient runs once on the
+uncached reference (:class:`repro.verify.reference.UncachedReference`:
+per-step re-assembly, a fresh factorization and ordering for every LU)
+and once with the default :class:`repro.core.workspace.LinearizationCache`,
+measuring
 
 * steps per second of the integrator's time loop,
 * LU factorizations vs counted cache reuses (``#LU`` stays honest),
@@ -39,6 +40,7 @@ import numpy as np
 from repro import SimOptions, TransientSimulator
 from repro.benchcircuits.registry import build_circuit
 from repro.circuit.sources import PWL
+from repro.verify.reference import reference_simulator
 
 OUTPUT_DIR = Path(__file__).parent / "output"
 
@@ -95,11 +97,9 @@ def suite(smoke: bool):
 
 
 def run_once(mna, method: str, sim_kwargs: dict, cached: bool):
-    options = SimOptions(
-        cache_linearization=cached, reuse_segment_slope=cached,
-        store_states=True, **sim_kwargs,
-    )
-    simulator = TransientSimulator(mna, method=method, options=options)
+    options = SimOptions(store_states=True, **sim_kwargs)
+    make = TransientSimulator if cached else reference_simulator
+    simulator = make(mna, method=method, options=options)
     simulator.run_dc()  # excluded from the timed transient loop
     result = simulator.run()
     if not result.stats.completed:

@@ -6,6 +6,10 @@ vocabulary.  Defaults follow the values quoted in the paper where it gives
 them (``epsilon = 1e-7`` for the MEVP convergence criterion, ``alpha = 1/2``
 and ``beta = 2`` for step shrinking/growing, ``gamma = 0.1`` for the
 correction term) and standard SPICE practice elsewhere.
+
+Exact LU reuse (:mod:`repro.core.workspace`) is always on; only
+``bypass_tol``, ``step_ladder`` and ``h_bypass_tol`` change results or LU
+counts.  Their fixed parameters are constants next to the code using them.
 """
 
 from __future__ import annotations
@@ -13,7 +17,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Optional
 
-__all__ = ["NewtonOptions", "DCOptions", "SimOptions"]
+__all__ = ["NewtonOptions", "DCOptions", "SimOptions", "RETIRED_SIM_FIELDS"]
+
+#: retired ``SimOptions`` fields and the behaviour now fixed in their place.
+#: Stored payloads (queued jobs, older clients) may still carry them:
+#: :meth:`SimOptions.from_dict` drops a key holding its fixed value and
+#: refuses any other value by name.
+RETIRED_SIM_FIELDS: Dict[str, object] = {
+    "cache_linearization": True,
+    "reuse_symbolic": True,
+    "reuse_segment_slope": True,
+    "step_ladder_ratio": 2.0,        # repro.integrators.ladder.LADDER_RATIO
+    "h_bypass_refine_tol": 1e-10,    # repro.core.workspace.H_BYPASS_REFINE_TOL
+    "h_bypass_max_refinements": 8,   # ...workspace.H_BYPASS_MAX_REFINEMENTS
+    "lu_cache_entries": 8,           # LinearizationCache.MAX_ENTRIES
+}
 
 
 def _dataclass_to_dict(obj) -> Dict[str, object]:
@@ -166,54 +184,24 @@ class SimOptions:
     #: LU fill-in budget emulating a memory limit (None disables)
     max_factor_nnz: Optional[int] = None
 
-    # -- hot-path caching (repro.core.workspace) ---------------------------------------
-    #: reuse constant linearizations and LU factorizations across steps; on
-    #: linear circuits this is the "factorize once per run" fast path and
-    #: produces bit-identical trajectories (False restores the per-step
-    #: re-assembly/re-factorization behaviour)
-    cache_linearization: bool = True
+    # -- LU reuse (repro.core.workspace) ---------------------------------------------
     #: SPICE-style bypass threshold for nonlinear circuits: reuse the
     #: previous factorization while ``max|dA| / max|A|`` of the linearized
     #: matrix stays below this value (0 disables; >0 trades exactness of
     #: the Jacobian for skipped factorizations)
     bypass_tol: float = 0.0
-    #: ER only: reuse the slope (phi_2) Krylov basis across steps inside
-    #: one PWL source segment -- the slope vector is constant there (the
-    #: Eq. 14 remark); requires the linearization cache on a linear circuit
-    reuse_segment_slope: bool = True
-    #: reuse the fill-reducing column ordering across factorizations with
-    #: an identical sparsity pattern (symbolic analysis runs once per
-    #: pattern, numeric refactorizations are bit-identical to fresh
-    #: factorizations); independent of ``cache_linearization``
-    reuse_symbolic: bool = True
-
-    # -- cache-aware adaptive stepping (all default-off; trajectories are
-    # -- bit-identical to the plain controller when every knob is at its default)
     #: step-controller quantization mode: ``"off"`` keeps the continuous
-    #: controller; ``"geometric"`` rounds every proposed step down onto a
-    #: geometric grid ``h_ref * ratio**k`` anchored at the resolved initial
-    #: step, so consecutive steps share one cached ``LU(C/h + G)``
+    #: controller; ``"geometric"`` rounds every proposed step down onto the
+    #: grid ``h_ref * 2**k`` anchored at the resolved initial step
+    #: (:data:`repro.integrators.ladder.LADDER_RATIO`), so consecutive steps
+    #: share one cached ``LU(C/h + G)``
     step_ladder: str = "off"
-    #: ratio between adjacent ladder rungs (> 1); 2.0 matches the classic
-    #: halve/double controller so quantization costs at most one halving
-    step_ladder_ratio: float = 2.0
     #: cross-``h`` stale-factorization reuse: when a linear-circuit Jacobian
     #: is requested at ``h_new`` and a factorization cached at ``h_cached``
     #: satisfies ``|h_new - h_cached| / h_cached <= h_bypass_tol``, solve
     #: with the stale LU plus iterative refinement against the exact
     #: ``C/h_new + G`` operator instead of refactorizing (0 disables)
     h_bypass_tol: float = 0.0
-    #: relative residual target of the iterative refinement used by stale
-    #: cross-``h`` solves
-    h_bypass_refine_tol: float = 1e-10
-    #: refinement iteration cap; if the residual is still above tolerance a
-    #: fresh factorization is taken (counted in
-    #: ``LUStats.num_refinement_fallbacks``)
-    h_bypass_max_refinements: int = 8
-    #: LRU capacity of the per-``h`` factorization memo in
-    #: :class:`repro.core.workspace.LinearizationCache` -- large enough that
-    #: an oscillating controller (h up, reject, h down) rehits every rung
-    lu_cache_entries: int = 8
 
     # -- output ------------------------------------------------------------------------------
     #: store the full state trajectory (False keeps only observed nodes)
@@ -232,8 +220,16 @@ class SimOptions:
     def validate(self) -> None:
         if self.t_stop <= self.t_start:
             raise ValueError("t_stop must be greater than t_start")
-        if self.h_init is not None and self.h_init <= 0:
-            raise ValueError("h_init must be positive")
+        for name in ("h_init", "h_min", "h_max"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ValueError(f"{name} must be positive")
+        if self.h_min is not None and self.h_max is not None and self.h_min > self.h_max:
+            raise ValueError("h_min must not exceed h_max")
+        if self.max_rejections < 0:
+            raise ValueError("max_rejections must be non-negative")
+        if min(self.lte_abstol, self.lte_reltol) < 0 or self.lte_abstol == self.lte_reltol == 0:
+            raise ValueError("lte_abstol and lte_reltol must be non-negative and not both zero")
         if self.err_budget <= 0 or self.mevp_tol <= 0:
             raise ValueError("error budgets must be positive")
         if not (0.0 < self.alpha < 1.0):
@@ -246,16 +242,8 @@ class SimOptions:
             raise ValueError("bypass_tol must be non-negative")
         if self.step_ladder not in ("off", "geometric"):
             raise ValueError("step_ladder must be 'off' or 'geometric'")
-        if self.step_ladder_ratio <= 1.0:
-            raise ValueError("step_ladder_ratio must be greater than 1")
         if not (0.0 <= self.h_bypass_tol < 1.0):
             raise ValueError("h_bypass_tol must lie in [0, 1)")
-        if self.h_bypass_refine_tol <= 0.0:
-            raise ValueError("h_bypass_refine_tol must be positive")
-        if self.h_bypass_max_refinements < 1:
-            raise ValueError("h_bypass_max_refinements must be at least 1")
-        if self.lu_cache_entries < 1:
-            raise ValueError("lu_cache_entries must be at least 1")
         self.newton.validate()
 
     @property
@@ -288,7 +276,19 @@ class SimOptions:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "SimOptions":
-        """Rebuild from :meth:`to_dict` output (validating on construction)."""
+        """Rebuild from :meth:`to_dict` output (validating on construction).
+
+        Keys of :data:`RETIRED_SIM_FIELDS` are dropped when they carry the
+        behaviour that is now fixed and refused by name otherwise.
+        """
+        if isinstance(data, dict):
+            data = dict(data)
+            for name, fixed in RETIRED_SIM_FIELDS.items():
+                if name in data and data.pop(name) != fixed:
+                    raise ValueError(
+                        f"SimOptions field {name!r} is retired; only its fixed "
+                        f"value {fixed!r} is accepted"
+                    )
         return _dataclass_from_dict(
             cls, data, nested={"newton": NewtonOptions, "dc": DCOptions}
         )

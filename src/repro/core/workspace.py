@@ -3,9 +3,8 @@
 The paper's flagship benchmarks (RC meshes, power grids, coupled
 interconnect) are *linear* circuits: ``C``, ``G`` and therefore ``LU(G)``
 (and, for the implicit baselines, ``LU(C/h + G)`` at a fixed ``h``) are
-constant for the whole transient.  The integrators nevertheless used to
-re-assemble and re-factorize on every step, which buried the method
-comparison under redundant work.  :class:`LinearizationCache` removes it:
+constant for the whole transient.  :class:`LinearizationCache` keeps the
+integrators from re-assembling and re-factorizing them on every step:
 
 * **Linear fast path** -- when ``mna.has_nonlinear`` is False the cache
   hands out the assembled matrices (with the optional ``gshunt`` applied
@@ -39,13 +38,17 @@ unchanged in meaning and the cache's effect is visible in the statistics
 rather than hidden by them.
 
 Below the value-keyed LU cache sits a *pattern*-keyed
-:class:`~repro.linalg.sparse_lu.SymbolicCache`
-(``SimOptions.reuse_symbolic``): when a factorization cannot be avoided
-but the sparsity pattern was seen before, the fill-reducing ordering is
-reused and only the numeric phase runs.  Such refactorizations stay in
-``num_factorizations`` (they are real work) and are additionally tallied
-in ``num_symbolic_reuses``; fresh analyses count in ``num_orderings``,
-with ``num_factorizations == num_orderings + num_symbolic_reuses``.
+:class:`~repro.linalg.sparse_lu.SymbolicCache`: when a factorization
+cannot be avoided but the sparsity pattern was seen before, the
+fill-reducing ordering is reused and only the numeric phase runs.  Such
+refactorizations stay in ``num_factorizations`` (they are real work) and
+are additionally tallied in ``num_symbolic_reuses``; fresh analyses count
+in ``num_orderings``, with
+``num_factorizations == num_orderings + num_symbolic_reuses``.
+
+The exact reuses are always on; the run that reuses nothing -- the
+baseline of the exactness and accounting checks -- is
+:class:`repro.verify.reference.UncachedReference`.
 """
 
 from __future__ import annotations
@@ -66,7 +69,14 @@ from repro.linalg.sparse_lu import (
     factorize,
 )
 
-__all__ = ["LinearizationCache"]
+__all__ = ["LinearizationCache", "H_BYPASS_REFINE_TOL", "H_BYPASS_MAX_REFINEMENTS"]
+
+#: relative residual target of the iterative refinement behind a stale
+#: cross-``h`` solve
+H_BYPASS_REFINE_TOL = 1e-10
+#: refinement sweeps before a stale solve falls back to a fresh
+#: factorization (counted in ``LUStats.num_refinement_fallbacks``)
+H_BYPASS_MAX_REFINEMENTS = 8
 
 #: cache keys are a tag plus the scalars that parameterize the matrix
 CacheKey = Tuple[object, ...]
@@ -102,27 +112,22 @@ def _relative_change(new: sp.spmatrix, old: sp.spmatrix) -> float:
 class LinearizationCache:
     """Per-integrator cache of linearizations and LU factorizations."""
 
-    #: default cap on distinct cached (matrix, LU) entries; adaptive
-    #: step-size controllers cycle through a handful of ``h`` values at a
-    #: time (per-cache override: ``SimOptions.lu_cache_entries``)
+    #: cap on distinct cached (matrix, LU) entries: large enough that an
+    #: oscillating controller (h up, reject, h down) rehits every rung
     MAX_ENTRIES = 8
 
     def __init__(self, mna: MNASystem, options: Optional[SimOptions] = None):
         self.mna = mna
         options = options if options is not None else SimOptions()
-        self.enabled = bool(options.cache_linearization)
         self.bypass_tol = float(options.bypass_tol)
         self.gshunt = float(options.gshunt)
-        self.max_entries = int(options.lu_cache_entries)
+        self.max_entries = self.MAX_ENTRIES
         #: cross-``h`` stale-reuse threshold; 0 keeps the exact-key policy
         self.h_bypass_tol = float(options.h_bypass_tol)
-        self.h_bypass_refine_tol = float(options.h_bypass_refine_tol)
-        self.h_bypass_max_refinements = int(options.h_bypass_max_refinements)
         #: pattern-keyed symbolic-factorization reuse; orthogonal to the
         #: value-keyed LU cache above it (a fresh factorization with a
         #: reused ordering is still a real, counted factorization)
-        self.symbolic: Optional[SymbolicCache] = (
-            SymbolicCache() if options.reuse_symbolic else None)
+        self.symbolic = SymbolicCache()
         self._identity = sp.identity(mna.n, format="csc")
         self._shunted_G: Optional[sp.csc_matrix] = None
         self._matrices: "OrderedDict[CacheKey, sp.spmatrix]" = OrderedDict()
@@ -132,20 +137,15 @@ class LinearizationCache:
 
     @property
     def reuse_exact(self) -> bool:
-        """Linear circuit with the cache enabled: matrices are run constants."""
-        return self.enabled and not self.mna.has_nonlinear
-
-    @property
-    def _stores_entries(self) -> bool:
-        return self.reuse_exact or (self.enabled and self.bypass_tol > 0.0)
+        """Linear circuit: matrices are run constants."""
+        return not self.mna.has_nonlinear
 
     def invalidate(self) -> None:
         """Drop every cached matrix, factorization and symbolic ordering."""
         self._shunted_G = None
         self._matrices.clear()
         self._lus.clear()
-        if self.symbolic is not None:
-            self.symbolic.clear()
+        self.symbolic.clear()
 
     def _put(self, store: "OrderedDict", key: CacheKey, value) -> None:
         """Insert as most-recent and evict least-recent past the capacity."""
@@ -241,33 +241,21 @@ class LinearizationCache:
         4. otherwise a real factorization is performed (and cached when a
            future reuse is possible at all).
         """
-        if not self.enabled:
-            return factorize(matrix, stats=stats,
-                             max_factor_nnz=max_factor_nnz, label=label,
-                             symbolic=self.symbolic)
-
         entry = self._lus.get(key)
         if entry is not None:
+            # entries exist only on the linear path or with bypass enabled
             stored, lu = entry
-            if self.reuse_exact and (stored is matrix or _same_values(matrix, stored)):
+            exact = _same_values(matrix, stored)
+            if exact or (not self.reuse_exact
+                         and _relative_change(matrix, stored) <= self.bypass_tol):
                 self._lus.move_to_end(key)
                 lu.rebind_stats(stats)
                 if stats is not None:
-                    stats.num_reused += 1
-                return lu
-            if not self.reuse_exact and self.bypass_tol > 0.0:
-                if _same_values(matrix, stored):
-                    self._lus.move_to_end(key)
-                    lu.rebind_stats(stats)
-                    if stats is not None:
+                    if exact:
                         stats.num_reused += 1
-                    return lu
-                if _relative_change(matrix, stored) <= self.bypass_tol:
-                    self._lus.move_to_end(key)
-                    lu.rebind_stats(stats)
-                    if stats is not None:
+                    else:
                         stats.num_bypassed += 1
-                    return lu
+                return lu
 
         if entry is None and self.reuse_exact and self.h_bypass_tol > 0.0:
             stale = self._stale_candidate(key)
@@ -288,8 +276,8 @@ class LinearizationCache:
                     stale_lu,
                     matrix,
                     stats,
-                    rtol=self.h_bypass_refine_tol,
-                    max_refinements=self.h_bypass_max_refinements,
+                    rtol=H_BYPASS_REFINE_TOL,
+                    max_refinements=H_BYPASS_MAX_REFINEMENTS,
                     fallback=fallback,
                     label=label or stale_lu.label,
                 )
@@ -297,7 +285,7 @@ class LinearizationCache:
         lu = factorize(matrix, stats=stats,
                        max_factor_nnz=max_factor_nnz, label=label,
                        symbolic=self.symbolic)
-        if self._stores_entries:
+        if self.reuse_exact or self.bypass_tol > 0.0:
             self._put(self._lus, key, (matrix, lu))
         return lu
 

@@ -23,7 +23,7 @@ from repro.circuit.mna import EvalResult, MNASystem
 from repro.core.options import SimOptions
 from repro.core.results import RunStatistics, SimulationResult, StepRecord
 from repro.core.workspace import LinearizationCache
-from repro.integrators.ladder import GeometricLadder
+from repro.integrators.ladder import LADDER_RATIO, GeometricLadder
 from repro.linalg.sparse_lu import FactorizationBudgetExceeded
 from repro.telemetry import metrics as telemetry
 
@@ -179,7 +179,7 @@ class Integrator(ABC):
         h_max = opts.resolved_h_max()
         return GeometricLadder(
             h_ref=min(opts.resolved_h_init(), h_max),
-            ratio=opts.step_ladder_ratio,
+            ratio=LADDER_RATIO,
             h_min=opts.resolved_h_min(),
             h_max=h_max,
         )

@@ -20,7 +20,7 @@ One accepted step at state ``x_k``, time ``t``, step size ``h``:
      ``h^2 phi_2(hJ) b_k = (e^{hJ} - I) r + h g_s``;
 
    and build one invert-Krylov basis for each (line 6).  On linear
-   circuits with the linearization cache enabled the slope terms
+   circuits (the linearization cache's exact path) the slope terms
    ``(g_s, r)`` and the whole basis of ``r`` are reused for every further
    step inside the same source segment (the slope is constant there, per
    the remark below Eq. 14), evaluated at the Krylov dimension a fresh
@@ -82,18 +82,16 @@ class ExponentialRosenbrockEuler(Integrator):
     def _cached_slope_terms(self, slope: np.ndarray, lu_G: SparseLU):
         """Return the cached ``(g_s, r, basis_r)`` when still valid.
 
-        Valid means: the option is on, the linearization is a run constant
-        (linear circuit with the cache enabled, so ``lu_G`` is the same
-        factorization object), and the slope vector is *bit-identical* to
+        Valid means: the linearization is a run constant (the cache's
+        ``reuse_exact`` path, so ``lu_G`` is the same factorization
+        object), and the slope vector is *bit-identical* to
         the cached one -- true for every step inside one PWL source
         segment because :meth:`~repro.circuit.mna.MNASystem.source_slope`
         is a constant of the segment.  Bit-identity plus deterministic
         Arnoldi makes the reuse produce exactly the vectors a fresh
         rebuild would.
         """
-        if (not self.options.reuse_segment_slope
-                or not self.cache.reuse_exact
-                or self._slope_cache is None):
+        if not self.cache.reuse_exact or self._slope_cache is None:
             return None
         c_slope, g_s, r, basis_r, c_lu = self._slope_cache
         if c_lu is not lu_G or not np.array_equal(slope, c_slope):
@@ -149,7 +147,7 @@ class ExponentialRosenbrockEuler(Integrator):
                 g_s = lu_G.solve(slope)
                 r = lu_G.solve(np.asarray(ev.C @ g_s).ravel())
                 basis_r = self._build_basis(iks, r, h)
-                if self.options.reuse_segment_slope and self.cache.reuse_exact:
+                if self.cache.reuse_exact:
                     self._slope_cache = (slope, g_s, r, basis_r, lu_G)
         else:
             g_s = np.zeros_like(x)

@@ -165,7 +165,7 @@ def check_lu_accounting(
     trajectory_tol: float = 1e-12,
     max_lu_cached: Optional[int] = None,
 ) -> List[InvariantViolation]:
-    """Differential identities between cache-on and cache-off runs.
+    """Differential identities between a cached and a reference run.
 
     * identical step counts and bit-identical (<= ``trajectory_tol``)
       trajectories -- the cache is exact;

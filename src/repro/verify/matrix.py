@@ -14,8 +14,8 @@ the raw runs:
    correct methods can differ by at most the sum);
 3. **invariants** -- Eq. 13 slope consistency of every swept source,
    passivity/energy decay on the ringing RLC family, and the
-   linearization cache's LU accounting identities (cache-on vs
-   cache-off differential runs);
+   linearization cache's LU accounting identities (default runs vs the
+   uncached :mod:`repro.verify.reference` run);
 4. **golden checks** -- sampled waveforms against the committed golden
    trajectories, where goldens exist for the scenario's content hash.
 
@@ -48,9 +48,9 @@ from repro.verify.invariants import (
     check_energy_decay,
     check_lu_accounting,
     check_slope_consistency,
-    check_symbolic_accounting,
 )
 from repro.verify.oracles import DEFAULT_METHOD_BANDS, Oracle, all_oracles
+from repro.verify.reference import reference_simulator
 
 __all__ = [
     "CheckRow",
@@ -425,6 +425,22 @@ def _energy_invariants(smoke: bool,
     return rows
 
 
+def _reference_pair(family: str, source: str, method: str, smoke: bool):
+    """Default-knob run and uncached reference run of one driven case."""
+    from repro.verify.circuits import driven_family
+
+    t_stop = _horizon(smoke)
+    config = MATRIX_FAMILIES[family]
+    params = dict(config["smoke" if smoke else "full"])
+    mna = driven_family(family=family, source=source,
+                        t_stop=t_stop, **params).build()
+    options = SimOptions(t_stop=t_stop, h_init=config["h_init"],
+                         h_max=config["h_max"], store_states=True)
+    default = TransientSimulator(mna, method=method, options=options).run()
+    reference = reference_simulator(mna, method=method, options=options).run()
+    return default, reference
+
+
 def _lu_accounting_invariants(
         smoke: bool,
         cases: Sequence[Tuple[str, str, str]] = (
@@ -432,32 +448,17 @@ def _lu_accounting_invariants(
             ("rc_ladder", "ramp", "benr"),
             ("rlc_line", "pulse", "trap"),
         )) -> List[CheckRow]:
-    """Cache-on vs cache-off differential runs on linear representatives."""
-    from repro.verify.circuits import driven_family
-
-    t_stop = _horizon(smoke)
-    size = "smoke" if smoke else "full"
+    """Default runs vs the uncached reference on linear representatives."""
     rows: List[CheckRow] = []
     for family, source, method in cases:
-        config = MATRIX_FAMILIES[family]
-        params = dict(config[size])
-        mna = driven_family(family=family, source=source,
-                            t_stop=t_stop, **params).build()
-        results = {}
-        for cached in (True, False):
-            options = SimOptions(t_stop=t_stop, h_init=config["h_init"],
-                                 h_max=config["h_max"], store_states=True,
-                                 cache_linearization=cached,
-                                 reuse_segment_slope=cached)
-            results[cached] = TransientSimulator(
-                mna, method=method, options=options).run()
+        default, reference = _reference_pair(family, source, method, smoke)
         subject = f"{family}/{source}"
         violations = check_lu_accounting(
-            results[True], results[False], subject=f"{subject}/{method}",
+            default, reference, subject=f"{subject}/{method}",
         )
         rows.extend(_invariant_rows(
             violations, subject=f"lu-accounting:{subject}", method=method,
-            total_label="#LU(off) == #LU(on) + #LUhit(on), bit-identical",
+            total_label="#LU(ref) == #LU + #LUhit, bit-identical",
         ))
     return rows
 
@@ -470,62 +471,29 @@ def _symbolic_reuse_invariants(
         )) -> List[CheckRow]:
     """Symbolic-ordering reuse is exact work-preserving refactorization.
 
-    Runs each case with the linearization cache *off* (so every step
-    really factorizes) and ``reuse_symbolic`` on vs off.  The on-run must
-    (a) reuse the pattern-matched ordering at least once, (b) perform
-    exactly as many real factorizations as the off-run, (c) produce a
-    bit-identical trajectory (tolerance 0 -- pre-permuting with COLAMD's
-    own ordering is the same computation SuperLU performs), and (d)
-    satisfy ``#LU == orderings + symbolic_reuses`` on both runs.
+    Runs each case with the default knobs and with the uncached reference
+    (a fresh ordering for every factorization).  The default run must
+    reuse a pattern-matched ordering at least once and the reference
+    never; beyond that the pair must pass :func:`check_lu_accounting` at
+    trajectory tolerance 0 -- pre-permuting with COLAMD's own ordering is
+    the same computation SuperLU performs, it skips no factorization the
+    cache does not count, and ``#LU == orderings + symbolic_reuses``
+    holds on both runs.
     """
-    from repro.verify.circuits import driven_family
-
-    t_stop = _horizon(smoke)
-    size = "smoke" if smoke else "full"
     rows: List[CheckRow] = []
     for family, source, method in cases:
-        config = MATRIX_FAMILIES[family]
-        params = dict(config[size])
-        mna = driven_family(family=family, source=source,
-                            t_stop=t_stop, **params).build()
-        results = {}
-        for symbolic in (True, False):
-            options = SimOptions(t_stop=t_stop, h_init=config["h_init"],
-                                 h_max=config["h_max"], store_states=True,
-                                 cache_linearization=False,
-                                 reuse_segment_slope=False,
-                                 reuse_symbolic=symbolic)
-            results[symbolic] = TransientSimulator(
-                mna, method=method, options=options).run()
+        default, reference = _reference_pair(family, source, method, smoke)
         subject = f"{family}/{source}/{method}"
-        on, off = results[True].stats.lu, results[False].stats.lu
-        violations: List[InvariantViolation] = []
-        if on.num_symbolic_reuses <= 0:
+        violations = check_lu_accounting(default, reference, subject=subject,
+                                         trajectory_tol=0.0)
+        reused = default.stats.lu.num_symbolic_reuses
+        reused_ref = reference.stats.lu.num_symbolic_reuses
+        if reused <= 0 or reused_ref != 0:
             violations.append(InvariantViolation(
                 "symbolic-reuse", subject,
-                f"expected num_symbolic_reuses > 0, got "
-                f"{on.num_symbolic_reuses} over {on.num_factorizations} LUs",
+                f"num_symbolic_reuses: default {reused} (expected > 0), "
+                f"reference {reused_ref} (expected 0)",
             ))
-        if on.num_factorizations != off.num_factorizations:
-            violations.append(InvariantViolation(
-                "symbolic-reuse", subject,
-                f"#LU changed with symbolic reuse: {on.num_factorizations} "
-                f"vs {off.num_factorizations}",
-            ))
-        try:
-            diff = float(np.max(np.abs(
-                results[True].state_array - results[False].state_array)))
-        except (ValueError, RuntimeError):
-            diff = float("inf")
-        if diff != 0.0:
-            violations.append(InvariantViolation(
-                "symbolic-exactness", subject,
-                f"trajectory difference {diff:.3e}; refactorization with a "
-                f"reused ordering must be bit-identical",
-            ))
-        for tag, result in (("on", results[True]), ("off", results[False])):
-            violations.extend(check_symbolic_accounting(
-                result, subject=f"{subject}/symbolic-{tag}"))
         rows.extend(_invariant_rows(
             violations, subject=f"symbolic-reuse:{family}/{source}",
             method=method,

@@ -447,3 +447,27 @@ class TestExecuteScenario:
         assert outcome.ok
         assert outcome.worker is not None
         assert outcome.runtime_seconds > 0
+
+    def test_accepts_pre_retirement_base_options(self):
+        """A queued job whose base options carry the retired LU-reuse
+        keys at their fixed values runs as if they were absent."""
+        scenario = small_scenarios(methods=("er",), budgets=(1e-3,))[0]
+        legacy = dict(FAST_OPTIONS.to_dict(), cache_linearization=True,
+                      reuse_symbolic=True, reuse_segment_slope=True,
+                      step_ladder_ratio=2.0, h_bypass_refine_tol=1e-10,
+                      h_bypass_max_refinements=8, lu_cache_entries=8)
+        data = execute_scenario(scenario.to_dict(), legacy)
+        outcome = ScenarioOutcome.from_dict(data)
+        assert outcome.ok, outcome.error
+        fresh = ScenarioOutcome.from_dict(
+            execute_scenario(scenario.to_dict(), FAST_OPTIONS.to_dict()))
+        for key in ("#steps", "#LU", "#LUhit", "t_end_reached", "observables"):
+            assert outcome.summary.get(key) == fresh.summary.get(key), key
+
+    def test_refuses_changed_retired_base_option(self):
+        scenario = small_scenarios(methods=("er",), budgets=(1e-3,))[0]
+        legacy = dict(FAST_OPTIONS.to_dict(), cache_linearization=False)
+        outcome = ScenarioOutcome.from_dict(
+            execute_scenario(scenario.to_dict(), legacy))
+        assert not outcome.ok
+        assert "cache_linearization" in outcome.error

@@ -11,6 +11,7 @@ from repro.core.options import SimOptions
 from repro.core.simulator import simulate
 from repro.integrators.base import IntegratorError
 from repro.integrators.forward_euler import ForwardEuler
+from repro.verify.reference import reference_simulator
 
 
 def rc_step_circuit(r=1000.0, c=1e-12):
@@ -103,10 +104,10 @@ class TestStepCounts:
     def test_er_one_lu_per_step(self):
         """Algorithm 2: exactly one LU factorization of G per accepted step
         (the DC solve may add one more) on a linear circuit with no rejections.
-        The linearization cache is disabled to expose the raw cost model."""
+        The uncached reference run exposes the raw cost model."""
         ckt = rc_step_circuit()
-        result = simulate(ckt, "er", t_stop=3e-9, h_init=2e-11,
-                          cache_linearization=False)
+        result = reference_simulator(
+            ckt, "er", SimOptions(t_stop=3e-9, h_init=2e-11)).run()
         assert result.stats.num_rejections == 0
         extra = result.stats.num_lu_factorizations - result.stats.num_steps
         assert extra in (0, 1)
@@ -123,8 +124,8 @@ class TestStepCounts:
 
     def test_benr_needs_at_least_one_lu_per_newton_iteration(self):
         ckt = rc_step_circuit()
-        result = simulate(ckt, "benr", t_stop=3e-9, h_init=1e-11,
-                          cache_linearization=False)
+        result = reference_simulator(
+            ckt, "benr", SimOptions(t_stop=3e-9, h_init=1e-11)).run()
         assert result.stats.num_lu_factorizations >= result.stats.num_steps
 
 

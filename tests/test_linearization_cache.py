@@ -3,8 +3,9 @@
 The cache's contract has three parts, each locked in here:
 
 * **exactness** -- linear and nonlinear circuits produce bit-identical
-  ``SimulationResult`` states with the cache on vs off (the default
-  configuration changes *work*, never *results*);
+  ``SimulationResult`` states with the default cache and with the
+  uncached :mod:`repro.verify.reference` run (the default configuration
+  changes *work*, never *results*);
 * **honest counters** -- ``#LU`` keeps counting real factorizations only,
   reuses land in ``num_reused`` / ``num_bypassed``;
 * **bypass semantics** -- with ``bypass_tol > 0`` a nonlinear run reuses
@@ -25,6 +26,7 @@ from repro.core.options import SimOptions
 from repro.core.simulator import TransientSimulator
 from repro.core.workspace import LinearizationCache
 from repro.linalg.sparse_lu import LUStats
+from repro.verify.reference import UncachedReference, reference_simulator
 
 
 def linear_circuit():
@@ -33,13 +35,16 @@ def linear_circuit():
                    drive=PWL([(0.0, 0.0), (1e-9, 1.0)]))
 
 
-def run(circuit, method, cached, **overrides):
+def run(circuit, method, cached, max_entries=None, **overrides):
+    """Default-cache run (``cached``) or uncached reference run."""
     kwargs = dict(t_stop=1e-9, h_init=2e-12)
     kwargs.update(overrides)
-    options = SimOptions(
-        cache_linearization=cached, reuse_segment_slope=cached, **kwargs
-    )
-    return TransientSimulator(circuit, method=method, options=options).run()
+    options = SimOptions(**kwargs)
+    make = TransientSimulator if cached else reference_simulator
+    simulator = make(circuit, method=method, options=options)
+    if max_entries is not None:
+        simulator.integrator.cache.max_entries = max_entries
+    return simulator.run()
 
 
 class TestLinearExactness:
@@ -128,13 +133,30 @@ class TestCachePrimitives:
 
     def test_disabled_cache_never_stores(self):
         mna = self._mna()
-        cache = LinearizationCache(mna, SimOptions(cache_linearization=False))
+        cache = UncachedReference(mna, SimOptions())
         stats = LUStats()
         lu1 = cache.lu(("G",), mna.G_lin, stats=stats)
         lu2 = cache.lu(("G",), mna.G_lin, stats=stats)
         assert lu1 is not lu2
         assert stats.num_factorizations == 2
         assert stats.num_reused == 0
+        assert stats.num_orderings == 2 and stats.num_symbolic_reuses == 0
+        assert not cache._lus and not cache._matrices
+        calls = []
+        cache.matrix(("k",), lambda: calls.append(1) or mna.C_lin)
+        cache.matrix(("k",), lambda: calls.append(1) or mna.C_lin)
+        assert len(calls) == 2 and not cache.reuse_exact
+
+    def test_default_cache_always_reuses_symbolic_orderings(self):
+        """Symbolic reuse is not optional: a cache-missing refactorization
+        of a seen pattern rides the stored ordering."""
+        mna = self._mna()
+        cache = LinearizationCache(mna, SimOptions())
+        stats = LUStats()
+        cache.lu(("h", 1.0), mna.G_lin, stats=stats)
+        cache.lu(("h", 2.0), mna.G_lin, stats=stats)
+        assert stats.num_factorizations == 2
+        assert stats.num_orderings == 1 and stats.num_symbolic_reuses == 1
 
     def test_linear_cache_reuses_and_rebinds_stats(self):
         mna = self._mna()
@@ -209,9 +231,11 @@ class TestMultiRungMemoization:
     def _mna(self):
         return linear_circuit().build()
 
-    def test_capacity_follows_lu_cache_entries(self):
+    def test_capacity_follows_max_entries(self):
         mna = self._mna()
-        cache = LinearizationCache(mna, SimOptions(lu_cache_entries=3))
+        cache = LinearizationCache(mna, SimOptions())
+        assert cache.max_entries == LinearizationCache.MAX_ENTRIES == 8
+        cache.max_entries = 3
         for i in range(10):
             cache.lu(("benr", float(i + 1)), mna.G_lin)
         assert len(cache._lus) == 3
@@ -230,7 +254,8 @@ class TestMultiRungMemoization:
 
     def test_eviction_is_least_recently_used(self):
         mna = self._mna()
-        cache = LinearizationCache(mna, SimOptions(lu_cache_entries=2))
+        cache = LinearizationCache(mna, SimOptions())
+        cache.max_entries = 2
         stats = LUStats()
         cache.lu(("benr", 1.0), mna.G_lin, stats=stats)
         cache.lu(("benr", 2.0), mna.G_lin, stats=stats)
@@ -256,11 +281,11 @@ class TestMultiRungMemoization:
 
     @pytest.mark.parametrize("method", ["benr", "trap", "gear2"])
     def test_small_capacity_is_bit_identical(self, method):
-        """``lu_cache_entries`` changes work, never results: a 2-entry
-        cache (heavy eviction) reproduces the default run bit-for-bit."""
+        """Capacity changes work, never results: a 2-entry cache (heavy
+        eviction) reproduces the default run bit-for-bit."""
         ckt = linear_circuit()
         r_default = run(ckt, method, cached=True)
-        r_small = run(ckt, method, cached=True, lu_cache_entries=2)
+        r_small = run(ckt, method, cached=True, max_entries=2)
         assert r_default.times == r_small.times
         np.testing.assert_array_equal(r_default.state_array,
                                       r_small.state_array)

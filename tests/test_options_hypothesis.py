@@ -59,12 +59,24 @@ dc_options = st.builds(
 def sim_options(draw):
     t_start = draw(st.floats(min_value=0.0, max_value=1e-9, allow_nan=False))
     span = draw(st.floats(min_value=1e-12, max_value=1e-6, allow_nan=False))
+    h_min = draw(st.one_of(st.none(), st.floats(min_value=1e-18,
+                                                max_value=1e-9,
+                                                allow_nan=False)))
+    h_max = draw(st.one_of(st.none(), st.floats(
+        min_value=h_min if h_min is not None else 1e-18,
+        max_value=1e-6, allow_nan=False)))
+    lte_abstol, lte_reltol = draw(st.tuples(
+        st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+        st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+    ).filter(lambda tols: tols != (0.0, 0.0)))
     return SimOptions(
         t_start=t_start,
         t_stop=t_start + span,
         h_init=draw(st.one_of(st.none(), st.floats(min_value=1e-15,
                                                    max_value=1e-9,
                                                    allow_nan=False))),
+        h_min=h_min,
+        h_max=h_max,
         err_budget=draw(positive_floats),
         mevp_tol=draw(positive_floats),
         krylov_max_dim=draw(st.integers(min_value=2, max_value=300)),
@@ -72,13 +84,17 @@ def sim_options(draw):
         gamma=draw(st.floats(min_value=0.0, max_value=1.0, allow_nan=False)),
         alpha=draw(st.floats(min_value=1e-3, max_value=0.999, allow_nan=False)),
         beta=draw(st.floats(min_value=1.0, max_value=16.0, allow_nan=False)),
+        max_rejections=draw(st.integers(min_value=0, max_value=100)),
         newton=draw(newton_options),
+        lte_abstol=lte_abstol,
+        lte_reltol=lte_reltol,
         gshunt=draw(st.floats(min_value=0.0, max_value=1e-3, allow_nan=False)),
         max_factor_nnz=draw(st.one_of(st.none(),
                                       st.integers(min_value=1, max_value=10**9))),
-        cache_linearization=draw(st.booleans()),
         bypass_tol=draw(st.floats(min_value=0.0, max_value=1.0, allow_nan=False)),
-        reuse_segment_slope=draw(st.booleans()),
+        step_ladder=draw(st.sampled_from(["off", "geometric"])),
+        h_bypass_tol=draw(st.floats(min_value=0.0, max_value=0.999,
+                                    allow_nan=False)),
         store_states=draw(st.booleans()),
         observe_nodes=draw(st.lists(st.text(min_size=1, max_size=8),
                                     max_size=4)),

@@ -1,8 +1,10 @@
 """Round-trip tests for the options serialization layer."""
 
+import dataclasses
+
 import pytest
 
-from repro.core.options import DCOptions, NewtonOptions, SimOptions
+from repro.core.options import RETIRED_SIM_FIELDS, DCOptions, NewtonOptions, SimOptions
 from repro.core.simulator import TransientSimulator
 from repro.circuit.netlist import Circuit
 from repro.circuit.sources import PWL
@@ -100,3 +102,89 @@ class TestSimOptions:
         # plain ER with a stale correction flag gets normalized back off
         sim2 = TransientSimulator(ckt, method="er", options=SimOptions.from_dict(data))
         assert sim2.options.correction is False
+
+
+class TestSimOptionsValidation:
+    """Step bounds and LTE tolerances that would hang or break a run."""
+
+    @pytest.mark.parametrize("h_min", [0.0, -1e-15])
+    def test_h_min_must_be_positive(self, h_min):
+        with pytest.raises(ValueError, match="h_min must be positive"):
+            SimOptions(h_min=h_min)
+
+    @pytest.mark.parametrize("h_max", [0.0, -1e-12])
+    def test_h_max_must_be_positive(self, h_max):
+        # accepted, these bounds would keep run() stepping forever
+        with pytest.raises(ValueError, match="h_max must be positive"):
+            SimOptions(t_stop=1e-10, h_init=1e-12, h_max=h_max)
+
+    def test_h_min_must_not_exceed_h_max(self):
+        with pytest.raises(ValueError, match="h_min must not exceed h_max"):
+            SimOptions(h_min=2e-12, h_max=1e-12)
+        # equal bounds are a fixed-step run, and one bound alone is fine
+        SimOptions(h_min=1e-12, h_max=1e-12)
+        SimOptions(h_min=1.0)
+
+    def test_max_rejections_must_be_non_negative(self):
+        with pytest.raises(ValueError, match="max_rejections"):
+            SimOptions(max_rejections=-1)
+        SimOptions(max_rejections=0)
+
+    @pytest.mark.parametrize("tols", [(-1e-6, 1e-3), (1e-6, -1e-3)])
+    def test_lte_tolerances_must_be_non_negative(self, tols):
+        with pytest.raises(ValueError, match="non-negative"):
+            SimOptions(lte_abstol=tols[0], lte_reltol=tols[1])
+
+    def test_lte_tolerances_must_not_both_be_zero(self):
+        with pytest.raises(ValueError, match="not both zero"):
+            SimOptions(lte_abstol=0.0, lte_reltol=0.0)
+        SimOptions(lte_abstol=0.0, lte_reltol=1e-3)
+        SimOptions(lte_abstol=1e-6, lte_reltol=0.0)
+
+
+class TestRetiredFields:
+    """Payloads written before the LU-reuse knobs were retired."""
+
+    def test_retired_fields_are_gone(self):
+        names = {f.name for f in dataclasses.fields(SimOptions)}
+        assert not names & set(RETIRED_SIM_FIELDS)
+
+    def test_table_matches_the_fixed_constants(self):
+        from repro.core.workspace import (
+            H_BYPASS_MAX_REFINEMENTS,
+            H_BYPASS_REFINE_TOL,
+            LinearizationCache,
+        )
+        from repro.integrators.ladder import LADDER_RATIO
+
+        assert RETIRED_SIM_FIELDS == {
+            "cache_linearization": True,
+            "reuse_symbolic": True,
+            "reuse_segment_slope": True,
+            "step_ladder_ratio": LADDER_RATIO,
+            "h_bypass_refine_tol": H_BYPASS_REFINE_TOL,
+            "h_bypass_max_refinements": H_BYPASS_MAX_REFINEMENTS,
+            "lu_cache_entries": LinearizationCache.MAX_ENTRIES,
+        }
+
+    def test_fixed_values_are_dropped(self):
+        data = dict(SimOptions(t_stop=2e-9).to_dict(), **RETIRED_SIM_FIELDS)
+        assert SimOptions.from_dict(data) == SimOptions(t_stop=2e-9)
+
+    @pytest.mark.parametrize("name, value", [
+        ("cache_linearization", False),
+        ("reuse_symbolic", False),
+        ("reuse_segment_slope", False),
+        ("step_ladder_ratio", 1.5),
+        ("h_bypass_refine_tol", 1e-8),
+        ("h_bypass_max_refinements", 4),
+        ("lu_cache_entries", 2),
+    ])
+    def test_other_values_are_refused_by_name(self, name, value):
+        with pytest.raises(ValueError, match=f"{name}.*retired"):
+            SimOptions.from_dict({name: value})
+
+    def test_caller_dict_is_not_mutated(self):
+        data = {"t_stop": 2e-9, "lu_cache_entries": 8}
+        SimOptions.from_dict(data)
+        assert data == {"t_stop": 2e-9, "lu_cache_entries": 8}

@@ -166,6 +166,23 @@ class TestValidationAndErrors:
         assert status == 400
         assert "base_options" in document["error"]
 
+    @pytest.mark.parametrize("h_max", [0, -1e-12])
+    def test_non_positive_h_max_is_400_not_a_hung_job(self, service, h_max):
+        status, document = http(f"{service.url}/scenarios", {
+            "scenario": scenario_body(),
+            "base_options": {"t_stop": 1e-10, "h_init": 1e-12, "h_max": h_max},
+        })
+        assert status == 400
+        assert "h_max must be positive" in document["error"]
+
+    def test_retired_option_with_changed_value_is_400(self, service):
+        status, document = http(f"{service.url}/scenarios", {
+            "scenario": scenario_body(),
+            "base_options": dict(FAST_BASE_OPTIONS, cache_linearization=False),
+        })
+        assert status == 400
+        assert "cache_linearization" in document["error"]
+
     def test_invalid_priority_is_400(self, service):
         status, document = http(f"{service.url}/scenarios", {
             "scenario": scenario_body(), "priority": "high",

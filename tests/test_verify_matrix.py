@@ -33,6 +33,7 @@ from repro.verify.matrix import (
     oracle_scenarios,
     run_matrix,
 )
+from repro.verify.reference import reference_simulator
 
 
 class TestScenarioConstruction:
@@ -117,15 +118,12 @@ class TestInvariantChecks:
     def test_lu_accounting_identity_on_linear_circuit(self):
         mna = driven_family(family="rc_ladder", source="ramp",
                             t_stop=0.25e-9, num_segments=8).build()
-        results = {}
-        for cached in (True, False):
-            options = SimOptions(t_stop=0.25e-9, h_init=2e-12, h_max=4e-12,
-                                 store_states=True,
-                                 cache_linearization=cached,
-                                 reuse_segment_slope=cached)
-            results[cached] = TransientSimulator(mna, "er",
-                                                 options=options).run()
-        assert check_lu_accounting(results[True], results[False]) == []
+        options = SimOptions(t_stop=0.25e-9, h_init=2e-12, h_max=4e-12,
+                             store_states=True)
+        cached = TransientSimulator(mna, "er", options=options).run()
+        uncached = reference_simulator(mna, "er", options=options).run()
+        assert uncached.stats.lu.num_reused == 0
+        assert check_lu_accounting(cached, uncached) == []
 
     def test_lu_accounting_catches_dishonest_counters(self):
         mna = driven_family(family="rc_ladder", source="ramp",
@@ -141,10 +139,14 @@ class TestInvariantChecks:
     def test_symbolic_accounting_identity_on_real_run(self):
         mna = driven_family(family="rc_ladder", source="ramp",
                             t_stop=0.25e-9, num_segments=8).build()
-        options = SimOptions(t_stop=0.25e-9, h_init=2e-12, h_max=4e-12,
-                             cache_linearization=False)
+        options = SimOptions(t_stop=0.25e-9, h_init=2e-12, h_max=4e-12)
         result = TransientSimulator(mna, "benr", options=options).run()
+        assert result.stats.lu.num_symbolic_reuses > 0
         assert check_symbolic_accounting(result) == []
+        reference = reference_simulator(mna, "benr", options=options).run()
+        assert reference.stats.lu.num_orderings == \
+            reference.stats.lu.num_factorizations
+        assert check_symbolic_accounting(reference) == []
 
     def test_symbolic_accounting_catches_dishonest_counters(self):
         mna = driven_family(family="rc_ladder", source="ramp",

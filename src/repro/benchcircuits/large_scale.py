@@ -13,9 +13,12 @@ Sparsity budgets (per grid node ``N``, excluding the driver/pad rows):
 * :func:`large_rc_mesh` -- 4-neighbor stencil: ``nnz(G) ~ 5N``;
   grounded caps keep ``C`` diagonal, ``nnz(C) ~ N + 4 * coupling_fraction
   * N`` (each coupling capacitor adds 2 off-diagonals and touches 2
-  diagonals).  ``coupling_fraction`` is the fill-in knob: COLAMD fill of
+  diagonals).  ``coupling_fraction`` is the fill-in knob: the fill of
   ``LU(C/h + G)`` grows super-linearly in it while ``LU(G)`` is
-  untouched -- the Fig. 1 gap.
+  untouched -- the Fig. 1 gap.  Both matrices are structurally
+  symmetric, so :func:`repro.linalg.sparse_lu.factorize` orders them by
+  symmetric minimum degree (``MMD_AT_PLUS_A``); ``bench_fig1_nnz.py
+  --check`` asserts that fills no worse than SuperLU's default COLAMD.
 * :func:`pdn_multilayer` -- ``layers`` stacked meshes: ``nnz(G) ~ 5N +
   2 * N / via_pitch^2``; decaps are diagonal, per-layer
   ``coupling_fraction`` densifies ``C`` exactly as above.  Pads add one

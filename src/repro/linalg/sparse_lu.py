@@ -13,6 +13,18 @@ factorization in this code base goes through :func:`factorize`, which
 * optionally enforces a fill-in budget (``max_factor_nnz``) that emulates
   the 32 GB memory limit which makes BENR fail on the paper's ckt6-ckt8
   ("Out of Memory" rows in Table I).
+
+The SuperLU ordering is chosen from the matrix itself.  Every linear
+R/L/C/V/I stamp is placed symmetrically, so linear MNA matrices are
+*structurally symmetric* (pattern == pattern^T); those are ordered by
+symmetric minimum degree on ``A^T + A`` (:data:`SYMMETRIC_ORDERING`) in
+SuperLU's symmetric mode, with a diagonal pivot threshold
+(:data:`SYMMETRIC_PIVOT_THRESHOLD`) that still pivots on the zero-diagonal
+branch rows of inductors and voltage sources.  This fills far less than
+SuperLU's default COLAMD (e.g. 175k vs 275k factor entries for a 3242-
+unknown PDN ``G``).  Unsymmetric patterns -- device Jacobians with
+one-sided transconductances -- keep COLAMD with partial pivoting, on which
+the symmetric ordering fills several times worse.
 """
 
 from __future__ import annotations
@@ -32,8 +44,10 @@ __all__ = [
     "SparseLU",
     "RefinedLU",
     "SymbolicCache",
+    "SymbolicOrdering",
     "FactorizationBudgetExceeded",
     "factorize",
+    "structurally_symmetric",
 ]
 
 
@@ -135,24 +149,115 @@ class LUStats:
         }
 
 
+#: SuperLU ordering for a structurally symmetric pattern: minimum degree on
+#: the pattern of ``A^T + A``, which keeps symmetric MNA factors sparse
+SYMMETRIC_ORDERING = "MMD_AT_PLUS_A"
+#: diagonal pivot threshold in symmetric mode: the diagonal is taken when it
+#: is at least this fraction of the column maximum, so the zero-diagonal
+#: branch rows of inductors and voltage sources still pivot off-diagonal
+SYMMETRIC_PIVOT_THRESHOLD = 0.1
+
 #: a symbolic-cache key: (shape, nnz, digest of the index structure)
 PatternKey = Tuple[Tuple[int, int], int, str]
 
 
-class SymbolicCache:
-    """Pattern-keyed reuse of fill-reducing column orderings.
+def structurally_symmetric(matrix: sp.csc_matrix) -> bool:
+    """True when the sparsity pattern of a canonical CSC matrix equals its transpose.
 
-    SuperLU's COLAMD ordering depends only on the sparsity *pattern* of the
-    matrix, yet :func:`scipy.sparse.linalg.splu` recomputes it from scratch
-    on every call.  For the implicit methods this is pure waste: every
-    ``C/h + G`` Jacobian of a transient shares one pattern, and a step-size
-    change re-analyzes a structure that has not moved.  This cache remembers
-    the column permutation of the first factorization per pattern; later
-    same-pattern matrices are pre-permuted with it and factorized under
-    ``permc_spec="NATURAL"``, which skips the ordering phase while producing
-    **bit-identical** factors (COLAMD is deterministic in the pattern, so
-    pre-applying its permutation and ordering "naturally" is the same
-    computation SuperLU would have done).
+    Every linear R/L/C/V/I stamp is placed symmetrically, so linear MNA
+    matrices pass; device Jacobians with one-sided couplings (MOSFET
+    transconductances) do not.  Stored zeros count as pattern entries.
+    """
+    n = matrix.shape[0]
+    columns = np.repeat(np.arange(n, dtype=np.int64), np.diff(matrix.indptr))
+    rows = matrix.indices.astype(np.int64)
+    # entry keys of A^T, sorted, against those of A (already sorted in CSC)
+    transposed = rows * n + columns
+    transposed.sort()
+    return bool((transposed == columns * n + rows).all())
+
+
+def _splu(matrix: sp.csc_matrix, symmetric: bool, natural: bool = False) -> spla.SuperLU:
+    """One SuperLU call under the ordering chosen for the pattern.
+
+    ``natural`` skips the ordering phase (the matrix is already permuted).
+    Unsymmetric patterns keep SuperLU's default COLAMD with partial pivoting.
+    """
+    if symmetric:
+        return spla.splu(matrix, permc_spec="NATURAL" if natural else SYMMETRIC_ORDERING,
+                         diag_pivot_thresh=SYMMETRIC_PIVOT_THRESHOLD,
+                         options={"SymmetricMode": True})
+    if natural:
+        return spla.splu(matrix, permc_spec="NATURAL")
+    return spla.splu(matrix)
+
+
+@dataclass(frozen=True)
+class SymbolicOrdering:
+    """A remembered fill-reducing ordering of one sparsity pattern.
+
+    Position ``j`` of the permuted matrix holds original column (and, for a
+    symmetric pattern, row) ``order[j]``; ``rank`` is the inverse map, so
+    original index ``i`` sits at ``rank[i]``.  ``indptr``/``indices`` are
+    the CSC structure of the permuted matrix and ``gather`` maps its stored
+    entries to those of the original, so a same-pattern matrix is permuted
+    by ``data[gather]``.
+    """
+
+    symmetric: bool
+    order: np.ndarray
+    rank: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    gather: np.ndarray
+
+    @classmethod
+    def from_permutation(cls, matrix: sp.csc_matrix, perm_c: np.ndarray,
+                         symmetric: bool) -> "SymbolicOrdering":
+        """Maps for ``P A P^T`` (symmetric) or ``A P^T`` from SuperLU's ``perm_c``."""
+        # a copy (SuperLU's array is a view that keeps the whole factor
+        # alive) in the native index type, which NumPy gathers fastest
+        perm_c = np.array(perm_c, dtype=np.intp)
+        n = matrix.shape[0]
+        columns = np.repeat(perm_c, np.diff(matrix.indptr))
+        rows = perm_c[matrix.indices] if symmetric else matrix.indices
+        # CSC order of the permuted entries: by new column, then by new row
+        gather = np.argsort(columns * n + rows)
+        indptr = np.zeros(n + 1, dtype=matrix.indptr.dtype)
+        np.cumsum(np.bincount(columns, minlength=n), out=indptr[1:])
+        return cls(symmetric, np.argsort(perm_c), perm_c, indptr,
+                   rows[gather].astype(matrix.indices.dtype, copy=False), gather)
+
+    def permute(self, matrix: sp.csc_matrix) -> sp.csc_matrix:
+        """The permuted copy of a matrix with the remembered pattern."""
+        permuted = sp.csc_matrix((matrix.data[self.gather], self.indices, self.indptr),
+                                 shape=matrix.shape, copy=False)
+        permuted.has_canonical_format = True
+        return permuted
+
+
+class SymbolicCache:
+    """Pattern-keyed reuse of fill-reducing orderings.
+
+    SuperLU's ordering depends only on the sparsity *pattern* of the
+    matrix, yet :func:`scipy.sparse.linalg.splu` recomputes it on every
+    call.  For the implicit methods this is pure waste: every ``C/h + G``
+    Jacobian of a transient shares one pattern, and a step-size change
+    re-analyzes a structure that has not moved.  This cache remembers one
+    :class:`SymbolicOrdering` per pattern; later same-pattern matrices are
+    permuted with it (a data gather) and factorized under
+    ``permc_spec="NATURAL"``, which skips the ordering phase.
+
+    * **Structurally symmetric** patterns (every linear MNA matrix) are
+      ordered by symmetric minimum degree (:data:`SYMMETRIC_ORDERING`) and
+      permuted on both sides, ``P A P^T``.  *Every* factorization through
+      the cache, the first one included, is the ``NATURAL`` factorization
+      of ``P A P^T``; a miss only adds a throwaway ordering pass.  Hits are
+      therefore bit-identical to misses by construction.
+    * **Unsymmetric** patterns keep SuperLU's COLAMD with partial pivoting:
+      the miss is the plain factorization and hits pre-permute columns
+      only, ``A P^T`` -- the same computation SuperLU does after COLAMD,
+      so hits are bit-identical to a plain ``splu``.
 
     Reuses are tallied in ``LUStats.num_symbolic_reuses`` and fresh analyses
     in ``num_orderings``; the accounting invariant
@@ -165,8 +270,7 @@ class SymbolicCache:
 
     def __init__(self, max_entries: int = MAX_ENTRIES):
         self.max_entries = int(max_entries)
-        #: pattern key -> inverse column permutation (``inv[perm_c] = 0..n-1``)
-        self._orderings: "OrderedDict[PatternKey, np.ndarray]" = OrderedDict()
+        self._orderings: "OrderedDict[PatternKey, SymbolicOrdering]" = OrderedDict()
 
     @staticmethod
     def pattern_key(matrix: sp.csc_matrix) -> PatternKey:
@@ -176,18 +280,16 @@ class SymbolicCache:
         digest.update(matrix.indices.tobytes())
         return (matrix.shape, int(matrix.nnz), digest.hexdigest())
 
-    def lookup(self, key: PatternKey) -> Optional[np.ndarray]:
-        """Return the stored inverse column order for ``key``, if any."""
-        order = self._orderings.get(key)
-        if order is not None:
+    def lookup(self, key: PatternKey) -> Optional[SymbolicOrdering]:
+        """Return the stored ordering for ``key``, if any."""
+        ordering = self._orderings.get(key)
+        if ordering is not None:
             self._orderings.move_to_end(key)
-        return order
+        return ordering
 
-    def store(self, key: PatternKey, perm_c: np.ndarray) -> None:
-        """Remember the ordering a fresh factorization just computed."""
-        inverse = np.empty_like(perm_c)
-        inverse[perm_c] = np.arange(len(perm_c))
-        self._orderings[key] = inverse
+    def store(self, key: PatternKey, ordering: SymbolicOrdering) -> None:
+        """Remember the ordering a fresh analysis just computed."""
+        self._orderings[key] = ordering
         self._orderings.move_to_end(key)
         while len(self._orderings) > self.max_entries:
             self._orderings.popitem(last=False)
@@ -202,14 +304,15 @@ class SymbolicCache:
 class SparseLU:
     """A factored sparse matrix with instrumented solves.
 
-    When the factorization reused a cached symbolic ordering the factors
-    are those of the *column-permuted* matrix; ``column_order`` carries the
-    applied permutation and solves transparently un-permute, so callers see
-    exactly the solution of the original system.
+    When the factorization ran on a permuted copy of the matrix (see
+    :class:`SymbolicCache`), ``ordering`` carries the permutation and
+    solves transparently permute the right-hand side and un-permute the
+    result, so callers see exactly the solution of the original system.
     """
 
     def __init__(self, lu: spla.SuperLU, stats: Optional[LUStats], label: str = "",
-                 column_order: Optional[np.ndarray] = None):
+                 ordering: Optional[SymbolicOrdering] = None,
+                 reused_symbolic: bool = False):
         self._lu = lu
         self._stats = stats
         self.label = label
@@ -221,11 +324,10 @@ class SparseLU:
         self._nnz_factors = int(lu.nnz)
         self._nnz_L: Optional[int] = None
         self._nnz_U: Optional[int] = None
-        #: inverse column permutation applied before factorization (symbolic
-        #: reuse), or None for a plain factorization
-        self.column_order = column_order
+        #: permutation applied before factorization, or None
+        self.ordering = ordering
         #: True when this factorization skipped the ordering phase
-        self.reused_symbolic = column_order is not None
+        self.reused_symbolic = reused_symbolic
 
     @property
     def nnz_factors(self) -> int:
@@ -265,18 +367,19 @@ class SparseLU:
         """
         self._stats = stats
 
-    def _unpermute(self, y: np.ndarray) -> np.ndarray:
-        """Map the permuted-system solution back to original column order."""
-        if self.column_order is None:
-            return y
-        x = np.empty_like(y)
-        x[self.column_order] = y
-        return x
+    def _solve(self, b: np.ndarray) -> np.ndarray:
+        """Back-substitute in original coordinates without touching stats."""
+        ordering = self.ordering
+        if ordering is None:
+            return self._lu.solve(b)
+        if ordering.symmetric:
+            b = b[ordering.order]
+        return self._lu.solve(b)[ordering.rank]
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve ``A x = b`` using the stored factors."""
         start = time.perf_counter()
-        x = self._unpermute(self._lu.solve(np.asarray(b, dtype=float)))
+        x = self._solve(np.asarray(b, dtype=float))
         if self._stats is not None:
             self._stats.num_solves += 1
             self._stats.solve_time += time.perf_counter() - start
@@ -285,7 +388,7 @@ class SparseLU:
     def solve_many(self, B: np.ndarray) -> np.ndarray:
         """Solve for several right-hand sides stacked as columns."""
         start = time.perf_counter()
-        x = self._unpermute(self._lu.solve(np.asarray(B, dtype=float)))
+        x = self._solve(np.asarray(B, dtype=float))
         if self._stats is not None:
             self._stats.num_solves += B.shape[1] if B.ndim == 2 else 1
             self._stats.solve_time += time.perf_counter() - start
@@ -360,8 +463,7 @@ class RefinedLU:
 
     def _raw(self, b: np.ndarray) -> np.ndarray:
         """Back-substitute through the stale factors without touching stats."""
-        stale = self._stale
-        return stale._unpermute(stale._lu.solve(b))
+        return self._stale._solve(b)
 
     def _refine(self, b: np.ndarray) -> Tuple[np.ndarray, bool]:
         bnorm = float(np.linalg.norm(b))
@@ -458,37 +560,51 @@ def factorize(
         is reused and only the numeric phase runs (bit-identical factors
         and solutions); otherwise the ordering computed here is stored for
         future same-pattern matrices.  Every call still counts as a real
-        factorization in ``stats.num_factorizations``.
+        factorization in ``stats.num_factorizations``.  Without a cache
+        the matrix is factorized in one SuperLU call under the ordering
+        its pattern selects; for a symmetric pattern that one-pass result
+        differs from the cached path's in the last bits.
     """
     matrix = matrix.tocsc()
     if matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"cannot LU-factorize non-square matrix of shape {matrix.shape}")
+    matrix.sum_duplicates()  # in place, as splu itself would
 
     start = time.perf_counter()
-    column_order = None
-    pattern = None
-    if symbolic is not None:
-        pattern = SymbolicCache.pattern_key(matrix)
-        column_order = symbolic.lookup(pattern)
+    ordering = None
+    reused = False
     try:
-        if column_order is not None:
-            lu = spla.splu(matrix[:, column_order].tocsc(), permc_spec="NATURAL")
+        if symbolic is None:
+            lu = _splu(matrix, structurally_symmetric(matrix))
         else:
-            lu = spla.splu(matrix)
+            pattern = SymbolicCache.pattern_key(matrix)
+            ordering = symbolic.lookup(pattern)
+            reused = ordering is not None
+            if ordering is not None:
+                lu = _splu(ordering.permute(matrix), ordering.symmetric, natural=True)
+            elif structurally_symmetric(matrix):
+                # the one-pass factorization only yields the ordering; it is
+                # freed before the numeric pass every later hit repeats
+                ordering = SymbolicOrdering.from_permutation(
+                    matrix, _splu(matrix, True).perm_c, True)
+                lu = _splu(ordering.permute(matrix), True, natural=True)
+                symbolic.store(pattern, ordering)
+            else:
+                lu = _splu(matrix, False)
+                symbolic.store(pattern, SymbolicOrdering.from_permutation(
+                    matrix, lu.perm_c, False))
     except RuntimeError as exc:  # singular matrix
         raise np.linalg.LinAlgError(
             f"sparse LU factorization failed for {label or 'matrix'}: {exc}"
         ) from exc
     elapsed = time.perf_counter() - start
 
-    if column_order is None and symbolic is not None:
-        symbolic.store(pattern, lu.perm_c)
-    wrapped = SparseLU(lu, stats, label=label, column_order=column_order)
+    wrapped = SparseLU(lu, stats, label=label, ordering=ordering, reused_symbolic=reused)
     if stats is not None:
         stats.num_factorizations += 1
         stats.factor_time += elapsed
         stats.factor_nnz.append(wrapped.nnz_factors)
-        if column_order is not None:
+        if reused:
             stats.num_symbolic_reuses += 1
         else:
             stats.num_orderings += 1

@@ -475,10 +475,11 @@ def _symbolic_reuse_invariants(
     (a fresh ordering for every factorization).  The default run must
     reuse a pattern-matched ordering at least once and the reference
     never; beyond that the pair must pass :func:`check_lu_accounting` at
-    trajectory tolerance 0 -- pre-permuting with COLAMD's own ordering is
-    the same computation SuperLU performs, it skips no factorization the
-    cache does not count, and ``#LU == orderings + symbolic_reuses``
-    holds on both runs.
+    trajectory tolerance 0 -- a cache hit runs the same numeric pass on the
+    same permuted matrix as a fresh ordering (``NATURAL`` on ``P A P^T``
+    for the symmetric minimum-degree ordering of these linear circuits),
+    it skips no factorization the cache does not count, and
+    ``#LU == orderings + symbolic_reuses`` holds on both runs.
     """
     rows: List[CheckRow] = []
     for family, source, method in cases:

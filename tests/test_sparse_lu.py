@@ -3,12 +3,17 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+from repro.benchcircuits import inverter_chain, pdn_multilayer, rlc_line
 from repro.linalg.sparse_lu import (
+    SYMMETRIC_PIVOT_THRESHOLD,
     FactorizationBudgetExceeded,
     LUStats,
+    RefinedLU,
     SymbolicCache,
     factorize,
+    structurally_symmetric,
 )
 
 
@@ -103,14 +108,17 @@ class TestSymbolicCache:
 
         cache = SymbolicCache()
         stats = LUStats()
-        lu_fresh_b = factorize(B, stats=stats)           # reference, no cache
+        # reference: a fresh ordering through the cached path (for a
+        # symmetric pattern the one-shot path is a different, one-pass
+        # computation)
+        lu_fresh_b = factorize(B, stats=stats, symbolic=SymbolicCache())
         lu_a = factorize(A, stats=stats, symbolic=cache)  # analyzes + stores
         lu_b = factorize(B, stats=stats, symbolic=cache)  # reuses the ordering
 
         assert not lu_a.reused_symbolic
         assert lu_b.reused_symbolic
-        # identical fill: pre-permuting with COLAMD's own permutation and
-        # ordering "naturally" is the same computation SuperLU would run
+        # identical fill: a hit runs the same numeric pass on the same
+        # permuted matrix as a miss
         assert lu_b.nnz_factors == lu_fresh_b.nnz_factors
 
         b = np.arange(A.shape[0], dtype=float)
@@ -158,6 +166,125 @@ class TestSymbolicCache:
         assert len(cache) == 1
         cache.clear()
         assert len(cache) == 0
+
+
+def mna_matrices(circuit, state=0.0, h=1e-12):
+    """``G`` and ``C/h + G`` of a circuit, evaluated at a constant state."""
+    system = circuit.build()
+    ev = system.evaluate(np.full(system.n, state))
+    G = ev.G.tocsc()
+    return G, (ev.C / h + ev.G).tocsc()
+
+
+def symmetric_mna_cases():
+    rlc_G, rlc_ChG = mna_matrices(rlc_line(12))
+    pdn_G, _ = mna_matrices(pdn_multilayer(6, 6, layers=2, coupling_fraction=0.2,
+                                           num_loads=2, seed=1))
+    return [("rlc_line G", rlc_G), ("rlc_line C/h+G", rlc_ChG),
+            ("pdn_multilayer G", pdn_G)]
+
+
+def relative_residual(A, x, b):
+    return np.linalg.norm(A @ x - b) / np.linalg.norm(b)
+
+
+class TestOrderingChoice:
+    """The SuperLU ordering follows the structural symmetry of the pattern."""
+
+    def test_structural_symmetry_compares_the_pattern_not_the_counts(self):
+        # a cycle has one entry per row and per column, yet is unsymmetric
+        cycle = sp.csc_matrix((np.ones(3), ([0, 1, 2], [1, 2, 0])), shape=(3, 3))
+        assert not structurally_symmetric((cycle + sp.identity(3)).tocsc())
+        symmetric = (cycle + cycle.T + sp.identity(3)).tocsc()
+        assert structurally_symmetric(symmetric)
+        # stored zeros are pattern entries: values do not matter
+        symmetric.data[:] = [0.0 if i == 1 else 1.0 for i in range(symmetric.nnz)]
+        assert structurally_symmetric(symmetric)
+
+    @pytest.mark.parametrize("case", range(3))
+    def test_symmetric_mna_miss_and_hit_agree_and_fill_less(self, case):
+        label, A = symmetric_mna_cases()[case]
+        assert structurally_symmetric(A)
+        # inductor and voltage-source branch rows carry a zero diagonal
+        assert np.any(A.diagonal() == 0.0), label
+
+        cache = SymbolicCache()
+        miss = factorize(A, symbolic=cache)
+        B = A.copy()
+        B.data = B.data * 1.3
+        hit = factorize(B, symbolic=cache)
+        fresh_b = factorize(B, symbolic=SymbolicCache())
+        assert not miss.reused_symbolic and hit.reused_symbolic
+        assert miss.ordering is not None and miss.ordering.symmetric
+
+        b = np.random.default_rng(5).standard_normal(A.shape[0])
+        np.testing.assert_array_equal(hit.solve(b), fresh_b.solve(b))
+        assert hit.nnz_factors == miss.nnz_factors
+        assert miss.nnz_factors <= spla.splu(A.copy()).nnz
+        assert factorize(A).nnz_factors <= spla.splu(A.copy()).nnz
+        for lu, M in ((miss, A), (hit, B), (factorize(A), A)):
+            assert relative_residual(M, lu.solve(b), b) <= 1e-12
+
+    def test_unsymmetric_inverter_g_matches_default_splu(self):
+        G, _ = mna_matrices(inverter_chain(4), state=0.5)
+        assert not structurally_symmetric(G)
+        reference = spla.splu(G.copy())
+        cache = SymbolicCache()
+        one_shot = factorize(G)
+        miss = factorize(G, symbolic=cache)
+        hit = factorize(G, symbolic=cache)
+        assert hit.reused_symbolic and not hit.ordering.symmetric
+        b = np.random.default_rng(2).standard_normal(G.shape[0])
+        expected = reference.solve(b)
+        for lu in (one_shot, miss, hit):
+            assert lu.nnz_factors == reference.nnz
+            np.testing.assert_array_equal(lu.solve(b), expected)
+
+    def test_solve_many_and_refined_lu_match_column_solves(self):
+        _, A = symmetric_mna_cases()[1]
+        cache = SymbolicCache()
+        factorize(A, symbolic=cache)
+        lu = factorize(A, symbolic=cache)
+        assert lu.ordering.symmetric
+        rhs = np.random.default_rng(3).standard_normal((A.shape[0], 4))
+        columns = np.stack([lu.solve(rhs[:, j]) for j in range(rhs.shape[1])], axis=1)
+        np.testing.assert_array_equal(lu.solve_many(rhs), columns)
+
+        # a stale factor of a nearby operator, refined against the exact one
+        nearby = A.copy()
+        nearby.data = nearby.data * (1.0 + 1e-4)
+        refined = RefinedLU(lu, nearby, stats=None, rtol=1e-12)
+        refined_columns = np.stack([refined.solve(rhs[:, j]) for j in range(rhs.shape[1])],
+                                   axis=1)
+        np.testing.assert_array_equal(refined.solve_many(rhs), refined_columns)
+        assert not refined.fell_back
+        for j in range(rhs.shape[1]):
+            assert relative_residual(nearby, refined_columns[:, j], rhs[:, j]) <= 1e-12
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_gather_map_hit_equals_fancy_index_permutation(self, symmetric):
+        if symmetric:
+            A = symmetric_mna_cases()[2][1]
+        else:
+            A, _ = mna_matrices(inverter_chain(4), state=0.5)
+        cache = SymbolicCache()
+        factorize(A, symbolic=cache)
+        hit = factorize(A, symbolic=cache)
+        order = hit.ordering.order
+        permuted = (A[order][:, order] if symmetric else A[:, order]).tocsc()
+        permuted.sort_indices()
+        if symmetric:
+            raw = spla.splu(permuted, permc_spec="NATURAL",
+                            diag_pivot_thresh=SYMMETRIC_PIVOT_THRESHOLD,
+                            options={"SymmetricMode": True})
+        else:
+            raw = spla.splu(permuted, permc_spec="NATURAL")
+        np.testing.assert_array_equal(hit.ordering.permute(A).toarray(), permuted.toarray())
+        b = np.random.default_rng(4).standard_normal(A.shape[0])
+        y = raw.solve(b[order] if symmetric else b)
+        expected = np.empty_like(y)
+        expected[order] = y
+        np.testing.assert_array_equal(hit.solve(b), expected)
 
 
 class TestBudget:

@@ -8,8 +8,7 @@ and once with the default :class:`repro.core.workspace.LinearizationCache`,
 measuring
 
 * steps per second of the integrator's time loop,
-* LU factorizations vs counted cache reuses (``#LU`` stays honest),
-* ER segment-slope basis reuses, and
+* LU factorizations vs counted cache reuses (``#LU`` stays honest), and
 * the maximum absolute state-trajectory difference between the two modes
   (the cache is exact: the expected difference is 0.0).
 
@@ -131,7 +130,6 @@ def mode_record(result) -> dict:
         "lu_factorizations": stats.lu.num_factorizations,
         "lu_reused": stats.lu.num_reused,
         "lu_bypassed": stats.lu.num_bypassed,
-        "mevp_basis_reuses": stats.mevp.num_basis_reuses,
         "avg_krylov_dim": round(stats.average_krylov_dimension, 2),
     }
 

@@ -9,10 +9,10 @@ BENR rows that exceed the memory budget render as "OoM" with NA speedups.
 
 The rendered table is written to ``benchmarks/output/table1.txt``.
 
-Expected shape (see EXPERIMENTS.md for measured numbers): ER and ER-C
-complete every case with far fewer LU factorizations and a bounded
-peak factor size; BENR's cost grows with nnzC and it fails on the
-strongly coupled ckt6-ckt8.
+Expected shape (the measured numbers are the rendered table of a run;
+none are committed): ER and ER-C complete every case with far fewer LU
+factorizations and a bounded peak factor size; BENR's cost grows with
+nnzC and it fails on the strongly coupled ckt6-ckt8.
 """
 
 import pytest

@@ -364,8 +364,7 @@ class MNASystem:
 
         Piecewise-linear waveforms (PWL, PULSE, DC) contribute their exact
         analytic segment slope -- a constant, bit-identical value for every
-        step inside one segment, which the ER integrator relies on to
-        reuse its slope Krylov basis across steps.  It is evaluated at the
+        step inside one segment.  It is evaluated at the
         step *midpoint*: the time loop can land ``t0`` one ulp before a
         breakpoint it has already popped (the step then lies wholly in the
         next segment), so the left edge is the one point of the step whose

@@ -65,10 +65,6 @@ _TM_LU_SYMBOLIC = telemetry.counter(
     "repro_integrator_lu_symbolic_reuses_total",
     "Numeric refactorizations that reused a pattern-matched ordering.",
     ("method",))
-_TM_BASIS_REUSES = telemetry.counter(
-    "repro_integrator_basis_reuses_total",
-    "Krylov MEVP evaluations served from a reused segment-slope basis.",
-    ("method",))
 _TM_LU_STALE = telemetry.counter(
     "repro_integrator_lu_stale_reuses_total",
     "Jacobian requests served by a stale cross-h factorization plus "
@@ -296,14 +292,14 @@ class Integrator(ABC):
                 stats.lu.num_orderings, stats.lu.num_symbolic_reuses,
                 stats.lu.num_stale_reuses, stats.lu.num_refinement_fallbacks,
                 stats.num_ladder_steps, stats.num_ladder_holds,
-                stats.mevp.num_basis_reuses, stats.runtime_seconds)
+                stats.runtime_seconds)
 
     def _publish_telemetry(self, before) -> None:
         after = self._stats_snapshot()
         deltas = [max(0, b - a) for a, b in zip(before, after)]
         (steps, rejections, newton, lu, reused, bypassed,
          orderings, symbolic, stale, fallbacks, ladder_steps, ladder_holds,
-         basis, seconds) = deltas
+         seconds) = deltas
         method = self.name
         _TM_RUNS.labels(method, "yes" if self.stats.completed else "no").inc()
         if steps:
@@ -330,6 +326,4 @@ class Integrator(ABC):
             _TM_LADDER_STEPS.labels(method).inc(ladder_steps)
         if ladder_holds:
             _TM_LADDER_HOLDS.labels(method).inc(ladder_holds)
-        if basis:
-            _TM_BASIS_REUSES.labels(method).inc(basis)
         _TM_RUN_SECONDS.labels(method).observe(seconds)

@@ -57,7 +57,11 @@ class ArnoldiProcess:
         Run a second Gram-Schmidt pass (default True).
     """
 
-    #: relative tolerance below which ``h_{j+1,j}`` is treated as a breakdown
+    #: relative tolerance below which ``h_{j+1,j}`` is treated as a breakdown:
+    #: the test is scale-free (``h_{j+1,j} <= tol * ||A v_j||``) because the
+    #: invert-Krylov operator ``J^{-1} = -G^{-1}C`` carries units of seconds
+    #: (``||J^{-1} v|| ~ 1e-12``), where any absolute floor would declare
+    #: breakdowns of genuinely growing subspaces
     BREAKDOWN_TOL = 1e-14
 
     def __init__(
@@ -140,7 +144,7 @@ class ArnoldiProcess:
         h_next = float(np.linalg.norm(w))
         self.H[j + 1, j] = h_next
         self.m = j + 1
-        if h_next <= self.BREAKDOWN_TOL * max(norm_before, 1.0):
+        if h_next <= self.BREAKDOWN_TOL * norm_before:
             self.breakdown = True
             raise ArnoldiBreakdown(self.m)
         self.V[:, j + 1] = w / h_next

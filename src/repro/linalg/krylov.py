@@ -41,9 +41,7 @@ class MEVPStats:
     num_operator_applications: int = 0
     num_nonconverged: int = 0
     dimensions: list = field(default_factory=list)
-    #: evaluations served from a basis reused across steps (ER segment-slope
-    #: reuse); these still count as evaluations above -- this counter keeps
-    #: the saved Arnoldi runs visible in the statistics
+    #: always 0 (no basis outlives its step); kept for the records that read it
     num_basis_reuses: int = 0
 
     @property

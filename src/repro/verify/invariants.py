@@ -70,8 +70,8 @@ def check_slope_consistency(
     * interior points: central finite difference agreement (relative to
       the waveform's value swing);
     * exactly-PWL waveforms: the slope must be *bit-identical* across
-      each segment's interior (that constancy is what lets ER reuse the
-      Eq. 13 slope basis across a segment);
+      each segment's interior (the exact segment slope ER's Eq. 13
+      excitation term is built from);
     * breakpoints: ``slope(bp)`` must equal the slope just after ``bp``
       (right-continuity), including one-ulp landings on either side.
     """

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from repro.linalg.arnoldi import ArnoldiBreakdown, ArnoldiProcess
 
@@ -84,6 +85,39 @@ class TestBreakdown:
             process.extend()
         with pytest.raises(ArnoldiBreakdown):
             process.extend()
+
+    def test_picosecond_scale_invariant_subspace_breaks_down(self):
+        """The invert-Krylov operator has units of seconds (``||J^{-1}v||``
+        ~ 1e-12): an invariant start vector must still break down."""
+        process = ArnoldiProcess(lambda v: 2e-12 * v, np.ones(8), max_dim=5)
+        with pytest.raises(ArnoldiBreakdown):
+            process.extend()
+        assert process.m == 1
+
+    def test_picosecond_scale_small_relative_growth_is_not_breakdown(self):
+        """``h_21 / ||A v_1|| ~ 1e-4`` is a genuinely new direction, however
+        small the operator's absolute scale; the MEVP of the resulting
+        two-dimensional space matches the dense exponential."""
+        lam = np.array([-1e-12, -2e-12, -4e-12, -8e-12])  # eigenvalues of J^{-1}
+        A = np.diag(lam)
+        v0 = np.array([1.0, 1e-4, 0.0, 0.0])
+        process = ArnoldiProcess(lambda v: A @ v, v0, max_dim=4)
+        process.extend()
+        assert not process.breakdown
+        ratio = process.subdiagonal(1) / np.linalg.norm(A @ process.basis(1)[:, 0])
+        assert 1e-5 < ratio < 1e-3
+        # the space {e_1, e_2} is invariant: the second extension is the
+        # happy breakdown
+        with pytest.raises(ArnoldiBreakdown):
+            process.extend()
+        assert process.m == 2
+
+        h = 1e-12
+        Hm = process.hessenberg()
+        small = expm(h * np.linalg.inv(Hm))[:, 0]
+        approx = process.beta * (process.basis() @ small)
+        exact = expm(h * np.diag(1.0 / lam)) @ v0
+        np.testing.assert_allclose(approx, exact, rtol=1e-10, atol=1e-14)
 
 
 def reference_modified_gram_schmidt(apply_A, v0, steps):

@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from repro.benchcircuits.rc_networks import rc_mesh
 from repro.circuit.netlist import Circuit
 from repro.circuit.sources import DC, PWL
 from repro.core.options import SimOptions
-from repro.core.simulator import simulate
+from repro.core.simulator import TransientSimulator, simulate
 from repro.integrators.base import IntegratorError
 from repro.integrators.forward_euler import ForwardEuler
+from repro.linalg.invert_krylov import InvertKrylovMEVP
 from repro.verify.reference import reference_simulator
 
 
@@ -92,6 +94,45 @@ class TestRLCircuit:
         r_be = simulate(ckt, "benr", t_stop=1e-9, h_init=1e-12)
         r_er = simulate(ckt, "er", t_stop=1e-9, h_init=1e-11)
         assert r_er.voltage("a")[-1] == pytest.approx(r_be.voltage("a")[-1], abs=1e-3)
+
+
+class TestERMergedStepVector:
+    """Eq. 14 propagates ``p`` and ``r`` through the same ``e^{hJ} - I``:
+    ER's one basis on ``q = p + r`` must reproduce the two separate bases."""
+
+    def split_step(self, t, h):
+        """ER's step from the zero state, and the same Eq. 14 update
+        assembled from separate invert-Krylov bases of ``p`` and ``r``."""
+        drive = PWL([(0.0, 0.0), (0.5e-9, 1.0), (1e-9, 1.0)])
+        ckt = rc_mesh(rows=4, cols=4, coupling_fraction=0.5, drive=drive)
+        options = SimOptions(t_stop=1e-9, h_init=h)
+        integrator = TransientSimulator(ckt, method="er", options=options).integrator
+        x = np.zeros(integrator.mna.n)
+        outcome = integrator.advance(x, t, h)
+        assert outcome.h_used == h
+
+        ev = integrator.evaluate(x)
+        lu_G = integrator.cache.lu(("G",), ev.G)  # the step's cached factors
+        iks = InvertKrylovMEVP(ev.C, ev.G, lu_G)
+        tol = options.mevp_tol
+        p = lu_G.solve(ev.f - integrator.source(t))
+        g_s = lu_G.solve(integrator.mna.source_slope(t, t + h))
+        r = lu_G.solve(ev.C @ g_s)
+        parts = [iks.build(v, h, tol=tol) for v in (p, r)]
+        diffs = [np.zeros_like(v) if b.is_zero else b.mevp(h) - v
+                 for b, v in zip(parts, (p, r))]
+        return outcome.x, x + diffs[0] + diffs[1] + h * g_s, r
+
+    def test_one_basis_matches_two_on_a_ramp(self):
+        merged, split, r = self.split_step(t=0.2e-9, h=20e-12)
+        assert np.max(np.abs(r)) > 0.0
+        np.testing.assert_allclose(merged, split, rtol=0.0,
+                                   atol=SimOptions().mevp_tol)
+
+    def test_zero_slope_builds_the_basis_of_p(self):
+        merged, split, r = self.split_step(t=0.6e-9, h=20e-12)
+        assert not np.any(r)
+        np.testing.assert_array_equal(merged, split)
 
 
 class TestStepCounts:

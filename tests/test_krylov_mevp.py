@@ -9,10 +9,14 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+from repro.core.options import SimOptions
+from repro.core.simulator import TransientSimulator
 from repro.linalg.invert_krylov import InvertKrylovMEVP
 from repro.linalg.krylov import MEVPStats, StandardKrylovMEVP
 from repro.linalg.rational_krylov import RationalKrylovMEVP
 from repro.linalg.sparse_lu import factorize
+from repro.verify.circuits import driven_family
+from repro.verify.matrix import MATRIX_FAMILIES
 
 
 def rc_line_system(n=60, stiff=False, seed=0):
@@ -114,6 +118,43 @@ class TestInvertKrylov:
         iks = InvertKrylovMEVP(C, G, factorize(G), stats=stats)
         basis = iks.build(np.ones(25), 1e-10, tol=1e-8)
         assert stats.num_operator_applications >= basis.dimension
+
+
+def dense_dae_expm(C, G, v, h):
+    """``e^{hJ} v`` by eigen-decomposition of ``J^{-1} = -G^{-1} C``, with the
+    algebraic (C-null) modes relaxing instantly (``e^{h/mu} -> 0``)."""
+    mu, W = np.linalg.eig(-np.linalg.solve(G.toarray(), C.toarray()))
+    algebraic = np.abs(mu) <= 1e-10 * np.max(np.abs(mu))
+    f = np.where(algebraic, 0.0, np.exp(h / np.where(algebraic, 1.0, mu)))
+    return np.real(W @ (f * np.linalg.solve(W, v.astype(complex))))
+
+
+class TestConvergenceSweep:
+    def test_no_basis_stops_on_an_isolated_residual_dip(self, monkeypatch):
+        """On the ringing RLC line the Eq. 22 residual scalar can pass near
+        zero at one isolated dimension (a 2.5e-3 MEVP error was accepted at
+        m = 11 with residual 9e-8); every basis of a full-size ER run must
+        instead match the dense exponential at its returned dimension."""
+        config = MATRIX_FAMILIES["rlc_line"]
+        mna = driven_family(family="rlc_line", source="ramp", t_stop=0.5e-9,
+                            **config["full"]).build()
+        errors = []
+        build = InvertKrylovMEVP.build
+
+        def checked_build(self, v, h, tol=1e-7, max_dim=None):
+            basis = build(self, v, h, tol=tol, max_dim=max_dim)
+            if not basis.is_zero:
+                exact = dense_dae_expm(self.C, self.G, v, h)
+                errors.append(float(np.max(np.abs(basis.mevp(h) - exact))))
+            return basis
+
+        monkeypatch.setattr(InvertKrylovMEVP, "build", checked_build)
+        options = SimOptions(t_stop=0.5e-9, h_init=config["h_init"],
+                             h_max=config["h_max"], store_states=False)
+        result = TransientSimulator(mna, method="er", options=options).run()
+        assert result.stats.completed
+        assert len(errors) == result.stats.num_steps
+        assert max(errors) <= 1e-4
 
 
 class TestStandardKrylov:

@@ -73,13 +73,19 @@ class TestLinearExactness:
         assert r_off.stats.num_lu_factorizations >= r_off.stats.num_steps
         assert r_off.stats.lu.num_reused == 0
 
-    def test_er_segment_slope_basis_reused(self):
-        """One PWL ramp segment: the slope basis is built once, reused for
-        every further step, and counted in the MEVP statistics."""
+    def test_er_one_basis_per_linear_step(self):
+        """Eq. 14 on a linear PWL circuit: one invert-Krylov basis per step,
+        built on ``q = p + r``; nothing is carried across steps."""
         r_on = run(linear_circuit(), "er", cached=True)
-        assert r_on.stats.mevp.num_basis_reuses == r_on.stats.num_steps - 1
-        r_off = run(linear_circuit(), "er", cached=False)
-        assert r_off.stats.mevp.num_basis_reuses == 0
+        stats = r_on.stats
+        assert stats.num_rejections == 0
+        assert stats.mevp.num_evaluations == stats.num_steps
+        assert stats.mevp.num_basis_reuses == 0
+        # three solves per ramp step (p, g_s, r) plus one per Arnoldi
+        # extension; the DC point (every source at 0 V) adds none
+        assert stats.num_steps == 15
+        assert stats.mevp.num_operator_applications == 17
+        assert stats.lu.num_solves == 62
 
 
 class TestNonlinearExactness:

@@ -10,7 +10,7 @@ Run with::
 
     python examples/method_shootout.py                    # full demo, pool
     python examples/method_shootout.py --smoke            # tiny run (CI)
-    python examples/method_shootout.py --backend socket   # TCP workers
+    python examples/method_shootout.py --backend queue    # broker workers
     python examples/method_shootout.py --cache .campaign_cache
     python examples/method_shootout.py --journal run.jsonl --resume
 
@@ -60,7 +60,7 @@ def main() -> int:
                         help="execution backend (default: serial when --smoke, "
                              "auto otherwise)")
     parser.add_argument("--workers", type=int, default=None,
-                        help="worker count for the pool/socket backends "
+                        help="worker count for the pool/queue backends "
                              "(default: one per core)")
     parser.add_argument("--schedule", choices=("plan", "adaptive"),
                         default="plan",

@@ -10,9 +10,9 @@ embarrassingly parallel sweep.  This subpackage turns the one-shot
 * :mod:`repro.campaign.sweep` -- grid / corner / Monte-Carlo planners with
   deterministic per-variant seeds;
 * :mod:`repro.campaign.backends` -- pluggable execution backends behind
-  one ABC: in-process serial, process pool, and TCP socket workers
-  (``python -m repro.campaign.worker``) with heartbeat monitoring and
-  dead-worker re-dispatch;
+  one ABC: in-process serial, process pool, and a durable job queue
+  drained by ``python -m repro.service worker`` processes (lease expiry
+  redelivers the jobs of crashed workers);
 * :mod:`repro.campaign.execution` -- the transport-agnostic
   ``execute_scenario(dict) -> dict`` contract every backend ships, with
   per-worker assembly/DC caching, timeouts and failure capture;
@@ -63,7 +63,6 @@ from repro.campaign.backends import (
     ProcessPoolBackend,
     QueueBackend,
     SerialBackend,
-    SocketBackend,
     resolve_backend,
 )
 from repro.campaign.cache import ResultCache, context_hash
@@ -90,7 +89,6 @@ __all__ = [
     "ExecutionContext",
     "SerialBackend",
     "ProcessPoolBackend",
-    "SocketBackend",
     "QueueBackend",
     "resolve_backend",
     "ResultCache",

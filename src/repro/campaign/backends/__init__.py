@@ -7,18 +7,13 @@ three transports:
   the determinism oracle and single-core fallback;
 * :class:`~repro.campaign.backends.local.ProcessPoolBackend` -- the
   multi-core default, one OS process per worker;
-* :class:`~repro.campaign.backends.tcp.SocketBackend` -- length-prefixed
-  JSON over TCP to ``python -m repro.campaign.worker`` processes, local
-  or remote, with heartbeat monitoring and automatic re-dispatch of
-  scenarios from dead workers;
 * :class:`~repro.campaign.backends.queue.QueueBackend` -- durable jobs
   on a :class:`~repro.service.broker.JobBroker` queue, executed by
   ``python -m repro.service worker`` processes that attach to the broker
   and persist across campaigns (lease expiry redelivers the jobs of
   crashed workers).
 
-:func:`resolve_backend` maps the user-facing names (including the
-legacy ``mode`` strings) to instances.
+:func:`resolve_backend` maps the user-facing names to instances.
 """
 
 from __future__ import annotations
@@ -37,14 +32,12 @@ from repro.campaign.backends.local import (
     default_workers,
 )
 from repro.campaign.backends.queue import QueueBackend
-from repro.campaign.backends.tcp import SocketBackend
 
 __all__ = [
     "ExecutionBackend",
     "ExecutionContext",
     "SerialBackend",
     "ProcessPoolBackend",
-    "SocketBackend",
     "QueueBackend",
     "resolve_backend",
     "default_workers",
@@ -55,7 +48,7 @@ __all__ = [
 
 #: user-facing backend names accepted by :func:`resolve_backend` (and the
 #: CLIs); "pool" is an alias for "process"
-BACKEND_NAMES = ("serial", "process", "pool", "socket", "queue")
+BACKEND_NAMES = ("serial", "process", "pool", "queue")
 
 
 def resolve_backend(
@@ -67,7 +60,7 @@ def resolve_backend(
 
     ``"auto"`` (and ``None``) picks the process pool when more than one
     worker is useful for ``num_scenarios``, the serial backend otherwise
-    -- the historical ``mode="auto"`` behavior.
+    -- the default when no backend is named.
 
     A ready instance passes through; an explicit ``workers`` count fills
     the instance's worker bound only when the instance left it unset
@@ -88,8 +81,6 @@ def resolve_backend(
         return SerialBackend()
     if name in ("process", "pool"):
         return ProcessPoolBackend(workers=workers)
-    if name == "socket":
-        return SocketBackend(workers=workers)
     if name == "queue":
         return QueueBackend(workers=workers)
     raise ValueError(

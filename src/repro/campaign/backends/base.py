@@ -3,7 +3,7 @@
 A backend is *only* a transport: it receives scenario payloads (plain
 dicts) together with an :class:`ExecutionContext`, gets each one executed
 by :func:`repro.campaign.execution.execute_scenario` somewhere -- in
-process, in a pool worker, on the far end of a socket -- and delivers
+process, in a pool worker, in a queue worker on another host -- and delivers
 every outcome dict exactly once through the supplied callback.  All
 campaign-level policy (scenario ordering, result caching, journaling,
 aggregation) lives in :func:`repro.campaign.runner.run_campaign` *above*
@@ -46,8 +46,8 @@ DeliverFn = Callable[[int, Dict[str, object]], None]
 class ExecutionContext:
     """Everything :func:`execute_scenario` needs besides the scenario.
 
-    Shipped once per campaign (the socket backend sends it in the worker
-    handshake), never per scenario.
+    Fixed for the whole campaign, never per scenario (the queue backend
+    attaches its wire form to every job it enqueues).
     """
 
     #: ``SimOptions.to_dict()`` every scenario's overrides sit on top of

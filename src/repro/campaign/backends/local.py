@@ -26,7 +26,7 @@ from repro.telemetry import metrics as telemetry
 __all__ = ["SerialBackend", "ProcessPoolBackend", "default_workers"]
 
 #: shared by every backend: one increment per scenario handed to an
-#: executor (the queue backend counts enqueues, tcp counts task sends)
+#: executor (the queue backend counts enqueues)
 _TM_DISPATCHES = telemetry.counter(
     "repro_campaign_dispatches_total",
     "Scenarios dispatched to an execution backend.", ("backend",))

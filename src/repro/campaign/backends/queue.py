@@ -1,14 +1,14 @@
 """Broker-backed execution: the ``QueueBackend``.
 
-Where the socket coordinator *owns* its workers for the duration of one
-campaign, the queue backend owns nothing: it enqueues each scenario as a
-durable job on a :class:`~repro.service.broker.JobBroker` (a SQLite
-file any process can attach to), then simply polls for results.  Workers
--- spawned locally by default, or long-lived ``python -m repro.service
-worker`` processes attached to a shared service data directory -- lease
-jobs, execute them and ack the outcomes; they can come and go **across**
-campaigns, which is exactly the ROADMAP follow-up the socket transport
-could not satisfy.
+The queue backend talks to its workers only through the broker: it
+enqueues each scenario as a durable job on a
+:class:`~repro.service.broker.JobBroker` (a SQLite file any process can
+attach to), then simply polls for results.  Workers -- spawned locally
+by default, or long-lived ``python -m repro.service worker`` processes
+attached to a shared broker file or service data directory
+(``QueueBackend(broker=PATH, spawn=False)``) -- lease jobs, execute
+them and ack the outcomes; they can come and go **across** campaigns.
+Workers on other hosts need a filesystem that holds the broker file.
 
 Job identity is the scenario content hash + the campaign context hash --
 the same key as the result cache -- so two campaigns sharing one broker

@@ -7,8 +7,7 @@ raises, so a backend only has to move bytes, not interpret failures.
 The function lives in its own module (rather than in the runner) because
 it is imported by three different kinds of host process: the campaign
 parent (serial backend), :class:`~concurrent.futures.ProcessPoolExecutor`
-workers, and standalone socket workers (``python -m
-repro.campaign.worker``).
+workers, and queue workers (``python -m repro.service worker``).
 
 Per-process caches
 ------------------
@@ -71,7 +70,7 @@ def reset_worker_caches() -> None:
     """Drop the per-process assembly/DC caches.
 
     The serial backend calls this once per campaign so an in-process run
-    mirrors the lifetime of a freshly spawned pool or socket worker.
+    mirrors the lifetime of a freshly spawned pool or queue worker.
     """
     _MNA_CACHE.clear()
     _DC_CACHE.clear()

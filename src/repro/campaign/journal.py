@@ -73,7 +73,7 @@ class CampaignJournal:
     def replay(self) -> Tuple[Optional[Dict[str, object]], Dict[str, Dict[str, object]]]:
         """Return ``(header, outcomes_by_scenario_hash)`` from disk.
 
-        Later lines win (a re-dispatched scenario may appear twice); a
+        Later lines win (a scenario re-run on resume appears twice); a
         truncated trailing line -- the normal signature of an
         interrupted run -- is ignored rather than fatal.
         """

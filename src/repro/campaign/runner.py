@@ -38,7 +38,6 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.campaign.backends import (
-    BACKEND_NAMES,
     ExecutionBackend,
     ExecutionContext,
     default_workers,
@@ -69,7 +68,6 @@ __all__ = ["run_campaign", "execute_scenario", "default_workers"]
 def run_campaign(
     scenarios: Sequence[Scenario],
     base_options: Optional[SimOptions] = None,
-    mode: str = "auto",
     workers: Optional[int] = None,
     timeout: Optional[float] = None,
     sample_points: int = 101,
@@ -90,13 +88,8 @@ def run_campaign(
     base_options:
         :class:`SimOptions` every scenario's overrides are applied on top
         of (defaults to ``SimOptions()``).
-    mode:
-        Backend name -- ``"serial"``, ``"process"`` (alias ``"pool"``),
-        ``"socket"`` -- or ``"auto"``, which picks the pool when more
-        than one worker is useful.  Kept for backward compatibility;
-        ``backend`` wins when both are given.
     workers:
-        Worker count for the pool/socket backends; defaults to one per
+        Worker count for the pool/queue backends; defaults to one per
         core (bounded by the number of pending scenarios).
     timeout:
         Per-scenario wall-clock budget in seconds (enforced in the worker
@@ -106,7 +99,10 @@ def run_campaign(
         arrive (adopted outcomes first, then executed ones in completion
         order).
     backend:
-        An :class:`ExecutionBackend` instance or name; overrides ``mode``.
+        An :class:`ExecutionBackend` instance or a name -- ``"serial"``,
+        ``"process"`` (alias ``"pool"``), ``"queue"`` -- or ``"auto"``
+        (the default), which picks the pool when more than one worker
+        is useful.  The chosen name lands in ``metadata["mode"]``.
     cache:
         Result-cache directory (or :class:`ResultCache`).  Scenarios
         whose content hash + campaign context already have a stored
@@ -136,13 +132,6 @@ def run_campaign(
     names = [s.name for s in scenarios]
     if len(set(names)) != len(names):
         raise ValueError("scenario names within a campaign must be unique")
-    if not isinstance(mode, str):
-        raise ValueError(f"unknown mode {mode!r}; expected a backend name")
-    if backend is None and mode.strip().lower() not in (
-            "auto", *BACKEND_NAMES):
-        raise ValueError(
-            f"unknown mode {mode!r}; expected "
-            + "|".join(("auto", *BACKEND_NAMES)))
     if schedule not in SCHEDULE_POLICIES:
         raise ValueError(
             f"unknown schedule {schedule!r}; expected "
@@ -236,8 +225,7 @@ def run_campaign(
         schedule_record["history_records"] = persisted_records
 
     # -- execution -------------------------------------------------------------------
-    the_backend = resolve_backend(backend if backend is not None else mode,
-                                  workers=workers,
+    the_backend = resolve_backend(backend, workers=workers,
                                   num_scenarios=len(pending))
 
     if the_journal is not None:

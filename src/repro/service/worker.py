@@ -1,11 +1,10 @@
 """Queue worker: lease jobs from a broker, simulate, ack the outcome.
 
-Unlike the socket worker (which belongs to one coordinator for one
-campaign), a queue worker belongs to the **broker**: it attaches to the
-service data directory, drains whatever jobs appear -- from the HTTP
-front end, from ``run_campaign(backend="queue")``, from another laptop
-sharing the directory -- and survives across campaigns.  Run one per
-core::
+A queue worker belongs to the **broker**, not to any one campaign: it
+attaches to the service data directory, drains whatever jobs appear --
+from the HTTP front end, from ``run_campaign(backend="queue")``, from
+another laptop sharing the directory -- and survives across campaigns.
+Run one per core::
 
     python -m repro.service worker --data ./service-data
 

@@ -9,7 +9,7 @@ Three subcommands, selectable by flag:
     ``--regenerate`` the golden store is rewritten from this run
     (refusing to widen tolerance bands unless ``--allow-widen``).
     ``--backend`` picks the campaign execution backend (serial, process
-    pool or socket workers); ``--journal``/``--resume`` stream the
+    pool or queue workers); ``--journal``/``--resume`` stream the
     campaign to a resumable JSONL journal.
 
 ``--perf-check``
@@ -29,6 +29,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from repro.campaign import BACKEND_NAMES
 from repro.verify.matrix import (
     DEFAULT_GOLDEN_ROOT,
     DEFAULT_GOLDEN_TOLERANCE,
@@ -51,7 +52,6 @@ def _run_matrix(args: argparse.Namespace) -> int:
 
     report = run_matrix(
         smoke=args.smoke,
-        mode=args.mode,
         workers=args.workers,
         golden_root=None if args.no_goldens else args.goldens,
         regenerate=args.regenerate,
@@ -121,13 +121,8 @@ def main(argv=None) -> int:
     matrix = parser.add_argument_group("matrix options")
     matrix.add_argument("--smoke", action="store_true",
                         help="small circuit sizes / short horizons (CI push job)")
-    matrix.add_argument("--mode", choices=("auto", "serial", "process"),
-                        default="auto", help="campaign execution mode (legacy; "
-                                             "--backend wins when both given)")
-    matrix.add_argument("--backend",
-                        choices=("serial", "process", "pool", "socket"),
-                        default=None,
-                        help="campaign execution backend")
+    matrix.add_argument("--backend", choices=("auto", *BACKEND_NAMES),
+                        default="auto", help="campaign execution backend")
     matrix.add_argument("--workers", type=int, default=None,
                         help="campaign pool size (default: one per core)")
     matrix.add_argument("--journal", type=Path, default=None,

@@ -607,7 +607,6 @@ def _golden_checks(campaign: CampaignResult, store: GoldenStore,
 
 def run_matrix(
     smoke: bool = False,
-    mode: str = "auto",
     workers: Optional[int] = None,
     golden_root: Optional[Union[str, Path]] = DEFAULT_GOLDEN_ROOT,
     regenerate: bool = False,
@@ -626,13 +625,13 @@ def run_matrix(
     of checked (refusing tolerance widening unless ``allow_widen``).
     ``backend`` picks the campaign execution backend (name or
     :class:`~repro.campaign.backends.base.ExecutionBackend` instance;
-    overrides ``mode``); ``journal``/``resume`` stream the matrix
+    ``None`` means ``"auto"``); ``journal``/``resume`` stream the matrix
     campaign's outcomes to a resumable JSONL journal.
     """
     scenarios = matrix_scenarios(smoke=smoke)
     oracle_pairs = oracle_scenarios(smoke=smoke)
     campaign = run_campaign(
-        scenarios, mode=mode, workers=workers, timeout=timeout,
+        scenarios, workers=workers, timeout=timeout,
         sample_points=sample_points, backend=backend,
         journal=journal, resume=resume,
     )

@@ -1,9 +1,9 @@
 """Versioned, typed wire-message schemas for the service plane.
 
 Every payload that crosses a process boundary -- broker job contexts,
-worker metric snapshots, the TCP campaign protocol, HTTP submissions,
-campaign records, supervisor state -- is declared here as a dataclass
-with an explicit ``type`` name and schema ``version``.  ``encode``
+worker metric snapshots, HTTP submissions, campaign records, supervisor
+state -- is declared here as a dataclass with an explicit ``type`` name
+and schema ``version``.  ``encode``
 renders a message to a plain JSON-ready dict; ``decode`` validates a
 dict back into the typed message, tolerating unknown fields (they ride
 along in ``.extra``) so mixed-version fleets keep interoperating during
@@ -26,16 +26,9 @@ from repro.wire.base import (
 from repro.wire.messages import (
     CampaignRecord,
     CampaignSubmission,
-    Hello,
     JobContext,
-    Ping,
-    ProtocolError,
     ScenarioSubmission,
-    Shutdown,
     SupervisorState,
-    Task,
-    TaskResult,
-    Welcome,
     WorkerSnapshot,
     decode_job_context,
 )
@@ -49,16 +42,9 @@ __all__ = [
     "wire_message",
     "CampaignRecord",
     "CampaignSubmission",
-    "Hello",
     "JobContext",
-    "Ping",
-    "ProtocolError",
     "ScenarioSubmission",
-    "Shutdown",
     "SupervisorState",
-    "Task",
-    "TaskResult",
-    "Welcome",
     "WorkerSnapshot",
     "decode_job_context",
 ]

@@ -1,17 +1,15 @@
 """The named wire-message types of the service plane.
 
-Three families:
+Two families:
 
-* the TCP campaign protocol (``hello`` .. ``shutdown``) spoken between
-  :mod:`repro.campaign.backends.tcp` and :mod:`repro.campaign.worker`;
 * the broker-mediated service payloads -- job execution contexts,
   worker metric snapshots, persisted campaign records, and the fleet
   supervisor's published state;
 * the HTTP submission bodies accepted by :mod:`repro.service.server`.
 
 Field names deliberately match the historical ad-hoc dicts, so an old
-peer reading ``msg["index"]`` and a new peer reading ``Task.index``
-interoperate byte-for-byte.
+peer reading ``msg["sample_points"]`` and a new peer reading
+``JobContext.sample_points`` interoperate byte-for-byte.
 """
 
 from dataclasses import field
@@ -20,65 +18,9 @@ from typing import Dict, List, Optional
 from repro.wire.base import WireError, WireMessage, decode, wire_message
 
 __all__ = [
-    "Hello", "Welcome", "Task", "Ping", "TaskResult", "Shutdown",
-    "ProtocolError", "JobContext", "WorkerSnapshot", "CampaignRecord",
-    "SupervisorState", "ScenarioSubmission", "CampaignSubmission",
-    "decode_job_context",
+    "JobContext", "WorkerSnapshot", "CampaignRecord", "SupervisorState",
+    "ScenarioSubmission", "CampaignSubmission", "decode_job_context",
 ]
-
-
-# -- the TCP campaign protocol ---------------------------------------------------------
-
-@wire_message("hello")
-class Hello(WireMessage):
-    """Worker -> coordinator greeting; opens the handshake."""
-
-    pid: int
-    protocol: int = 1
-
-
-@wire_message("welcome")
-class Welcome(WireMessage):
-    """Coordinator -> worker: handshake accepted, here is the context."""
-
-    context: Dict[str, object] = field(default_factory=dict)
-
-
-@wire_message("task")
-class Task(WireMessage):
-    """Coordinator -> worker: one scenario to execute."""
-
-    index: int
-    scenario: Dict[str, object]
-
-    def validate(self) -> None:
-        if self.index < 0:
-            raise WireError("task: index must be >= 0")
-
-
-@wire_message("ping")
-class Ping(WireMessage):
-    """Worker -> coordinator heartbeat while a task is executing."""
-
-
-@wire_message("result")
-class TaskResult(WireMessage):
-    """Worker -> coordinator: the outcome of one task."""
-
-    index: int
-    outcome: Dict[str, object]
-
-
-@wire_message("shutdown")
-class Shutdown(WireMessage):
-    """Coordinator -> worker: drain and exit."""
-
-
-@wire_message("error")
-class ProtocolError(WireMessage):
-    """Either direction: the peer violated the protocol; close."""
-
-    error: str
 
 
 # -- broker-mediated service payloads --------------------------------------------------

@@ -2,9 +2,9 @@
 kills its host process the *first* time it is built (per flag file).
 
 ``os._exit`` bypasses every exception handler, so building this circuit
-simulates a worker crashing mid-scenario -- the failure mode the socket
-backend's re-dispatch logic exists for.  The flag file makes the crash
-one-shot: the worker that picks the scenario up after re-dispatch finds
+simulates a worker crashing mid-scenario -- the failure mode the queue
+backend's lease-expiry redelivery exists for.  The flag file makes the
+crash one-shot: the worker that picks the job up after redelivery finds
 the flag and builds a normal circuit instead.
 """
 

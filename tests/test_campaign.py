@@ -233,7 +233,8 @@ class TestSweepPlanners:
 class TestSerialExecution:
     def test_campaign_runs_and_aggregates(self):
         scenarios = small_scenarios()
-        campaign = run_campaign(scenarios, base_options=FAST_OPTIONS, mode="serial")
+        campaign = run_campaign(scenarios, base_options=FAST_OPTIONS,
+                                backend="serial")
         assert len(campaign) == len(scenarios)
         assert campaign.num_ok == len(scenarios)
         assert campaign.metadata["mode"] == "serial"
@@ -244,7 +245,8 @@ class TestSerialExecution:
 
     def test_assembly_cache_reused_within_worker(self):
         scenarios = small_scenarios()
-        campaign = run_campaign(scenarios, base_options=FAST_OPTIONS, mode="serial")
+        campaign = run_campaign(scenarios, base_options=FAST_OPTIONS,
+                                backend="serial")
         hits = [o.cache_hit for o in campaign]
         assert hits[0] is False
         assert all(hits[1:]), "scenarios sharing a circuit spec must reuse the assembly"
@@ -254,7 +256,7 @@ class TestSerialExecution:
         twice = scenarios + [
             Scenario.from_dict({**scenarios[0].to_dict(), "name": "again"})
         ]
-        campaign = run_campaign(twice, base_options=FAST_OPTIONS, mode="serial")
+        campaign = run_campaign(twice, base_options=FAST_OPTIONS, backend="serial")
         first, second = campaign.outcomes
         assert second.cache_hit
         assert first.deterministic_summary() == second.deterministic_summary()
@@ -266,14 +268,15 @@ class TestSerialExecution:
         does not depend on the integration method) with identical results."""
         scenarios = small_scenarios()
         assert len({s.method for s in scenarios}) > 1
-        campaign = run_campaign(scenarios, base_options=FAST_OPTIONS, mode="serial")
+        campaign = run_campaign(scenarios, base_options=FAST_OPTIONS,
+                                backend="serial")
         hits = [o.dc_cache_hit for o in campaign]
         assert hits[0] is False
         assert all(hits[1:]), "method sweep must reuse the cached DC point"
         # reusing the DC point must not change any scenario's outcome:
         # rerun the last scenario alone (cold caches) and compare
         cold = run_campaign([scenarios[-1]], base_options=FAST_OPTIONS,
-                            mode="serial")
+                            backend="serial")
         warm_outcome = campaign.outcomes[-1]
         cold_outcome = cold.outcomes[0]
         assert not cold_outcome.dc_cache_hit
@@ -286,14 +289,14 @@ class TestSerialExecution:
         shunted = Scenario.from_dict({**base.to_dict(), "name": "shunted"})
         shunted.options = {**shunted.options, "gshunt": 1e-9}
         campaign = run_campaign([base, shunted], base_options=FAST_OPTIONS,
-                                mode="serial")
+                                backend="serial")
         assert campaign.outcomes[0].dc_cache_hit is False
         assert campaign.outcomes[1].dc_cache_hit is False
 
     def test_error_capture(self):
         bad = Scenario(name="bad", circuit=CircuitSpec("rc_ladder", {"num_segments": 3}),
                        method="no_such_method")
-        campaign = run_campaign([bad], base_options=FAST_OPTIONS, mode="serial")
+        campaign = run_campaign([bad], base_options=FAST_OPTIONS, backend="serial")
         outcome = campaign.outcome_for("bad")
         assert outcome.status == "error"
         assert "no_such_method" in outcome.error
@@ -304,7 +307,8 @@ class TestSerialExecution:
             Scenario(name="bad", circuit=CircuitSpec("rc_ladder", {"num_segments": 0})),
             Scenario(name="good", circuit=CircuitSpec("rc_ladder", {"num_segments": 3})),
         ]
-        campaign = run_campaign(scenarios, base_options=FAST_OPTIONS, mode="serial")
+        campaign = run_campaign(scenarios, base_options=FAST_OPTIONS,
+                                backend="serial")
         assert campaign.outcome_for("bad").status == "error"
         assert campaign.outcome_for("good").status == "ok"
         assert len(campaign.failures) == 1
@@ -317,7 +321,7 @@ class TestSerialExecution:
             # force thousands of tiny steps so the scenario cannot finish
             options={"t_stop": 1e-9, "h_init": 1e-14, "h_max": 1e-14},
         )
-        campaign = run_campaign([slow], mode="serial", timeout=0.2)
+        campaign = run_campaign([slow], backend="serial", timeout=0.2)
         outcome = campaign.outcome_for("slow")
         assert outcome.status == "timeout"
         assert "timeout" in outcome.error
@@ -325,17 +329,17 @@ class TestSerialExecution:
     def test_duplicate_names_rejected(self):
         scenario = small_scenarios()[0]
         with pytest.raises(ValueError, match="unique"):
-            run_campaign([scenario, scenario], mode="serial")
+            run_campaign([scenario, scenario], backend="serial")
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="mode"):
-            run_campaign(small_scenarios(), mode="warp")
+        with pytest.raises(ValueError, match="unknown backend"):
+            run_campaign(small_scenarios(), backend="warp")
 
     def test_progress_callback(self):
         seen = []
         scenarios = small_scenarios(methods=("er",))
         run_campaign(
-            scenarios, base_options=FAST_OPTIONS, mode="serial",
+            scenarios, base_options=FAST_OPTIONS, backend="serial",
             progress=lambda outcome, done, total: seen.append((outcome.scenario.name, done, total)),
         )
         assert len(seen) == len(scenarios)
@@ -345,9 +349,10 @@ class TestSerialExecution:
 class TestParallelExecution:
     def test_process_pool_matches_serial(self):
         scenarios = small_scenarios()
-        serial = run_campaign(scenarios, base_options=FAST_OPTIONS, mode="serial")
+        serial = run_campaign(scenarios, base_options=FAST_OPTIONS,
+                              backend="serial")
         parallel = run_campaign(
-            scenarios, base_options=FAST_OPTIONS, mode="process", workers=2
+            scenarios, base_options=FAST_OPTIONS, backend="process", workers=2
         )
         assert parallel.metadata["mode"] == "process"
         for a, b in zip(serial, parallel):
@@ -361,7 +366,7 @@ class TestParallelExecution:
             small_scenarios(methods=("er",), budgets=(1e-3,))[0],
         ]
         campaign = run_campaign(
-            scenarios, base_options=FAST_OPTIONS, mode="process", workers=2
+            scenarios, base_options=FAST_OPTIONS, backend="process", workers=2
         )
         assert campaign.outcome_for("bad").status == "error"
         assert campaign.num_ok == 1
@@ -374,7 +379,8 @@ class TestParallelExecution:
 class TestAggregation:
     @pytest.fixture(scope="class")
     def campaign(self):
-        return run_campaign(small_scenarios(), base_options=FAST_OPTIONS, mode="serial")
+        return run_campaign(small_scenarios(), base_options=FAST_OPTIONS,
+                            backend="serial")
 
     def test_rows_with_reference(self, campaign):
         rows = campaign.rows(reference_method="benr")
@@ -434,7 +440,8 @@ class TestAggregation:
             Scenario(name="er", circuit=CircuitSpec("rc_ladder", {"num_segments": 0}),
                      method="er"),
         ]
-        campaign = run_campaign(scenarios, base_options=FAST_OPTIONS, mode="serial")
+        campaign = run_campaign(scenarios, base_options=FAST_OPTIONS,
+                                backend="serial")
         rows = campaign.rows(reference_method="benr")
         assert all(row["SP"] is None for row in rows)
 

@@ -2,14 +2,10 @@
 
 The same scenario list must produce identical deterministic outcomes
 (statistics and waveform samples) through the serial loop, the process
-pool, the socket transport and the broker-backed queue; timeouts and
-failures must be captured, not propagated; and the socket backend must
-survive worker death by re-dispatching the in-flight scenario (the
-queue backend's equivalent redelivery tests live in
-``tests/test_campaign_queue_backend.py``).
+pool and the broker-backed queue; timeouts and failures must be
+captured, not propagated.  The queue backend's worker-death redelivery
+and external-worker tests live in ``tests/test_campaign_queue_backend.py``.
 """
-
-import socket as socket_module
 
 import pytest
 
@@ -21,17 +17,15 @@ from repro.campaign import (
     QueueBackend,
     Scenario,
     SerialBackend,
-    SocketBackend,
     grid_sweep,
     resolve_backend,
     run_campaign,
 )
-from repro.campaign.backends.tcp import recv_message, send_message
 from repro.core.options import SimOptions
 
 FAST_OPTIONS = SimOptions(t_stop=0.1e-9, h_init=2e-12, store_states=False)
 
-BACKEND_NAMES = ("serial", "process", "socket", "queue")
+BACKEND_NAMES = ("serial", "process", "queue")
 
 
 def make_backend(name: str) -> ExecutionBackend:
@@ -39,9 +33,7 @@ def make_backend(name: str) -> ExecutionBackend:
         return SerialBackend()
     if name == "process":
         return ProcessPoolBackend(workers=2)
-    if name == "queue":
-        return QueueBackend(workers=2, lease_seconds=30.0)
-    return SocketBackend(workers=2, heartbeat_timeout=30.0, accept_timeout=30.0)
+    return QueueBackend(workers=2, lease_seconds=30.0)
 
 
 def small_scenarios(methods=("benr", "er"), budgets=(1e-3, 1e-4)):
@@ -109,220 +101,11 @@ class TestBackendContract:
         assert campaign.outcome_for("fast").status == "ok"
 
 
-class TestSocketFaultTolerance:
-    def test_worker_death_redispatches_scenario(self, tmp_path):
-        """A worker that dies mid-scenario must not lose the scenario:
-        another worker picks it up (the flag file makes the crash
-        one-shot) and the campaign still completes everything."""
-        flag = tmp_path / "crash.flag"
-        scenarios = [
-            Scenario(
-                name="killer",
-                circuit=CircuitSpec("die_once", {"flag_path": str(flag)},
-                                    module="_campaign_death_factory"),
-                method="er", options={"t_stop": 0.05e-9},
-            ),
-            Scenario(
-                name="bystander",
-                circuit=CircuitSpec("rc_ladder", {"num_segments": 3}),
-                method="er", options={"t_stop": 0.05e-9},
-            ),
-        ]
-        backend = SocketBackend(workers=2, heartbeat_timeout=30.0,
-                                accept_timeout=30.0)
-        campaign = run_campaign(scenarios, backend=backend)
-        assert flag.exists(), "the crash factory never fired"
-        assert campaign.outcome_for("killer").status == "ok"
-        assert campaign.outcome_for("bystander").status == "ok"
-
-    def test_scenario_that_kills_every_worker_becomes_error(self, tmp_path):
-        """Re-dispatch is bounded: with max_attempts=1 the first death
-        already exhausts the budget and the scenario is delivered as an
-        error outcome instead of cycling through workers forever."""
-        scenarios = [
-            Scenario(
-                name="fatal",
-                circuit=CircuitSpec(
-                    "die_once",
-                    {"flag_path": str(tmp_path / "x.flag"), "always": True},
-                    module="_campaign_death_factory"),
-                method="er", options={"t_stop": 0.05e-9},
-            ),
-        ]
-        backend = SocketBackend(workers=1, heartbeat_timeout=30.0,
-                                accept_timeout=5.0, max_attempts=1)
-        campaign = run_campaign(scenarios, backend=backend)
-        outcome = campaign.outcome_for("fatal")
-        assert outcome.status == "error"
-        assert "died" in outcome.error or "workers" in outcome.error
-
-
-class TestWorkerStartupOrder:
-    def test_worker_started_before_coordinator_retries_and_connects(self):
-        """The multi-host workflow starts workers first: a worker dialing
-        a port nobody listens on yet must retry inside its connect
-        window instead of dying with ConnectionRefusedError."""
-        import os
-        import subprocess
-        import sys
-
-        probe = socket_module.socket()
-        probe.bind(("127.0.0.1", 0))
-        port = probe.getsockname()[1]
-        probe.close()
-
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
-        worker = subprocess.Popen(
-            [sys.executable, "-m", "repro.campaign.worker",
-             "--connect", f"127.0.0.1:{port}", "--connect-window", "60"],
-            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-        )
-        try:
-            scenarios = small_scenarios(methods=("er",), budgets=(1e-3,))
-            backend = SocketBackend(port=port, spawn=False,
-                                    heartbeat_timeout=30.0,
-                                    accept_timeout=60.0)
-            campaign = run_campaign(scenarios, base_options=FAST_OPTIONS,
-                                    backend=backend)
-            assert campaign.num_ok == len(scenarios)
-            assert worker.wait(timeout=10) == 0
-        finally:
-            if worker.poll() is None:
-                worker.kill()
-
-
-class TestSocketWorkerSharedCache:
-    def test_external_worker_answers_warm_sweep_from_cache(self, tmp_path):
-        """A socket worker started with ``--cache DIR`` populates the
-        shared result cache on the first campaign and answers the
-        identical second campaign from disk (outcomes arrive marked
-        ``reused_from: cache``), without the coordinator configuring any
-        cache of its own."""
-        import os
-        import subprocess
-        import sys
-
-        probe = socket_module.socket()
-        probe.bind(("127.0.0.1", 0))
-        port = probe.getsockname()[1]
-        probe.close()
-
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
-        cache_dir = tmp_path / "shared-cache"
-        scenarios = small_scenarios(methods=("er",), budgets=(1e-3,))
-
-        def worker_process():
-            return subprocess.Popen(
-                [sys.executable, "-m", "repro.campaign.worker",
-                 "--connect", f"127.0.0.1:{port}",
-                 "--cache", str(cache_dir), "--connect-window", "60"],
-                env=env, stdout=subprocess.DEVNULL,
-                stderr=subprocess.DEVNULL,
-            )
-
-        def run_once():
-            worker = worker_process()
-            try:
-                backend = SocketBackend(port=port, spawn=False,
-                                        heartbeat_timeout=30.0,
-                                        accept_timeout=60.0)
-                campaign = run_campaign(scenarios, base_options=FAST_OPTIONS,
-                                        backend=backend)
-                assert worker.wait(timeout=10) == 0
-                return campaign
-            finally:
-                if worker.poll() is None:
-                    worker.kill()
-
-        first = run_once()
-        assert first.num_ok == len(scenarios)
-        assert all(o.reused_from is None for o in first)
-        assert cache_dir.exists() and len(list(cache_dir.glob("*.json"))) == \
-            len(scenarios)
-
-        second = run_once()
-        assert second.num_ok == len(scenarios)
-        assert all(o.reused_from == "cache" for o in second)
-        for a, b in zip(first, second):
-            assert a.deterministic_summary() == b.deterministic_summary()
-
-
-class TestSocketProtocol:
-    def test_handshake_task_result_cycle_and_protocol_rejection(self):
-        """Drive the coordinator by hand: a wrong-protocol client is
-        turned away with an error message; a well-behaved client gets
-        the welcome (carrying the campaign context), a task, and -- after
-        returning the result -- a shutdown."""
-        import threading
-        import time
-
-        from repro.campaign.execution import execute_scenario
-
-        backend = SocketBackend(spawn=False, heartbeat_timeout=30.0,
-                                accept_timeout=30.0)
-        scenario = small_scenarios(methods=("er",), budgets=(1e-3,))[0]
-        context = ExecutionContext(base_options=FAST_OPTIONS.to_dict(),
-                                   sample_points=21)
-        delivered = {}
-        runner = threading.Thread(
-            target=backend.execute,
-            args=([(0, scenario.to_dict())], context,
-                  lambda index, data: delivered.update({index: data})),
-            daemon=True,
-        )
-        runner.start()
-        while backend.address is None:
-            time.sleep(0.01)
-
-        # (1) wrong protocol version: polite error, connection unusable
-        bad = socket_module.create_connection(backend.address, timeout=10.0)
-        try:
-            send_message(bad, {"type": "hello", "pid": 1, "protocol": 999})
-            assert recv_message(bad).get("type") == "error"
-        finally:
-            bad.close()
-
-        # (2) proper worker: welcome -> task -> result -> shutdown
-        good = socket_module.create_connection(backend.address, timeout=30.0)
-        try:
-            send_message(good, {"type": "hello", "pid": 2, "protocol": 1})
-            welcome = recv_message(good)
-            assert welcome["type"] == "welcome"
-            ctx = ExecutionContext.from_dict(welcome["context"])
-            assert ctx.sample_points == 21
-            task = recv_message(good)
-            assert task["type"] == "task" and task["index"] == 0
-            outcome = execute_scenario(task["scenario"], ctx.base_options,
-                                       ctx.timeout, ctx.sample_points)
-            send_message(good, {"type": "result", "index": 0,
-                                "outcome": outcome})
-            assert recv_message(good).get("type") == "shutdown"
-        finally:
-            good.close()
-        runner.join(timeout=30.0)
-        assert not runner.is_alive()
-        assert delivered[0]["status"] == "ok"
-
-    def test_framing_round_trip(self):
-        server, client = socket_module.socketpair()
-        try:
-            message = {"type": "task", "index": 3,
-                       "scenario": {"name": "s", "nested": [1, 2.5, "x"]}}
-            send_message(client, message)
-            assert recv_message(server) == message
-        finally:
-            server.close()
-            client.close()
-
-
 class TestResolveBackend:
     def test_names(self):
         assert isinstance(resolve_backend("serial"), SerialBackend)
         assert isinstance(resolve_backend("process"), ProcessPoolBackend)
         assert isinstance(resolve_backend("pool"), ProcessPoolBackend)
-        assert isinstance(resolve_backend("socket"), SocketBackend)
         assert isinstance(resolve_backend("queue"), QueueBackend)
 
     def test_auto_picks_serial_for_one_scenario(self):
@@ -339,10 +122,12 @@ class TestResolveBackend:
     def test_unknown_rejected(self):
         with pytest.raises(ValueError, match="unknown backend"):
             resolve_backend("quantum")
+        with pytest.raises(ValueError, match="unknown backend"):
+            resolve_backend("socket")
 
     def test_run_campaign_rejects_unknown_mode(self):
-        with pytest.raises(ValueError, match="mode"):
-            run_campaign(small_scenarios(), mode="warp")
+        with pytest.raises(ValueError, match="unknown backend"):
+            run_campaign(small_scenarios(), backend="warp")
 
 
 class TestExecutionContext:

@@ -28,12 +28,12 @@ class TestResultCache:
     def test_unchanged_plan_simulates_zero_scenarios(self, tmp_path):
         scenarios = small_scenarios()
         first = run_campaign(scenarios, base_options=FAST_OPTIONS,
-                             mode="serial", cache=tmp_path / "cache")
+                             backend="serial", cache=tmp_path / "cache")
         assert first.metadata["num_executed"] == len(scenarios)
         assert first.metadata["num_cached"] == 0
 
         second = run_campaign(scenarios, base_options=FAST_OPTIONS,
-                              mode="serial", cache=tmp_path / "cache")
+                              backend="serial", cache=tmp_path / "cache")
         assert second.metadata["num_executed"] == 0
         assert second.metadata["num_cached"] == len(scenarios)
         assert all(o.reused_from == "cache" for o in second)
@@ -43,12 +43,12 @@ class TestResultCache:
 
     def test_replan_simulates_only_changed_scenarios(self, tmp_path):
         scenarios = small_scenarios(budgets=(1e-3, 1e-4))
-        run_campaign(scenarios, base_options=FAST_OPTIONS, mode="serial",
+        run_campaign(scenarios, base_options=FAST_OPTIONS, backend="serial",
                      cache=tmp_path / "cache")
         # re-plan: one budget kept, one new -> exactly the new ones run
         replanned = small_scenarios(budgets=(1e-3, 5e-4))
         second = run_campaign(replanned, base_options=FAST_OPTIONS,
-                              mode="serial", cache=tmp_path / "cache")
+                              backend="serial", cache=tmp_path / "cache")
         kept = [o for o in second if o.scenario.options["err_budget"] == 1e-3]
         fresh = [o for o in second if o.scenario.options["err_budget"] == 5e-4]
         assert all(o.reused_from == "cache" for o in kept)
@@ -59,13 +59,13 @@ class TestResultCache:
         """name/tags are presentation metadata outside the content hash:
         a renamed sweep reuses its outcomes, relabelled for the tables."""
         scenarios = small_scenarios(methods=("er",), budgets=(1e-3,))
-        run_campaign(scenarios, base_options=FAST_OPTIONS, mode="serial",
+        run_campaign(scenarios, base_options=FAST_OPTIONS, backend="serial",
                      cache=tmp_path / "cache")
         renamed = [Scenario.from_dict({**s.to_dict(), "name": f"renamed-{i}",
                                        "tags": {"corner": "slow"}})
                    for i, s in enumerate(scenarios)]
         second = run_campaign(renamed, base_options=FAST_OPTIONS,
-                              mode="serial", cache=tmp_path / "cache")
+                              backend="serial", cache=tmp_path / "cache")
         assert second.metadata["num_executed"] == 0
         outcome = second.outcome_for("renamed-0")
         assert outcome.scenario.tags == {"corner": "slow"}
@@ -76,10 +76,10 @@ class TestResultCache:
         """The campaign context (base options, grid, timeout) is outcome-
         relevant but outside the scenario hash; it must key the cache."""
         scenarios = small_scenarios(methods=("er",), budgets=(1e-3,))
-        run_campaign(scenarios, base_options=FAST_OPTIONS, mode="serial",
+        run_campaign(scenarios, base_options=FAST_OPTIONS, backend="serial",
                      cache=tmp_path / "cache")
         longer = SimOptions(t_stop=0.2e-9, h_init=2e-12, store_states=False)
-        second = run_campaign(scenarios, base_options=longer, mode="serial",
+        second = run_campaign(scenarios, base_options=longer, backend="serial",
                               cache=tmp_path / "cache")
         assert second.metadata["num_cached"] == 0
         assert second.metadata["num_executed"] == len(scenarios)
@@ -89,20 +89,20 @@ class TestResultCache:
         not depend on the budget it ran under, so changing it must not
         invalidate the cache."""
         scenarios = small_scenarios(methods=("er",), budgets=(1e-3,))
-        run_campaign(scenarios, base_options=FAST_OPTIONS, mode="serial",
+        run_campaign(scenarios, base_options=FAST_OPTIONS, backend="serial",
                      cache=tmp_path / "cache", timeout=120.0)
         second = run_campaign(scenarios, base_options=FAST_OPTIONS,
-                              mode="serial", cache=tmp_path / "cache")
+                              backend="serial", cache=tmp_path / "cache")
         assert second.metadata["num_executed"] == 0
         assert second.metadata["num_cached"] == len(scenarios)
 
     def test_failures_are_not_cached(self, tmp_path):
         bad = Scenario(name="bad",
                        circuit=CircuitSpec("rc_ladder", {"num_segments": 0}))
-        first = run_campaign([bad], base_options=FAST_OPTIONS, mode="serial",
+        first = run_campaign([bad], base_options=FAST_OPTIONS, backend="serial",
                              cache=tmp_path / "cache")
         assert first.outcome_for("bad").status == "error"
-        second = run_campaign([bad], base_options=FAST_OPTIONS, mode="serial",
+        second = run_campaign([bad], base_options=FAST_OPTIONS, backend="serial",
                               cache=tmp_path / "cache")
         # the failure ran again (and could have healed) instead of being
         # served from the cache
@@ -114,28 +114,28 @@ class TestResultCache:
         journal-adopted ok outcomes, so the next re-plan hits."""
         scenarios = small_scenarios(methods=("er",), budgets=(1e-3, 1e-4))
         journal = tmp_path / "run.jsonl"
-        run_campaign(scenarios, base_options=FAST_OPTIONS, mode="serial",
+        run_campaign(scenarios, base_options=FAST_OPTIONS, backend="serial",
                      journal=journal)
         resumed = run_campaign(scenarios, base_options=FAST_OPTIONS,
-                               mode="serial", journal=journal, resume=True,
+                               backend="serial", journal=journal, resume=True,
                                cache=tmp_path / "cache")
         assert resumed.metadata["num_resumed"] == len(scenarios)
         third = run_campaign(scenarios, base_options=FAST_OPTIONS,
-                             mode="serial", cache=tmp_path / "cache")
+                             backend="serial", cache=tmp_path / "cache")
         assert third.metadata["num_cached"] == len(scenarios)
         assert third.metadata["num_executed"] == 0
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         scenarios = small_scenarios(methods=("er",), budgets=(1e-3,))
         cache = ResultCache(tmp_path / "cache")
-        run_campaign(scenarios, base_options=FAST_OPTIONS, mode="serial",
+        run_campaign(scenarios, base_options=FAST_OPTIONS, backend="serial",
                      cache=cache)
         ctx = context_hash(FAST_OPTIONS.to_dict(), 101)
         path = cache.path(scenarios[0], ctx)
         assert path.exists()
         path.write_text("{not json")
         second = run_campaign(scenarios, base_options=FAST_OPTIONS,
-                              mode="serial", cache=cache)
+                              backend="serial", cache=cache)
         assert second.metadata["num_executed"] == 1
         assert second.outcome_for(scenarios[0].name).ok
 
@@ -143,7 +143,7 @@ class TestResultCache:
         cache = ResultCache(tmp_path / "cache")
         assert len(cache) == 0
         scenarios = small_scenarios(methods=("er",), budgets=(1e-3, 1e-4))
-        run_campaign(scenarios, base_options=FAST_OPTIONS, mode="serial",
+        run_campaign(scenarios, base_options=FAST_OPTIONS, backend="serial",
                      cache=cache)
         assert len(cache) == len(scenarios)
 

@@ -52,7 +52,7 @@ class TestJournalFile:
     def test_records_header_outcomes_and_checkpoints(self, tmp_path):
         path = tmp_path / "run.jsonl"
         scenarios = small_scenarios()
-        run_campaign(scenarios, base_options=FAST_OPTIONS, mode="serial",
+        run_campaign(scenarios, base_options=FAST_OPTIONS, backend="serial",
                      journal=path, checkpoint_every=2)
         records = journal_lines(path)
         kinds = [r["type"] for r in records]
@@ -69,7 +69,7 @@ class TestJournalFile:
     def test_replay_tolerates_truncated_tail(self, tmp_path):
         path = tmp_path / "run.jsonl"
         scenarios = small_scenarios()
-        run_campaign(scenarios, base_options=FAST_OPTIONS, mode="serial",
+        run_campaign(scenarios, base_options=FAST_OPTIONS, backend="serial",
                      journal=path)
         with path.open("a") as handle:
             handle.write('{"type": "outcome", "hash": "interru')
@@ -80,9 +80,9 @@ class TestJournalFile:
     def test_fresh_run_truncates_stale_journal(self, tmp_path):
         path = tmp_path / "run.jsonl"
         scenarios = small_scenarios(methods=("er",), budgets=(1e-3,))
-        run_campaign(scenarios, base_options=FAST_OPTIONS, mode="serial",
+        run_campaign(scenarios, base_options=FAST_OPTIONS, backend="serial",
                      journal=path)
-        run_campaign(scenarios, base_options=FAST_OPTIONS, mode="serial",
+        run_campaign(scenarios, base_options=FAST_OPTIONS, backend="serial",
                      journal=path)
         # not resumed -> rewritten from scratch, not appended
         records = journal_lines(path)
@@ -98,7 +98,7 @@ class TestResume:
         scenarios = small_scenarios()
         path = tmp_path / "run.jsonl"
         uninterrupted = run_campaign(scenarios, base_options=FAST_OPTIONS,
-                                     mode="serial", journal=path)
+                                     backend="serial", journal=path)
         columns = list(DETERMINISTIC_COLUMNS) + ["max_err"]
         expected_table = render_campaign_table(
             uninterrupted, reference_method="benr", columns=columns)
@@ -106,7 +106,7 @@ class TestResume:
         # interrupt: keep only the first 2 outcomes in the journal
         truncate_to_outcomes(path, keep=2)
         resumed = run_campaign(scenarios, base_options=FAST_OPTIONS,
-                               mode="serial", journal=path, resume=True)
+                               backend="serial", journal=path, resume=True)
         assert resumed.metadata["num_resumed"] == 2
         assert resumed.metadata["num_executed"] == 2
         resumed_table = render_campaign_table(
@@ -118,7 +118,7 @@ class TestResume:
 
         # the journal now covers everything: resuming again runs nothing
         third = run_campaign(scenarios, base_options=FAST_OPTIONS,
-                             mode="serial", journal=path, resume=True)
+                             backend="serial", journal=path, resume=True)
         assert third.metadata["num_executed"] == 0
         assert third.metadata["num_resumed"] == len(scenarios)
         assert render_campaign_table(third, reference_method="benr",
@@ -127,11 +127,11 @@ class TestResume:
     def test_resumed_outcomes_are_marked(self, tmp_path):
         scenarios = small_scenarios(methods=("er",), budgets=(1e-3, 1e-4))
         path = tmp_path / "run.jsonl"
-        run_campaign(scenarios, base_options=FAST_OPTIONS, mode="serial",
+        run_campaign(scenarios, base_options=FAST_OPTIONS, backend="serial",
                      journal=path)
         truncate_to_outcomes(path, keep=1)
         resumed = run_campaign(scenarios, base_options=FAST_OPTIONS,
-                               mode="serial", journal=path, resume=True)
+                               backend="serial", journal=path, resume=True)
         marks = [o.reused_from for o in resumed]
         assert marks.count("journal") == 1
         assert marks.count(None) == 1
@@ -148,9 +148,9 @@ class TestResume:
             options={"t_stop": 1e-9, "h_init": 1e-14, "h_max": 1e-14},
         )
         path = tmp_path / "run.jsonl"
-        first = run_campaign([slow], mode="serial", journal=path, timeout=0.2)
+        first = run_campaign([slow], backend="serial", journal=path, timeout=0.2)
         assert first.outcome_for("slow").status == "timeout"
-        second = run_campaign([slow], mode="serial", journal=path,
+        second = run_campaign([slow], backend="serial", journal=path,
                               resume=True, timeout=0.2)
         assert second.metadata["num_resumed"] == 0
         assert second.metadata["num_executed"] == 1
@@ -166,7 +166,7 @@ class TestResume:
 
         scenario = small_scenarios(methods=("er",), budgets=(1e-3,))[0]
         path = tmp_path / "run.jsonl"
-        run_campaign([scenario], base_options=FAST_OPTIONS, mode="serial",
+        run_campaign([scenario], base_options=FAST_OPTIONS, backend="serial",
                      journal=path)
         # forge the recorded outcome into a backend-synthesized failure
         lines = []
@@ -179,7 +179,7 @@ class TestResume:
         path.write_text("\n".join(lines) + "\n")
 
         resumed = run_campaign([scenario], base_options=FAST_OPTIONS,
-                               mode="serial", journal=path, resume=True)
+                               backend="serial", journal=path, resume=True)
         assert resumed.metadata["num_resumed"] == 0
         assert resumed.metadata["num_executed"] == 1
         assert resumed.outcome_for(scenario.name).ok
@@ -187,25 +187,25 @@ class TestResume:
     def test_resume_refuses_different_context(self, tmp_path):
         scenarios = small_scenarios(methods=("er",), budgets=(1e-3,))
         path = tmp_path / "run.jsonl"
-        run_campaign(scenarios, base_options=FAST_OPTIONS, mode="serial",
+        run_campaign(scenarios, base_options=FAST_OPTIONS, backend="serial",
                      journal=path)
         other = SimOptions(t_stop=0.2e-9, h_init=2e-12, store_states=False)
         with pytest.raises(JournalContextError, match="context"):
-            run_campaign(scenarios, base_options=other, mode="serial",
+            run_campaign(scenarios, base_options=other, backend="serial",
                          journal=path, resume=True)
 
     def test_resume_requires_journal(self):
         with pytest.raises(ValueError, match="journal"):
-            run_campaign(small_scenarios(), mode="serial", resume=True)
+            run_campaign(small_scenarios(), backend="serial", resume=True)
 
 
 class TestAdaptiveScheduling:
     def test_outcomes_stay_in_plan_order(self):
         scenarios = small_scenarios()
         plain = run_campaign(scenarios, base_options=FAST_OPTIONS,
-                             mode="serial")
+                             backend="serial")
         adaptive = run_campaign(scenarios, base_options=FAST_OPTIONS,
-                                mode="serial", schedule="adaptive",
+                                backend="serial", schedule="adaptive",
                                 history=list(plain))
         assert [o.scenario.name for o in adaptive] == \
             [s.name for s in scenarios]
@@ -215,9 +215,9 @@ class TestAdaptiveScheduling:
     def test_dispatch_order_is_recorded_and_largest_first(self):
         scenarios = small_scenarios()
         plain = run_campaign(scenarios, base_options=FAST_OPTIONS,
-                             mode="serial")
+                             backend="serial")
         adaptive = run_campaign(scenarios, base_options=FAST_OPTIONS,
-                                mode="serial", schedule="adaptive",
+                                backend="serial", schedule="adaptive",
                                 history=list(plain))
         record = adaptive.metadata["schedule"]
         assert record["policy"] == "adaptive"
@@ -233,7 +233,7 @@ class TestAdaptiveScheduling:
     def test_plan_schedule_puts_unknowns_first(self):
         scenarios = small_scenarios(methods=("benr", "er"), budgets=(1e-3,))
         history_run = run_campaign([scenarios[0]], base_options=FAST_OPTIONS,
-                                   mode="serial")
+                                   backend="serial")
         pending = list(enumerate(scenarios))
         order, predictions = plan_schedule(pending, list(history_run))
         # scenario 1 (er) has no (circuit, method) pair history but the
@@ -251,7 +251,7 @@ class TestAdaptiveScheduling:
     def test_runtime_model_prefers_pair_history(self):
         scenarios = small_scenarios()
         campaign = run_campaign(scenarios, base_options=FAST_OPTIONS,
-                                mode="serial")
+                                backend="serial")
         model = RuntimeModel(campaign)
         for scenario in scenarios:
             # each (circuit, method) pair ran twice (two budgets); the
@@ -263,4 +263,4 @@ class TestAdaptiveScheduling:
 
     def test_unknown_schedule_rejected(self):
         with pytest.raises(ValueError, match="schedule"):
-            run_campaign(small_scenarios(), mode="serial", schedule="chaos")
+            run_campaign(small_scenarios(), backend="serial", schedule="chaos")

@@ -4,10 +4,13 @@ The equivalence / timeout / failure-capture contract is covered by
 ``tests/test_campaign_backends.py`` (parameterized over every backend,
 including ``queue``).  Here: broker-level fault tolerance with real
 worker subprocesses (crash -> lease expiry -> redelivery), bounded
-redelivery of poison scenarios, job dedupe across campaigns sharing one
-broker, and the scheduler's cost-model persistence through the cache
-directory.
+redelivery of poison scenarios, external workers attached to a broker
+file (and the idle timeout when none is), job dedupe across campaigns
+sharing one broker, and the scheduler's cost-model persistence through
+the cache directory.
 """
+
+import time
 
 import pytest
 
@@ -21,6 +24,10 @@ from repro.campaign import (
     load_history,
     resolve_backend,
     run_campaign,
+)
+from repro.campaign.backends._spawn import (
+    spawn_module_worker,
+    terminate_workers,
 )
 from repro.core.options import SimOptions
 from repro.service.broker import JobBroker
@@ -45,7 +52,7 @@ class TestResolveQueueBackend:
 
     def test_mode_string_accepted(self):
         campaign = run_campaign(small_scenarios(), base_options=FAST_OPTIONS,
-                                mode="queue", workers=2)
+                                backend="queue", workers=2)
         assert campaign.metadata["mode"] == "queue"
         assert campaign.num_ok == len(campaign)
 
@@ -101,6 +108,51 @@ class TestFaultTolerance:
         outcome = campaign.outcome_for("fatal")
         assert outcome.status == "error"
         assert "budget exhausted" in outcome.error or "fleet exited" in outcome.error
+
+
+class TestExternalWorkers:
+    def test_worker_started_before_campaign_drains_it(self, tmp_path):
+        """The multi-host workflow starts workers first: a
+        ``python -m repro.service.worker --broker PATH`` process attached
+        to an empty broker picks up the jobs of a later ``spawn=False``
+        campaign and outlives it."""
+        broker_path = tmp_path / "q.sqlite3"
+        JobBroker(broker_path)  # the worker attaches to an existing file
+        worker = spawn_module_worker(
+            "repro.service.worker",
+            ["--broker", str(broker_path), "--poll", "0.05",
+             "--max-idle", "60"])
+        try:
+            scenarios = small_scenarios(methods=("er", "benr"))
+            backend = QueueBackend(broker=broker_path, spawn=False,
+                                   idle_timeout=60.0)
+            campaign = run_campaign(scenarios, base_options=FAST_OPTIONS,
+                                    backend=backend)
+            assert campaign.num_ok == len(scenarios)
+            assert campaign.metadata["spawn"] is False
+            assert {o.worker for o in campaign} == {worker.pid}
+            assert JobBroker(broker_path).counters()["simulations"] == \
+                len(scenarios)
+            assert worker.poll() is None, \
+                "an attached worker persists across campaigns"
+        finally:
+            terminate_workers([worker])
+
+    def test_no_worker_idle_timeout_delivers_errors(self, tmp_path):
+        """With ``spawn=False`` and nobody attached, the campaign does not
+        hang: after ``idle_timeout`` seconds without progress every
+        remaining scenario comes back as an error outcome."""
+        scenarios = small_scenarios(methods=("er", "benr"))
+        backend = QueueBackend(broker=tmp_path / "q.sqlite3", spawn=False,
+                               idle_timeout=1.0)
+        start = time.monotonic()
+        campaign = run_campaign(scenarios, base_options=FAST_OPTIONS,
+                                backend=backend)
+        assert time.monotonic() - start < 30.0
+        assert len(campaign) == len(scenarios)
+        for outcome in campaign:
+            assert outcome.status == "error"
+            assert "no queue worker made progress" in outcome.error
 
 
 class TestSharedBroker:

@@ -214,9 +214,9 @@ class TestFullSmokeMatrix:
     def test_golden_regenerate_then_check_round_trip(self, tmp_path):
         root = tmp_path / "goldens"
         first = run_matrix(smoke=True, golden_root=root, regenerate=True,
-                           mode="process")
+                           backend="process")
         assert first.ok
-        second = run_matrix(smoke=True, golden_root=root, mode="process")
+        second = run_matrix(smoke=True, golden_root=root, backend="process")
         golden_checks = [c for c in second.checks if c.kind == "golden"]
         assert len(golden_checks) >= 60
         assert all(c.ok for c in golden_checks), [

@@ -1,8 +1,8 @@
 """The repro.wire contract: typed, versioned, upgrade-tolerant messages.
 
-Every payload that crosses a process boundary (TCP protocol frames, job
-contexts, worker snapshots, campaign records, supervisor state, HTTP
-submissions) must round-trip ``decode(encode(m)) == m`` and must survive
+Every payload that crosses a process boundary (job contexts, worker
+snapshots, campaign records, supervisor state, HTTP submissions) must
+round-trip ``decode(encode(m)) == m`` and must survive
 a version-skewed peer: unknown fields ride along untouched, and a
 foreign ``version`` stamp is tolerated rather than rejected.
 """
@@ -22,14 +22,6 @@ class TestRoundTripIdentity:
     """decode(encode(m)) == m for every registered message type."""
 
     MESSAGES = [
-        wire.Hello(pid=1234, protocol=1),
-        wire.Welcome(context={"base_options": {"t_stop": 1e-9},
-                              "timeout": None, "sample_points": 101}),
-        wire.Task(index=3, scenario={"name": "s", "circuit": {}}),
-        wire.Ping(),
-        wire.TaskResult(index=3, outcome={"status": "ok"}),
-        wire.Shutdown(),
-        wire.ProtocolError(error="boom"),
         wire.JobContext(base_options={"h_init": 1e-12}, timeout=30.0,
                         sample_points=11),
         wire.WorkerSnapshot(worker_id="w1", pid=42, busy=True,
@@ -57,9 +49,9 @@ class TestRoundTripIdentity:
         assert covered == set(wire.registered_types())
 
     def test_encode_stamps_type_and_version(self):
-        data = wire.encode(wire.Hello(pid=1, protocol=1))
-        assert data["type"] == "hello"
-        assert data["version"] == wire.Hello.VERSION
+        data = wire.encode(wire.JobContext(sample_points=11))
+        assert data["type"] == "job_context"
+        assert data["version"] == wire.JobContext.VERSION
 
 
 class TestVersionSkew:
@@ -67,16 +59,16 @@ class TestVersionSkew:
 
     def test_unknown_fields_survive_decode_then_reencode(self):
         # a newer peer added "deadline"; we must carry it, not drop it
-        data = wire.encode(wire.Task(index=0, scenario={"name": "s"}))
+        data = wire.encode(wire.ScenarioSubmission(scenario={"name": "s"}))
         data["deadline"] = 17.5
         message = wire.decode(data)
         assert message.extra == {"deadline": 17.5}
         assert wire.encode(message)["deadline"] == 17.5
 
     def test_foreign_version_stamp_is_tolerated(self):
-        data = wire.encode(wire.Ping())
-        data["version"] = 7  # a future minor revision of "ping"
-        assert isinstance(wire.decode(data), wire.Ping)
+        data = wire.encode(wire.JobContext(sample_points=11))
+        data["version"] = 7  # a future minor revision of "job_context"
+        assert wire.decode(data) == wire.JobContext(sample_points=11)
 
     def test_unknown_wire_type_is_an_error(self):
         with pytest.raises(wire.WireError, match="unknown wire type"):
@@ -84,33 +76,35 @@ class TestVersionSkew:
 
     def test_legacy_payload_without_type_decodes_via_expect(self):
         # pre-wire peers sent bare field dicts; expect= names the schema
-        message = wire.decode({"pid": 9, "protocol": 1}, expect=wire.Hello)
-        assert message == wire.Hello(pid=9, protocol=1)
+        message = wire.decode({"worker_id": "w9", "pid": 9},
+                              expect=wire.WorkerSnapshot)
+        assert message == wire.WorkerSnapshot(worker_id="w9", pid=9)
 
     def test_expect_pins_the_type(self):
-        data = wire.encode(wire.Ping())
+        data = wire.encode(wire.JobContext())
         with pytest.raises(wire.WireError, match="expected"):
-            wire.decode(data, expect=wire.Hello)
+            wire.decode(data, expect=wire.WorkerSnapshot)
 
 
 class TestValidation:
     def test_missing_required_field_names_the_field(self):
-        with pytest.raises(wire.WireError, match="pid"):
-            wire.decode({"type": "hello", "protocol": 1})
+        with pytest.raises(wire.WireError, match="worker_id"):
+            wire.decode({"type": "worker_snapshot", "pid": 1})
 
     def test_type_mismatch_names_the_field(self):
-        with pytest.raises(wire.WireError, match="index"):
-            wire.decode({"type": "task", "index": "three",
-                         "scenario": {}})
+        with pytest.raises(wire.WireError, match="pid"):
+            wire.decode({"type": "worker_snapshot", "worker_id": "w",
+                         "pid": "three"})
 
     def test_bool_is_not_an_int(self):
-        with pytest.raises(wire.WireError):
-            wire.decode({"type": "task", "index": True, "scenario": {}})
+        with pytest.raises(wire.WireError, match="pid"):
+            wire.decode({"type": "worker_snapshot", "worker_id": "w",
+                         "pid": True})
 
     def test_semantic_validate_hook_runs(self):
-        with pytest.raises(wire.WireError):
-            wire.decode({"type": "task", "index": -1, "scenario": {}})
-        with pytest.raises(wire.WireError):
+        with pytest.raises(wire.WireError, match="worker_id"):
+            wire.decode({"type": "worker_snapshot", "worker_id": ""})
+        with pytest.raises(wire.WireError, match="sample_points"):
             wire.decode({"type": "job_context", "sample_points": 1})
 
     def test_campaign_record_rejects_ragged_lists(self):
@@ -143,6 +137,6 @@ class TestRegistry:
 
     def test_duplicate_type_registration_is_rejected(self):
         with pytest.raises(ValueError, match="duplicate wire type"):
-            @wire.wire_message("hello")
+            @wire.wire_message("job_context")
             class Imposter(wire.WireMessage):
                 pid: int

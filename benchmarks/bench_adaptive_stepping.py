@@ -16,9 +16,11 @@ counts what the two cache-aware mechanisms of ``SimOptions`` recover:
 
 Every case runs four configurations per method -- ``fixed`` (constant
 step), ``adaptive`` (the default continuous controller), ``ladder`` and
-``ladder_stale`` -- and reports accepted steps, LU factorizations and
-the counted reuse split.  Trajectory deviation is measured against the
-``adaptive`` baseline of the same method.
+``ladder_stale`` -- and reports accepted steps, LU factorizations, the
+counted reuse split and the transient run time relative to the
+``adaptive`` run (``runtime_vs_adaptive``, reported only: timings are
+host-dependent, so nothing gates on it).  Trajectory deviation is
+measured against the ``adaptive`` baseline of the same method.
 
 Results land in ``benchmarks/output/BENCH_adaptive_stepping.json``.
 
@@ -158,7 +160,6 @@ def mode_record(result) -> dict:
         "runtime_seconds": stats.runtime_seconds,
         "lu_factorizations": lu.num_factorizations,
         "lu_reused": lu.num_reused,
-        "lu_bypassed": lu.num_bypassed,
         "lu_stale_reuses": lu.num_stale_reuses,
         "lu_refinement_fallbacks": lu.num_refinement_fallbacks,
         "ladder_steps": stats.num_ladder_steps,
@@ -179,6 +180,11 @@ def trajectory_deviation(baseline, other) -> float:
         b = np.interp(grid, t_other, oth[:, col])
         worst = max(worst, float(np.max(np.abs(a - b))))
     return worst
+
+
+def _ratio(record) -> str:
+    ratio = record["runtime_vs_adaptive"]
+    return "n/a" if ratio is None else f"{ratio:.2f}"
 
 
 def bench_case(name, factory, params, sim_kwargs, h_fix):
@@ -214,10 +220,14 @@ def bench_case(name, factory, params, sim_kwargs, h_fix):
             "accounting_violations": accounting,
         }
         fixed_lu = runs["fixed"].stats.lu.num_factorizations
+        adaptive_seconds = runs["adaptive"].stats.runtime_seconds
         for config, _ in CONFIGS:
             record = mode_record(runs[config])
             record["lu_vs_fixed"] = (
                 record["lu_factorizations"] / fixed_lu if fixed_lu else None)
+            record["runtime_vs_adaptive"] = (
+                record["runtime_seconds"] / adaptive_seconds
+                if adaptive_seconds > 0 else None)
             if config != "adaptive":
                 record["max_deviation"] = trajectory_deviation(
                     runs["adaptive"], runs[config])
@@ -229,7 +239,10 @@ def bench_case(name, factory, params, sim_kwargs, h_fix):
               f"ladder+stale={row['ladder_stale']['lu_factorizations']:3d} "
               f"(stale={row['ladder_stale']['lu_stale_reuses']}, "
               f"fallback={row['ladder_stale']['lu_refinement_fallbacks']})  "
-              f"dev {row['ladder_stale']['max_deviation']:.1e}")
+              f"dev {row['ladder_stale']['max_deviation']:.1e}  "
+              f"t/adaptive ladder={_ratio(row['ladder'])} "
+              f"stale={_ratio(row['stale'])} "
+              f"ladder+stale={_ratio(row['ladder_stale'])}")
     return rows
 
 

@@ -129,7 +129,6 @@ def mode_record(result) -> dict:
         "steps_per_second": stats.num_steps / runtime if runtime > 0 else None,
         "lu_factorizations": stats.lu.num_factorizations,
         "lu_reused": stats.lu.num_reused,
-        "lu_bypassed": stats.lu.num_bypassed,
         "avg_krylov_dim": round(stats.average_krylov_dimension, 2),
     }
 

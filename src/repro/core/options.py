@@ -8,8 +8,8 @@ and ``beta = 2`` for step shrinking/growing, ``gamma = 0.1`` for the
 correction term) and standard SPICE practice elsewhere.
 
 Exact LU reuse (:mod:`repro.core.workspace`) is always on; only
-``bypass_tol``, ``step_ladder`` and ``h_bypass_tol`` change results or LU
-counts.  Their fixed parameters are constants next to the code using them.
+``step_ladder`` and ``h_bypass_tol`` change results or LU counts.  Their
+fixed parameters are constants next to the code using them.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ RETIRED_SIM_FIELDS: Dict[str, object] = {
     "h_bypass_refine_tol": 1e-10,    # repro.core.workspace.H_BYPASS_REFINE_TOL
     "h_bypass_max_refinements": 8,   # ...workspace.H_BYPASS_MAX_REFINEMENTS
     "lu_cache_entries": 8,           # LinearizationCache.MAX_ENTRIES
+    "bypass_tol": 0.0,               # nonlinear LUs are never reused stale
 }
 
 
@@ -185,11 +186,6 @@ class SimOptions:
     max_factor_nnz: Optional[int] = None
 
     # -- LU reuse (repro.core.workspace) ---------------------------------------------
-    #: SPICE-style bypass threshold for nonlinear circuits: reuse the
-    #: previous factorization while ``max|dA| / max|A|`` of the linearized
-    #: matrix stays below this value (0 disables; >0 trades exactness of
-    #: the Jacobian for skipped factorizations)
-    bypass_tol: float = 0.0
     #: step-controller quantization mode: ``"off"`` keeps the continuous
     #: controller; ``"geometric"`` rounds every proposed step down onto the
     #: grid ``h_ref * 2**k`` anchored at the resolved initial step
@@ -238,8 +234,9 @@ class SimOptions:
             raise ValueError("beta must be at least 1")
         if self.krylov_max_dim < 2:
             raise ValueError("krylov_max_dim must be at least 2")
-        if self.bypass_tol < 0.0:
-            raise ValueError("bypass_tol must be non-negative")
+        if not self.gshunt >= 0.0:
+            # a negative shunt conductance feeds energy in: an active circuit
+            raise ValueError("gshunt must be non-negative")
         if self.step_ladder not in ("off", "geometric"):
             raise ValueError("step_ladder must be 'off' or 'geometric'")
         if not (0.0 <= self.h_bypass_tol < 1.0):

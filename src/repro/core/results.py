@@ -88,7 +88,7 @@ class RunStatistics:
 
     @property
     def num_lu_cache_hits(self) -> int:
-        """Factorizations avoided by the linearization cache (exact + bypass)."""
+        """Factorizations avoided by the linearization cache (exact reuses)."""
         return self.lu.num_cache_hits
 
     @property

@@ -14,25 +14,22 @@ integrators from re-assembling and re-factorizing them on every step:
   until the step size actually changes.  Results are bit-identical to the
   uncached path: the cached objects carry exactly the floats the per-step
   assembly would have produced.
-* **SPICE-style bypass** -- for nonlinear circuits an optional threshold
-  (``SimOptions.bypass_tol``) allows the previous factorization to be
-  reused while the linearization change stays small, mirroring the device
-  bypass of production SPICE engines.  Bypass perturbs the iteration (it
-  is an inexact-Newton / frozen-Jacobian strategy), so it is off by
-  default and every reuse is counted separately from real factorizations.
-* **Cross-``h`` stale reuse** -- the same idea one level up, applied to
-  *step-size* drift on the linear fast path (``SimOptions.h_bypass_tol``):
-  a request for ``LU(C/h_new + G)`` that only just misses a cached
-  ``LU(C/h_cached + G)`` is served by the stale factors plus iterative
-  refinement against the exact operator
-  (:class:`~repro.linalg.sparse_lu.RefinedLU`), so adaptive controllers
-  stop paying a fresh factorization for every small ``h`` adjustment.
-  Unlike bypass this never perturbs the solution beyond the refinement
+* **Cross-``h`` stale reuse** -- applied to *step-size* drift on the
+  linear fast path (``SimOptions.h_bypass_tol``): a request for
+  ``LU(C/h_new + G)`` that only just misses a cached ``LU(C/h_cached + G)``
+  is served by the stale factors plus iterative refinement against the
+  exact operator (:class:`~repro.linalg.sparse_lu.RefinedLU`), so adaptive
+  controllers stop paying a fresh factorization for every small ``h``
+  adjustment.  It never perturbs the solution beyond the refinement
   tolerance, and stalled refinements fall back to (counted) real
   factorizations.
 
+Nonlinear circuits are never served a stale factorization: their
+linearization changes with the state, so every request is a real
+factorization.
+
 Honest accounting is part of the contract: reuses land in
-``LUStats.num_reused`` / ``num_bypassed`` while ``num_factorizations``
+``LUStats.num_reused`` / ``num_stale_reuses`` while ``num_factorizations``
 keeps counting only real numerical work, so the Table-I ``#LU`` column is
 unchanged in meaning and the cache's effect is visible in the statistics
 rather than hidden by them.
@@ -97,18 +94,6 @@ def _same_values(a: sp.spmatrix, b: sp.spmatrix) -> bool:
     )
 
 
-def _relative_change(new: sp.spmatrix, old: sp.spmatrix) -> float:
-    """``max|new - old| / max|old|`` -- the bypass drift measure."""
-    if new.shape != old.shape:
-        return np.inf
-    diff = abs(new - old)
-    drift = float(diff.data.max()) if diff.nnz else 0.0
-    scale = float(abs(old).data.max()) if old.nnz else 0.0
-    if scale == 0.0:
-        return 0.0 if drift == 0.0 else np.inf
-    return drift / scale
-
-
 class LinearizationCache:
     """Per-integrator cache of linearizations and LU factorizations."""
 
@@ -119,7 +104,6 @@ class LinearizationCache:
     def __init__(self, mna: MNASystem, options: Optional[SimOptions] = None):
         self.mna = mna
         options = options if options is not None else SimOptions()
-        self.bypass_tol = float(options.bypass_tol)
         self.gshunt = float(options.gshunt)
         self.max_entries = self.MAX_ENTRIES
         #: cross-``h`` stale-reuse threshold; 0 keeps the exact-key policy
@@ -222,14 +206,12 @@ class LinearizationCache:
     ) -> SparseLU:
         """Return an LU of ``matrix``, reusing the cached factors when valid.
 
-        Reuse policy, in order:
+        Reuse policy on the linear fast path, in order (nonlinear circuits
+        always get a fresh, uncached factorization):
 
         1. exact -- the matrix under ``key`` is unchanged (object identity
            or bit-identical values); counted in ``stats.num_reused``;
-        2. bypass -- nonlinear circuits with ``bypass_tol > 0`` reuse the
-           stale factors while the relative linearization drift stays
-           under the threshold; counted in ``stats.num_bypassed``;
-        3. stale cross-``h`` -- linear circuits with ``h_bypass_tol > 0``:
+        2. stale cross-``h`` -- with ``h_bypass_tol > 0``:
            when no exact entry exists but a cached key differs only in its
            float components (the step size) by at most ``h_bypass_tol``
            relative, the closest such factorization is handed out wrapped
@@ -238,23 +220,17 @@ class LinearizationCache:
            ``stats.num_stale_reuses`` (with failed refinements falling back
            to a real factorization, counted in
            ``stats.num_refinement_fallbacks``);
-        4. otherwise a real factorization is performed (and cached when a
-           future reuse is possible at all).
+        3. otherwise a real factorization is performed (and cached).
         """
         entry = self._lus.get(key)
         if entry is not None:
-            # entries exist only on the linear path or with bypass enabled
+            # entries exist only on the linear path
             stored, lu = entry
-            exact = _same_values(matrix, stored)
-            if exact or (not self.reuse_exact
-                         and _relative_change(matrix, stored) <= self.bypass_tol):
+            if _same_values(matrix, stored):
                 self._lus.move_to_end(key)
                 lu.rebind_stats(stats)
                 if stats is not None:
-                    if exact:
-                        stats.num_reused += 1
-                    else:
-                        stats.num_bypassed += 1
+                    stats.num_reused += 1
                 return lu
 
         if entry is None and self.reuse_exact and self.h_bypass_tol > 0.0:
@@ -285,7 +261,7 @@ class LinearizationCache:
         lu = factorize(matrix, stats=stats,
                        max_factor_nnz=max_factor_nnz, label=label,
                        symbolic=self.symbolic)
-        if self.reuse_exact or self.bypass_tol > 0.0:
+        if self.reuse_exact:
             self._put(self._lus, key, (matrix, lu))
         return lu
 

@@ -10,6 +10,12 @@ Baselines (low-order implicit / explicit schemes):
 * :class:`repro.integrators.forward_euler.ForwardEuler` -- the explicit
   scheme whose stability limits motivate implicit/exponential methods.
 
+The three implicit baselines share one adaptive Newton step,
+:class:`repro.integrators.implicit.ImplicitNR`: predictor, Newton solve
+of ``a C/h + b G`` through the linearization cache, step rejection and
+the asymptotic controller.  Each scheme supplies only its residual and
+Jacobian, its error estimate and its controller exponent.
+
 Exponential integrators:
 
 * :class:`repro.integrators.exponential_rosenbrock.ExponentialRosenbrockEuler`

@@ -53,10 +53,6 @@ _TM_LU_REUSED = telemetry.counter(
     "repro_integrator_lu_reused_total",
     "Exact cross-step LU reuses served by the linearization cache.",
     ("method",))
-_TM_LU_BYPASSED = telemetry.counter(
-    "repro_integrator_lu_bypassed_total",
-    "SPICE-style bypass reuses of a slightly stale factorization.",
-    ("method",))
 _TM_LU_ORDERINGS = telemetry.counter(
     "repro_integrator_lu_orderings_total",
     "Factorizations that computed a fresh fill-reducing ordering.",
@@ -288,7 +284,7 @@ class Integrator(ABC):
         stats = self.stats
         return (stats.num_steps, stats.num_rejections,
                 stats.total_newton_iterations, stats.lu.num_factorizations,
-                stats.lu.num_reused, stats.lu.num_bypassed,
+                stats.lu.num_reused,
                 stats.lu.num_orderings, stats.lu.num_symbolic_reuses,
                 stats.lu.num_stale_reuses, stats.lu.num_refinement_fallbacks,
                 stats.num_ladder_steps, stats.num_ladder_holds,
@@ -297,7 +293,7 @@ class Integrator(ABC):
     def _publish_telemetry(self, before) -> None:
         after = self._stats_snapshot()
         deltas = [max(0, b - a) for a, b in zip(before, after)]
-        (steps, rejections, newton, lu, reused, bypassed,
+        (steps, rejections, newton, lu, reused,
          orderings, symbolic, stale, fallbacks, ladder_steps, ladder_holds,
          seconds) = deltas
         method = self.name
@@ -312,8 +308,6 @@ class Integrator(ABC):
             _TM_LU.labels(method).inc(lu)
         if reused:
             _TM_LU_REUSED.labels(method).inc(reused)
-        if bypassed:
-            _TM_LU_BYPASSED.labels(method).inc(bypassed)
         if orderings:
             _TM_LU_ORDERINGS.labels(method).inc(orderings)
         if symbolic:

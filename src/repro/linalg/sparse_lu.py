@@ -77,8 +77,9 @@ class LUStats:
     so the Table-I ``#LU`` column stays an honest measure of the numerical
     work performed: ``num_reused`` counts exact reuses (the matrix is
     bit-identical, e.g. the constant ``G`` of a linear circuit) and
-    ``num_bypassed`` counts SPICE-style bypass reuses (the linearization
-    moved, but stayed under the configured threshold).
+    ``num_stale_reuses`` counts cross-``h`` reuses served by refinement.
+    ``num_bypassed`` always reads 0: SPICE-style bypass was retired, and
+    the field stays for readers of older counter sets.
     """
 
     num_factorizations: int = 0
@@ -89,7 +90,7 @@ class LUStats:
     factor_nnz: List[int] = field(default_factory=list)
     #: cache hits on an unchanged matrix (no numerical work skipped silently)
     num_reused: int = 0
-    #: bypass-mode reuses of a slightly stale factorization
+    #: retired SPICE-style bypass reuses; always 0
     num_bypassed: int = 0
     #: factorizations that computed a fresh fill-reducing ordering
     num_orderings: int = 0
@@ -115,8 +116,8 @@ class LUStats:
 
     @property
     def num_cache_hits(self) -> int:
-        """Total factorizations avoided through reuse (exact + bypass)."""
-        return self.num_reused + self.num_bypassed
+        """Factorizations avoided through exact reuse."""
+        return self.num_reused
 
     def merge(self, other: "LUStats") -> None:
         """Accumulate counters from another stats object in place."""
@@ -417,7 +418,7 @@ class RefinedLU:
     One :meth:`solve` counts as one logical solve in ``LUStats.num_solves``
     regardless of how many internal refinement sweeps it took; this keeps
     the verify-matrix accounting identity
-    ``#solves == (#LU - fallbacks) + exact hits + bypasses + stale reuses``
+    ``#solves == (#LU - fallbacks) + exact hits + stale reuses``
     exact for the implicit methods.
     """
 

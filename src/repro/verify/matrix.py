@@ -515,7 +515,7 @@ def _adaptive_reuse_invariants(
     baseline) and *on* (``step_ladder="geometric"`` plus a 5% stale
     cross-``h`` bypass).  The on-run must (a) satisfy the extended solve
     accounting identity ``#solves == (#LU - fallbacks) + reused +
-    bypassed + stale``, (b) not pay more factorizations than the exact
+    stale``, (b) not pay more factorizations than the exact
     run -- the whole point of the mechanism -- and (c) stay inside the
     per-family differential band (twice the method's oracle band, scaled
     by the family's ``cross_scale``) of the exact trajectory.

@@ -462,7 +462,8 @@ class TestExecuteScenario:
         legacy = dict(FAST_OPTIONS.to_dict(), cache_linearization=True,
                       reuse_symbolic=True, reuse_segment_slope=True,
                       step_ladder_ratio=2.0, h_bypass_refine_tol=1e-10,
-                      h_bypass_max_refinements=8, lu_cache_entries=8)
+                      h_bypass_max_refinements=8, lu_cache_entries=8,
+                      bypass_tol=0.0)
         data = execute_scenario(scenario.to_dict(), legacy)
         outcome = ScenarioOutcome.from_dict(data)
         assert outcome.ok, outcome.error

@@ -1,17 +1,13 @@
 """Tests for the cross-step linearization/LU cache (repro.core.workspace).
 
-The cache's contract has three parts, each locked in here:
+The cache's contract has two parts, each locked in here:
 
 * **exactness** -- linear and nonlinear circuits produce bit-identical
   ``SimulationResult`` states with the default cache and with the
   uncached :mod:`repro.verify.reference` run (the default configuration
   changes *work*, never *results*);
 * **honest counters** -- ``#LU`` keeps counting real factorizations only,
-  reuses land in ``num_reused`` / ``num_bypassed``;
-* **bypass semantics** -- with ``bypass_tol > 0`` a nonlinear run reuses
-  stale factors while the linearization drift is small and refactorizes
-  (cache invalidation) once a device moves the operating point past the
-  threshold.
+  exact reuses land in ``num_reused``.
 """
 
 import numpy as np
@@ -91,8 +87,8 @@ class TestLinearExactness:
 class TestNonlinearExactness:
     @pytest.mark.parametrize("method", ["benr", "er"])
     def test_states_bit_identical_without_bypass(self, method):
-        """Nonlinear circuits: the default cache (bypass off) never reuses
-        a stale linearization, so results are bit-identical."""
+        """Nonlinear circuits: the cache never reuses a stale
+        linearization, so results are bit-identical."""
         ckt = inverter_chain(2)
         kwargs = dict(t_stop=0.5e-9, err_budget=5e-4)
         r_off = run(ckt, method, cached=False, **kwargs)
@@ -102,34 +98,6 @@ class TestNonlinearExactness:
         np.testing.assert_array_equal(r_off.state_array, r_on.state_array)
         assert r_on.stats.lu.num_reused == 0
         assert r_on.stats.lu.num_bypassed == 0
-
-
-class TestBypass:
-    def test_bypass_reuses_and_invalidates(self):
-        """A switching nonlinear circuit with bypass enabled must both
-        reuse factors (while the linearization drift is small) and
-        refactorize when a device moves the operating point past the
-        threshold -- the invalidation case."""
-        ckt = inverter_chain(2)
-        kwargs = dict(t_stop=0.5e-9, err_budget=5e-4)
-        exact = run(ckt, "benr", cached=True, **kwargs)
-        bypassed = run(ckt, "benr", cached=True, bypass_tol=0.05, **kwargs)
-        assert bypassed.stats.completed
-        assert bypassed.stats.lu.num_bypassed > 0
-        # invalidation: the inverters switch, so the drift crosses the
-        # threshold many times over the run
-        assert bypassed.stats.lu.num_factorizations > 1
-        assert (bypassed.stats.lu.num_factorizations
-                < exact.stats.lu.num_factorizations)
-        # bypass is an inexact-Newton strategy: the answer stays within
-        # solver tolerances of the exact run
-        v_exact = exact.voltage("out2")[-1]
-        v_bypass = bypassed.voltage("out2")[-1]
-        assert v_bypass == pytest.approx(v_exact, abs=1e-4)
-
-    def test_bypass_tol_validation(self):
-        with pytest.raises(ValueError):
-            SimOptions(bypass_tol=-1.0)
 
 
 class TestCachePrimitives:

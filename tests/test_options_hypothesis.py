@@ -91,7 +91,6 @@ def sim_options(draw):
         gshunt=draw(st.floats(min_value=0.0, max_value=1e-3, allow_nan=False)),
         max_factor_nnz=draw(st.one_of(st.none(),
                                       st.integers(min_value=1, max_value=10**9))),
-        bypass_tol=draw(st.floats(min_value=0.0, max_value=1.0, allow_nan=False)),
         step_ladder=draw(st.sampled_from(["off", "geometric"])),
         h_bypass_tol=draw(st.floats(min_value=0.0, max_value=0.999,
                                     allow_nan=False)),

@@ -135,6 +135,15 @@ class TestSimOptionsValidation:
         with pytest.raises(ValueError, match="non-negative"):
             SimOptions(lte_abstol=tols[0], lte_reltol=tols[1])
 
+    @pytest.mark.parametrize("gshunt", [-1e-4, -1e-2, float("nan")])
+    def test_gshunt_must_be_non_negative(self, gshunt):
+        # accepted, a negative shunt simulates an active circuit: node
+        # voltages of a passive RC ladder driven at 1 V settle near 2 V
+        with pytest.raises(ValueError, match="gshunt must be non-negative"):
+            SimOptions(gshunt=gshunt)
+        SimOptions(gshunt=0.0)
+        SimOptions(gshunt=1e-9)
+
     def test_lte_tolerances_must_not_both_be_zero(self):
         with pytest.raises(ValueError, match="not both zero"):
             SimOptions(lte_abstol=0.0, lte_reltol=0.0)
@@ -165,6 +174,7 @@ class TestRetiredFields:
             "h_bypass_refine_tol": H_BYPASS_REFINE_TOL,
             "h_bypass_max_refinements": H_BYPASS_MAX_REFINEMENTS,
             "lu_cache_entries": LinearizationCache.MAX_ENTRIES,
+            "bypass_tol": 0.0,
         }
 
     def test_fixed_values_are_dropped(self):
@@ -179,6 +189,7 @@ class TestRetiredFields:
         ("h_bypass_refine_tol", 1e-8),
         ("h_bypass_max_refinements", 4),
         ("lu_cache_entries", 2),
+        ("bypass_tol", 0.05),
     ])
     def test_other_values_are_refused_by_name(self, name, value):
         with pytest.raises(ValueError, match=f"{name}.*retired"):

@@ -183,6 +183,28 @@ class TestValidationAndErrors:
         assert status == 400
         assert "cache_linearization" in document["error"]
 
+    def test_retired_bypass_tol_decodes_only_at_zero(self, service):
+        status, document = http(f"{service.url}/scenarios", {
+            "scenario": scenario_body(),
+            "base_options": dict(FAST_BASE_OPTIONS, bypass_tol=0.05),
+        })
+        assert status == 400
+        assert "bypass_tol" in document["error"]
+        status, _ = http(f"{service.url}/scenarios", {
+            "scenario": scenario_body(),
+            "base_options": dict(FAST_BASE_OPTIONS, bypass_tol=0.0),
+        })
+        assert status == 202
+
+    def test_negative_gshunt_is_400(self, service):
+        # accepted, it would simulate an active circuit and report success
+        status, document = http(f"{service.url}/scenarios", {
+            "scenario": scenario_body(),
+            "base_options": dict(FAST_BASE_OPTIONS, gshunt=-1e-4),
+        })
+        assert status == 400
+        assert "gshunt must be non-negative" in document["error"]
+
     def test_invalid_priority_is_400(self, service):
         status, document = http(f"{service.url}/scenarios", {
             "scenario": scenario_body(), "priority": "high",

@@ -19,7 +19,12 @@ One accepted step at state ``x_k``, time ``t``, step size ``h``:
      ``h^2 phi_2(hJ) b_k = (e^{hJ} - I) r + h g_s``;
 
    both ``p`` and ``r`` are propagated by the same ``e^{hJ} - I``, so one
-   invert-Krylov basis is built for their sum ``q = p + r`` (line 6);
+   invert-Krylov basis is built for their sum ``q = p + r`` (line 6).
+   Its convergence sweep -- like those of the error and correction
+   bases below -- is warm-started two dimensions below the dimension
+   the same vector's basis converged at on the previous build, and
+   checks every dimension from there (the first build of a run sweeps
+   cold, see :meth:`IKSBasis.ensure_converged`);
 4. trial solution ``x_{k+1}(h) = x_k + (e^{hJ}-I) q + h g_s``
    (Eq. 14, line 9);
 5. evaluate the devices at ``x_{k+1}`` to get ``Delta F_k`` and the local
@@ -53,17 +58,32 @@ class ExponentialRosenbrockEuler(Integrator):
 
     name = "ER"
 
+    #: a warm sweep starts this many dimensions below the previous build's
+    #: converged dimension, so a basis that converges at its first check
+    #: lowers the next start and an overshoot corrects itself
+    WARM_START_BACKOFF = 2
+
     def __init__(self, mna, options=None):
         super().__init__(mna, options)
         if self.options.correction:
             self.name = "ER-C"
             self.stats.method = self.name
+        #: converged dimension of the last basis built per step vector:
+        #: ``q`` (Eq. 14), ``e`` (Eq. 24 error) and ``c`` (Eq. 25 correction)
+        self._last_dim: dict = {}
+
+    def prepare(self, x0: np.ndarray, t0: float) -> None:
+        self._last_dim = {}
 
     # -- helpers ------------------------------------------------------------------------
 
-    def _build_basis(self, iks: InvertKrylovMEVP, vector: np.ndarray, h: float) -> IKSBasis:
-        return iks.build(vector, h, tol=self.options.mevp_tol,
-                         max_dim=self.options.krylov_max_dim)
+    def _build_basis(self, iks: InvertKrylovMEVP, role: str, vector: np.ndarray,
+                     h: float) -> IKSBasis:
+        start = max(1, self._last_dim.get(role, 1) - self.WARM_START_BACKOFF)
+        basis = iks.build(vector, h, tol=self.options.mevp_tol,
+                          max_dim=self.options.krylov_max_dim, start=start)
+        self._last_dim[role] = basis.dimension
+        return basis
 
     @staticmethod
     def _propagated_difference(basis: IKSBasis, vector: np.ndarray, h: float) -> np.ndarray:
@@ -102,7 +122,7 @@ class ExponentialRosenbrockEuler(Integrator):
             q += lu_G.solve(np.asarray(ev.C @ g_s).ravel())
         else:
             g_s = np.zeros_like(x)
-        basis_q = self._build_basis(iks, q, h)
+        basis_q = self._build_basis(iks, "q", q, h)
         krylov_dims = [basis_q.dimension]
 
         rejections = 0
@@ -110,7 +130,6 @@ class ExponentialRosenbrockEuler(Integrator):
         while True:
             # Line 9: Eq. 14 evaluated at the current step size, reusing the
             # basis (only the small dense exponential depends on h).
-            basis_q.ensure_converged(h_try, opts.mevp_tol, max_dim=opts.krylov_max_dim)
             x_new = x + self._propagated_difference(basis_q, q, h_try) + h_try * g_s
 
             if not np.all(np.isfinite(x_new)):
@@ -130,7 +149,7 @@ class ExponentialRosenbrockEuler(Integrator):
                 delta_f = np.zeros_like(x)
             if self.mna.has_nonlinear and np.linalg.norm(delta_f) > 0.0:
                 w_e = -lu_G.solve(delta_f)
-                basis_e = self._build_basis(iks, w_e, h_try)
+                basis_e = self._build_basis(iks, "e", w_e, h_try)
                 krylov_dims.append(basis_e.dimension)
                 err_vec = self._propagated_difference(basis_e, w_e, h_try)
                 err_norm = float(np.max(np.abs(err_vec)))
@@ -141,7 +160,7 @@ class ExponentialRosenbrockEuler(Integrator):
             # Lines 12-15: ER-C correction term (Eq. 25), reusing Delta F.
             if opts.correction and np.linalg.norm(delta_f) > 0.0:
                 c = -lu_G.solve(np.asarray(ev.C @ w_e).ravel())
-                basis_c = self._build_basis(iks, c, h_try)
+                basis_c = self._build_basis(iks, "c", c, h_try)
                 krylov_dims.append(basis_c.dimension)
                 # phi2_term equals h * phi_2(hJ) C^{-1} Delta F, so the
                 # correction D_k of Eq. 16 is gamma * phi2_term.
@@ -158,6 +177,10 @@ class ExponentialRosenbrockEuler(Integrator):
                     f"(last error {err_norm:.3e}, budget {opts.err_budget:.3e})"
                 )
             h_try *= opts.alpha
+            # The basis converged at the old h; check it at the new one from
+            # its current dimension on, extending only if it falls short.
+            basis_q.ensure_converged(h_try, opts.mevp_tol, max_dim=opts.krylov_max_dim,
+                                     start=basis_q.dimension)
 
         # Lines 22-25: grow the next step after easy steps.  On top of the
         # paper's rejection-count test we require the error to sit well below

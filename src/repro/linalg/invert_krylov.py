@@ -56,15 +56,22 @@ class IKSBasis:
     PROPAGATOR_CACHE_MAX = 128
 
     @staticmethod
-    def _is_check_dim(m: int) -> bool:
+    def _is_check_dim(m: int, start: int = 1) -> bool:
         """Whether the Eq. 22 residual is evaluated at dimension ``m``.
 
         Every residual check costs a small dense exponential (O(m^3)), so
-        checking at every extension makes the convergence sweep O(m^4);
-        past the first few dimensions the check runs at every other one
-        (the basis may overshoot the minimal dimension by one -- slightly
-        *more* accurate, never less).
+        checking at every extension from ``m = 1`` makes the sweep O(m^4).
+        The cold sweep (``start = 1``) knows nothing of the dimension it
+        will end at: it checks ``m <= 4`` and then every odd ``m`` (the
+        basis may overshoot the minimal dimension by one -- slightly
+        *more* accurate, never less).  A warm sweep (``start > 1``) begins
+        near the dimension the previous build of a similar vector
+        converged at: nothing below ``start`` is checked and every
+        dimension from ``start`` on is, so it stops at the first one that
+        passes.
         """
+        if start > 1:
+            return m >= start
         return m <= 4 or m % 2 == 1
 
     def _trustworthy_dim(self, m: int, h: float, terminal: bool) -> bool:
@@ -92,10 +99,9 @@ class IKSBasis:
         h11 = float(self._process.hessenberg(1)[0, 0])
         return h11 != 0.0 and abs(h / h11) <= 50.0
 
-    def __init__(self, process: ArnoldiProcess, C: sp.spmatrix, G: sp.spmatrix,
+    def __init__(self, process: ArnoldiProcess, G: sp.spmatrix,
                  stats: Optional[MEVPStats] = None):
         self._process = process
-        self._C = C
         self._G = G
         self._stats = stats
         self.beta = process.beta
@@ -163,6 +169,8 @@ class IKSBasis:
         col: Optional[np.ndarray] = None
         res_scalar = np.inf
         if hinv is not None and np.max(np.abs(h * hinv)) < 1e8:
+            if self._stats is not None:
+                self._stats.num_expm_calls += 1
             col = expm_dense(h * hinv)[:, 0]
             if np.all(np.isfinite(col)):
                 res_scalar = float(hinv[m - 1, :] @ col)
@@ -219,6 +227,8 @@ class IKSBasis:
 
     def residual_norm(self, h: float, m: Optional[int] = None) -> float:
         """Return ``||r_m(h)||_2`` of the KCL/KVL residual (Eq. 22)."""
+        if self._stats is not None:
+            self._stats.num_residual_checks += 1
         if self.is_zero:
             return 0.0
         m = self.dimension if m is None else int(m)
@@ -258,16 +268,24 @@ class IKSBasis:
 
     # -- adaptive construction ------------------------------------------------------------------
 
-    def ensure_converged(self, h: float, tol: float, max_dim: Optional[int] = None) -> bool:
+    def ensure_converged(self, h: float, tol: float, max_dim: Optional[int] = None,
+                         start: int = 1) -> bool:
         """Extend the basis until the Eq. 22 residual is below ``tol``.
 
-        A non-terminal dimension ``m >= 2`` is accepted only when the
-        residual at ``m - 1`` is below ``tol`` as well: on oscillatory
-        circuits the residual scalar ``e_m^T H_m^{-1} e^{h H_m^{-1}} e_1``
-        can pass near zero at one isolated ``m`` while the approximation
-        there is still far off (on a 16-segment RLC line the residual read
-        2e-3 at ``m = 10`` and 9e-8 at ``m = 11``, where the MEVP error was
-        2.5e-3), and two consecutive small residuals rule that out.
+        The residual is checked on the :meth:`_is_check_dim` schedule: the
+        cold one from ``m = 1`` when ``start = 1``, otherwise Arnoldi
+        extends to ``start`` unchecked and every dimension from there on
+        is checked.  Either way a non-terminal dimension ``m >= 2`` is
+        accepted only when the residual at ``m - 1`` is below ``tol`` as
+        well (the Krylov-MEVP termination rule): on oscillatory circuits
+        the residual scalar ``e_m^T H_m^{-1} e^{h H_m^{-1}} e_1`` can pass
+        near zero at one isolated ``m`` while the approximation there is
+        still far off (on a 16-segment RLC line the residual read 2e-3 at
+        ``m = 10`` and 9e-8 at ``m = 11``, where the MEVP error was
+        2.5e-3), and two consecutive small residuals rule that out.  Each
+        residual is evaluated at most once per call.  ``start =
+        self.dimension`` checks an already extended basis at a new ``h``
+        before extending it any further.
 
         Returns True on convergence.  Counts every extension as one
         operator application in the shared stats.
@@ -277,13 +295,20 @@ class IKSBasis:
             return True
         process = self._process
         max_dim = process.max_dim if max_dim is None else min(int(max_dim), process.max_dim)
+        below: Dict[int, bool] = {}
+
+        def small(k: int) -> bool:
+            if k not in below:
+                below[k] = self.residual_norm(h, k) <= tol
+            return below[k]
+
         while True:
             m = self.dimension
             terminal = m >= max_dim or process.breakdown
             if (m >= 1 and self._trustworthy_dim(m, h, terminal)
-                    and (terminal or self._is_check_dim(m))
-                    and self.residual_norm(h, m) <= tol
-                    and (terminal or m < 2 or self.residual_norm(h, m - 1) <= tol)):
+                    and (terminal or self._is_check_dim(m, start))
+                    and small(m)
+                    and (terminal or m < 2 or small(m - 1))):
                 self.converged_dimension = m
                 return True
             if terminal:
@@ -335,17 +360,19 @@ class InvertKrylovMEVP:
         return -self.lu_G.solve(np.asarray(self.C @ v).ravel())
 
     def build(self, v: np.ndarray, h: float, tol: float = 1e-7,
-              max_dim: Optional[int] = None) -> IKSBasis:
+              max_dim: Optional[int] = None, start: int = 1) -> IKSBasis:
         """Run Algorithm 1 for the vector ``v`` and step size ``h``.
 
+        ``start`` is the dimension the convergence sweep starts checking
+        at (see :meth:`IKSBasis.ensure_converged`); 1 is the cold sweep.
         Returns the (possibly still extendable) basis; statistics are
         recorded with the dimension reached at convergence.
         """
         v = np.asarray(v, dtype=float).ravel()
         limit = self.max_dim if max_dim is None else int(max_dim)
         process = ArnoldiProcess(self._apply, v, max_dim=limit)
-        basis = IKSBasis(process, self.C, self.G, stats=self.stats)
-        converged = basis.ensure_converged(h, tol, max_dim=limit)
+        basis = IKSBasis(process, self.G, stats=self.stats)
+        converged = basis.ensure_converged(h, tol, max_dim=limit, start=start)
         if self.stats is not None:
             self.stats.record(basis.dimension, converged)
         return basis

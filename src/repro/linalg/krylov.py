@@ -43,6 +43,10 @@ class MEVPStats:
     dimensions: list = field(default_factory=list)
     #: always 0 (no basis outlives its step); kept for the records that read it
     num_basis_reuses: int = 0
+    #: Eq. 22 residual evaluations of the invert-Krylov convergence sweep
+    num_residual_checks: int = 0
+    #: small dense exponentials ``expm(h H_m^{-1})`` of the invert-Krylov MEVP
+    num_expm_calls: int = 0
 
     @property
     def average_dimension(self) -> float:
@@ -68,6 +72,8 @@ class MEVPStats:
         self.num_nonconverged += other.num_nonconverged
         self.dimensions.extend(other.dimensions)
         self.num_basis_reuses += other.num_basis_reuses
+        self.num_residual_checks += other.num_residual_checks
+        self.num_expm_calls += other.num_expm_calls
 
     def as_dict(self) -> dict:
         return {
@@ -77,6 +83,8 @@ class MEVPStats:
             "num_operator_applications": self.num_operator_applications,
             "num_nonconverged": self.num_nonconverged,
             "num_basis_reuses": self.num_basis_reuses,
+            "num_residual_checks": self.num_residual_checks,
+            "num_expm_calls": self.num_expm_calls,
         }
 
 

@@ -9,9 +9,11 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+from repro.benchcircuits.inverter_chain import inverter_chain
 from repro.core.options import SimOptions
 from repro.core.simulator import TransientSimulator
-from repro.linalg.invert_krylov import InvertKrylovMEVP
+from repro.linalg import invert_krylov
+from repro.linalg.invert_krylov import IKSBasis, InvertKrylovMEVP
 from repro.linalg.krylov import MEVPStats, StandardKrylovMEVP
 from repro.linalg.rational_krylov import RationalKrylovMEVP
 from repro.linalg.sparse_lu import factorize
@@ -141,8 +143,8 @@ class TestConvergenceSweep:
         errors = []
         build = InvertKrylovMEVP.build
 
-        def checked_build(self, v, h, tol=1e-7, max_dim=None):
-            basis = build(self, v, h, tol=tol, max_dim=max_dim)
+        def checked_build(self, v, h, tol=1e-7, max_dim=None, **kw):
+            basis = build(self, v, h, tol=tol, max_dim=max_dim, **kw)
             if not basis.is_zero:
                 exact = dense_dae_expm(self.C, self.G, v, h)
                 errors.append(float(np.max(np.abs(basis.mevp(h) - exact))))
@@ -155,6 +157,84 @@ class TestConvergenceSweep:
         assert result.stats.completed
         assert len(errors) == result.stats.num_steps
         assert max(errors) <= 1e-4
+
+    @staticmethod
+    def inverter_simulator():
+        """ER-C on a 3-stage inverter chain: q, e and c bases every step."""
+        options = SimOptions(t_stop=0.5e-9, err_budget=5e-4, store_states=False)
+        return TransientSimulator(inverter_chain(3).build(), method="er-c",
+                                  options=options)
+
+    def test_warm_sweep_checks_every_dimension_from_start(self):
+        C, G = rc_line_system(n=60, seed=3)
+        v = np.random.default_rng(3).standard_normal(60)
+        h = 2e-10
+        iks = InvertKrylovMEVP(C, G, factorize(G), max_dim=60)
+        cold = iks.build(v, h, tol=1e-8)
+        assert cold.dimension > 4
+        exact = dense_dae_expm(C, G, v, h)
+        warm = iks.build(v, h, tol=1e-8, start=cold.dimension - 2)
+        assert cold.dimension - 2 <= warm.dimension <= cold.dimension
+        assert np.max(np.abs(warm.mevp(h) - exact)) <= 1e-4 * np.max(np.abs(exact))
+        # past the converged dimension nothing below start is checked
+        start = cold.dimension + 2 + cold.dimension % 2
+        late = iks.build(v, h, tol=1e-8, start=start)
+        assert late.dimension == start
+        # a retry checks the (even) current dimension at once, where the
+        # cold schedule would extend it first
+        assert late.ensure_converged(h, 1e-8, start=late.dimension)
+        assert late.dimension == start
+        assert late.ensure_converged(h, 1e-8)
+        assert late.dimension == start + 1
+
+    def test_nonlinear_bases_match_dense_exponential(self, monkeypatch):
+        """ER-C warm-starts the q (Eq. 14), e (Eq. 24) and c (Eq. 25)
+        sweeps from the previous build; every basis must still match the
+        dense exponential at its returned dimension."""
+        errors = []
+        build = InvertKrylovMEVP.build
+
+        def checked_build(self, v, h, **kw):
+            basis = build(self, v, h, **kw)
+            if not basis.is_zero:
+                exact = dense_dae_expm(self.C, self.G, v, h)
+                errors.append(float(np.max(np.abs(basis.mevp(h) - exact))))
+            return basis
+
+        monkeypatch.setattr(InvertKrylovMEVP, "build", checked_build)
+        result = self.inverter_simulator().run()
+        assert result.stats.completed
+        assert result.stats.num_rejections > 0
+        assert len(errors) > 2 * result.stats.num_steps
+        assert max(errors) <= 1e-4
+
+    def test_warm_starts_reset_between_runs(self):
+        simulator = self.inverter_simulator()
+        first, second = simulator.run(), simulator.run()
+        assert ([s.krylov_dimensions for s in first.steps]
+                == [s.krylov_dimensions for s in second.steps])
+
+    def test_warm_sweep_halves_residual_checks(self, monkeypatch):
+        """The cold sweep from m = 1 on every basis, re-checked after the
+        build at the same h, made 2420 Eq. 22 residual checks for 486
+        bases on this run (4.98 per basis)."""
+        calls = {"residual": 0, "expm": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(IKSBasis, "residual_norm",
+                            counted("residual", IKSBasis.residual_norm))
+        monkeypatch.setattr(invert_krylov, "expm_dense",
+                            counted("expm", invert_krylov.expm_dense))
+        stats = self.inverter_simulator().run().stats.mevp
+        assert stats.num_evaluations == 486
+        assert stats.num_residual_checks == calls["residual"]
+        assert stats.num_expm_calls == calls["expm"] > 0
+        assert stats.num_residual_checks / stats.num_evaluations <= 4.98 / 2
 
 
 class TestStandardKrylov:

@@ -44,17 +44,20 @@ def reference(circuit):
 
 @pytest.mark.parametrize("gamma", GAMMAS)
 def test_gamma_sweep(benchmark, circuit, reference, gamma):
+    method = "er-c" if gamma > 0.0 else "er"
     options = SimOptions(
         t_stop=T_STOP, h_init=H, h_min=H, h_max=H,
-        err_budget=1e9, correction=gamma > 0.0, gamma=gamma if gamma > 0 else 0.1,
+        err_budget=1e9, gamma=gamma if gamma > 0 else 0.1,
         observe_nodes=[OBSERVED], store_states=False,
     )
 
     def run_once():
-        return TransientSimulator(circuit, "er", options).run()
+        return TransientSimulator(circuit, method, options).run()
 
     result = benchmark.pedantic(run_once, rounds=1, iterations=1)
     assert result.stats.completed, result.stats.failure_reason
+    # the method name alone selects ER-C; every gamma > 0 row must run it
+    assert result.stats.method == ("ER-C" if gamma > 0.0 else "ER")
     cmp = compare_waveforms(Signal.from_result(result, OBSERVED), reference)
     _ERRORS[gamma] = cmp.max_abs_error
     benchmark.extra_info["gamma"] = gamma

@@ -29,11 +29,11 @@ OBSERVED = f"out{NUM_STAGES // 2}"
 _RESULTS = {}
 
 
-def _fixed_step_options(h, correction=False):
+def _fixed_step_options(h):
     return SimOptions(
         t_stop=T_STOP, h_init=h, h_min=h, h_max=h,
         err_budget=1e9, lte_abstol=1e9, lte_reltol=1e9,
-        correction=correction, observe_nodes=[OBSERVED], store_states=False,
+        observe_nodes=[OBSERVED], store_states=False,
     )
 
 
@@ -43,22 +43,23 @@ def circuit():
 
 
 @pytest.mark.parametrize(
-    "label, method, step, correction",
+    "label, method, step",
     [
-        ("REF", "benr", H / 10, False),
-        ("BENR", "benr", H, False),
-        ("ER", "er", H, False),
-        ("ER-C", "er", 2 * H, True),
+        ("REF", "benr", H / 10),
+        ("BENR", "benr", H),
+        ("ER", "er", H),
+        ("ER-C", "er-c", 2 * H),
     ],
 )
-def test_fig2_run(benchmark, circuit, label, method, step, correction):
-    options = _fixed_step_options(step, correction)
+def test_fig2_run(benchmark, circuit, label, method, step):
+    options = _fixed_step_options(step)
 
     def run_once():
         return TransientSimulator(circuit, method=method, options=options).run()
 
     result = benchmark.pedantic(run_once, rounds=1, iterations=1)
     assert result.stats.completed, result.stats.failure_reason
+    assert result.stats.method == label.replace("REF", "BENR")
     _RESULTS[label] = result
     benchmark.extra_info["label"] = label
     benchmark.extra_info["steps"] = result.stats.num_steps

@@ -38,8 +38,6 @@ from repro.circuit import (
 )
 from repro.circuit.devices import Diode, DiodeModel, MOSFET, MOSFETModel
 from repro.core import (
-    DCOptions,
-    NewtonOptions,
     RunStatistics,
     SimOptions,
     SimulationResult,
@@ -89,8 +87,6 @@ __all__ = [
     "MOSFET",
     "MOSFETModel",
     "SimOptions",
-    "NewtonOptions",
-    "DCOptions",
     "SimulationResult",
     "RunStatistics",
     "TransientSimulator",

@@ -10,6 +10,11 @@ strongly nonlinear circuits, the classic homotopies are applied in order:
   next;
 * **source stepping** -- all excitations are scaled from a small fraction
   up to their full value.
+
+Both ladders are constants of this module; the Newton solves use the
+:class:`~repro.integrators.newton.NewtonSolver` tolerances.  A transient
+that should start from the circuit's ``.ic`` vector instead of the DC
+point passes it directly: ``simulator.run(x0=mna.initial_state())``.
 """
 
 from __future__ import annotations
@@ -21,11 +26,17 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.circuit.mna import MNASystem
-from repro.core.options import DCOptions
 from repro.integrators.newton import NewtonResult, NewtonSolver
 from repro.linalg.sparse_lu import LUStats
 
-__all__ = ["DCResult", "dc_operating_point"]
+__all__ = ["DCResult", "dc_operating_point", "GMIN_STEPS", "SOURCE_STEPS"]
+
+#: gmin stepping ladder (S), used when the plain Newton solve fails; it
+#: ends at 0 so the last stage solves the unmodified system
+GMIN_STEPS = (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-12, 0.0)
+#: source stepping ladder (scaling of all excitations), the final fallback;
+#: it ends at full scale
+SOURCE_STEPS = (0.1, 0.2, 0.4, 0.6, 0.8, 1.0)
 
 
 @dataclass
@@ -46,22 +57,20 @@ def _solve_stage(
     mna: MNASystem,
     solver: NewtonSolver,
     x0: np.ndarray,
-    gmin_extra: float,
+    gmin: float,
     source_scale: float,
-    gshunt: float,
 ) -> NewtonResult:
     """One Newton solve of the (possibly homotopy-modified) DC system."""
     identity = sp.identity(mna.n, format="csc")
     bu = mna.source_vector(0.0)
-    extra = gmin_extra + gshunt
 
     def residual_jacobian(x):
         ev = mna.evaluate(x)
         residual = ev.f - source_scale * bu
         jacobian = ev.G
-        if extra:
-            residual = residual + extra * x
-            jacobian = (jacobian + extra * identity).tocsc()
+        if gmin:
+            residual = residual + gmin * x
+            jacobian = (jacobian + gmin * identity).tocsc()
         return residual, jacobian
 
     return solver.solve(x0, residual_jacobian, label="DC Jacobian")
@@ -69,38 +78,20 @@ def _solve_stage(
 
 def dc_operating_point(
     mna: MNASystem,
-    options: Optional[DCOptions] = None,
-    gshunt: float = 0.0,
     lu_stats: Optional[LUStats] = None,
     max_factor_nnz: Optional[int] = None,
 ) -> DCResult:
     """Compute the DC operating point of the circuit.
 
-    Parameters
-    ----------
-    mna:
-        Assembled MNA system.
-    options:
-        DC controls; defaults apply.
-    gshunt:
-        Permanent shunt conductance added by the caller's transient options
-        (kept during DC so the operating point matches the transient
-        system).
-    lu_stats, max_factor_nnz:
-        Instrumentation forwarded to every factorization.
+    ``lu_stats`` and ``max_factor_nnz`` are forwarded to every
+    factorization.
     """
-    options = options if options is not None else DCOptions()
-    solver = NewtonSolver(mna, options.newton, lu_stats=lu_stats,
-                          max_factor_nnz=max_factor_nnz)
+    solver = NewtonSolver(mna, lu_stats=lu_stats, max_factor_nnz=max_factor_nnz)
     x0 = mna.initial_state()
-    if options.use_initial_conditions:
-        return DCResult(x=x0, converged=True, iterations=0,
-                        strategy="initial-conditions", residual_norm=np.nan)
-
     total_iterations = 0
 
     # 1. plain Newton from the .ic seed (or zero)
-    result = _solve_stage(mna, solver, x0, 0.0, 1.0, gshunt)
+    result = _solve_stage(mna, solver, x0, 0.0, 1.0)
     total_iterations += result.iterations
     if result.converged:
         return DCResult(result.x, True, total_iterations, "newton", result.residual_norm)
@@ -108,27 +99,27 @@ def dc_operating_point(
     # 2. gmin stepping
     x = np.array(x0, copy=True)
     converged = True
-    for gmin in options.gmin_steps:
-        stage = _solve_stage(mna, solver, x, gmin, 1.0, gshunt)
+    for gmin in GMIN_STEPS:
+        stage = _solve_stage(mna, solver, x, gmin, 1.0)
         total_iterations += stage.iterations
         x = stage.x
         converged = stage.converged
         if not converged:
             break
-    if converged and options.gmin_steps and options.gmin_steps[-1] == 0.0:
+    if converged:
         return DCResult(x, True, total_iterations, "gmin-stepping", 0.0)
 
     # 3. source stepping
     x = np.array(x0, copy=True)
     converged = True
-    for scale in options.source_steps:
-        stage = _solve_stage(mna, solver, x, 0.0, scale, gshunt)
+    for scale in SOURCE_STEPS:
+        stage = _solve_stage(mna, solver, x, 0.0, scale)
         total_iterations += stage.iterations
         x = stage.x
         converged = stage.converged
         if not converged:
             break
-    if converged and options.source_steps and options.source_steps[-1] == 1.0:
+    if converged:
         return DCResult(x, True, total_iterations, "source-stepping", 0.0)
 
     return DCResult(x, False, total_iterations, "failed", np.inf)

@@ -18,7 +18,7 @@ Per-process caches
   times.  (Device evaluation is stateless, so reuse cannot change
   results; the backend-contract tests lock this in.)
 * **DC reuse** -- the DC operating point is cached per ``(circuit,
-  dc-options, gshunt, memory budget)`` the same way: the DC system does
+  memory budget)`` the same way: the DC system does
   not depend on the integration method, so method sweeps on one circuit
   pay for Newton once; the original solve's LU counters are replayed
   into every reusing run so the reported statistics match an uncached
@@ -36,7 +36,6 @@ Failure semantics
 
 from __future__ import annotations
 
-import json
 import os
 import signal
 import threading
@@ -122,12 +121,7 @@ def _cached_mna(scenario: Scenario) -> Tuple[object, bool]:
 
 def _dc_cache_key(circuit_key: str, options: SimOptions) -> Tuple:
     """Identity of a DC solve: circuit plus every option the solve reads."""
-    return (
-        circuit_key,
-        json.dumps(options.dc.to_dict(), sort_keys=True, default=repr),
-        float(options.gshunt),
-        options.max_factor_nnz,
-    )
+    return (circuit_key, options.max_factor_nnz)
 
 
 def execute_scenario(

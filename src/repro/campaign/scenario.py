@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import importlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.benchcircuits.registry import build_circuit
@@ -75,42 +75,13 @@ class CircuitSpec:
 
 
 def apply_option_overrides(options: SimOptions, overrides: Dict[str, object]) -> SimOptions:
-    """Apply flat or dotted overrides (``"newton.abstol"``) to ``options``.
+    """Apply flat overrides to ``options`` through :meth:`SimOptions.from_dict`.
 
-    Returns a new :class:`SimOptions`; nothing is mutated.  Plain keys map
-    to :meth:`SimOptions.with_updates`; dotted keys descend into the nested
-    option dataclasses (``newton``, ``dc``, ``dc.newton``).
+    Returns a new :class:`SimOptions`; nothing is mutated.  Unknown keys
+    and retired fields holding anything but their fixed value (dotted ones
+    such as ``"newton.abstol"`` included) are refused by name.
     """
-    flat: Dict[str, object] = {}
-    nested: Dict[str, Dict[str, object]] = {}
-    for key, value in overrides.items():
-        if "." in key:
-            head, rest = key.split(".", 1)
-            nested.setdefault(head, {})[rest] = value
-        else:
-            flat[key] = value
-    if flat:
-        options = options.with_updates(**flat)
-    for head, sub in nested.items():
-        child = getattr(options, head, None)
-        if child is None or not hasattr(child, "__dataclass_fields__"):
-            raise ValueError(f"cannot apply dotted override to non-nested field {head!r}")
-        updated = apply_option_overrides_nested(child, sub)
-        options = options.with_updates(**{head: updated})
-    return options
-
-
-def apply_option_overrides_nested(obj, overrides: Dict[str, object]):
-    """Recursive worker of :func:`apply_option_overrides` for sub-options."""
-    flat: Dict[str, object] = {}
-    for key, value in overrides.items():
-        if "." in key:
-            head, rest = key.split(".", 1)
-            child = getattr(obj, head)
-            flat[head] = apply_option_overrides_nested(child, {rest: value})
-        else:
-            flat[key] = value
-    return replace(obj, **flat)
+    return SimOptions.from_dict({**options.to_dict(), **overrides})
 
 
 def canonical_scenario_json(data: Dict[str, object],
@@ -158,8 +129,7 @@ class Scenario:
     method:
         Integration method key (``"benr"``, ``"tr"``, ``"er"``, ``"er-c"``...).
     options:
-        :class:`SimOptions` overrides as a flat dict.  Dotted keys reach
-        nested options (``{"newton.abstol": 1e-8}``).  Applied on top of
+        :class:`SimOptions` overrides as a flat dict, applied on top of
         the campaign's base options.
     seed:
         Deterministic scenario seed assigned by the planner.  Purely

@@ -133,9 +133,9 @@ def grid_sweep(
     """Cartesian product sweep: circuits x param grid x option grid x methods.
 
     ``param_grid`` values become circuit-factory keyword arguments;
-    ``option_grid`` keys are :class:`SimOptions` fields (dotted keys reach
-    nested options).  All methods share each variant's circuit seed, so the
-    per-method rows of the aggregate table are directly comparable.
+    ``option_grid`` keys are :class:`SimOptions` fields.  All methods share
+    each variant's circuit seed, so the per-method rows of the aggregate
+    table are directly comparable.
     """
     variants = []
     for c_index, circuit in enumerate(circuits):

@@ -1,6 +1,6 @@
 """Core simulation layer: options, results and the simulator façade."""
 
-from repro.core.options import SimOptions, NewtonOptions, DCOptions
+from repro.core.options import SimOptions
 from repro.core.results import SimulationResult, StepRecord, RunStatistics
 from repro.core.rng import as_generator, derive_seed, spawn_seeds
 from repro.core.simulator import TransientSimulator, simulate
@@ -12,8 +12,6 @@ __all__ = [
     "derive_seed",
     "spawn_seeds",
     "SimOptions",
-    "NewtonOptions",
-    "DCOptions",
     "SimulationResult",
     "StepRecord",
     "RunStatistics",

@@ -1,15 +1,21 @@
-"""Simulation option containers.
+"""Simulation options.
 
-All tunable parameters of the framework live in three small dataclasses so
-every integrator, the DC solver and the benchmark harness share the same
-vocabulary.  Defaults follow the values quoted in the paper where it gives
-them (``epsilon = 1e-7`` for the MEVP convergence criterion, ``alpha = 1/2``
-and ``beta = 2`` for step shrinking/growing, ``gamma = 0.1`` for the
-correction term) and standard SPICE practice elsewhere.
+:class:`SimOptions` holds the fifteen settings a caller may choose: the
+simulated window (``t_start``/``t_stop``), the step bounds, the error
+budgets of the exponential (``err_budget``, the MEVP ``mevp_tol``
+``epsilon = 1e-7``) and implicit (``lte_abstol``/``lte_reltol``)
+controllers, the ER-C correction coefficient ``gamma = 0.1``, the LU
+memory budget, the two LU-reuse knobs (``step_ladder``,
+``h_bypass_tol``) and what the result records.  The integration method
+-- ER-C included (``"er-c"``) -- is chosen by name, not by an option.
 
-Exact LU reuse (:mod:`repro.core.workspace`) is always on; only
-``step_ladder`` and ``h_bypass_tol`` change results or LU counts.  Their
-fixed parameters are constants next to the code using them.
+Everything else is a constant next to the code using it: Algorithm 2's
+step controller (``alpha = 1/2``, ``beta = 2`` and friends) on
+:class:`repro.integrators.base.Integrator`, the Krylov dimension cap in
+:mod:`repro.linalg.krylov`, the Newton tolerances on
+:class:`repro.integrators.newton.NewtonSolver` and the DC homotopy
+ladders in :mod:`repro.analysis.dc`.  :data:`RETIRED_SIM_FIELDS` lists
+the fields that once set them.
 """
 
 from __future__ import annotations
@@ -17,12 +23,25 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Optional
 
-__all__ = ["NewtonOptions", "DCOptions", "SimOptions", "RETIRED_SIM_FIELDS"]
+__all__ = ["SimOptions", "RETIRED_SIM_FIELDS"]
+
+#: the fixed Newton settings, in the nested form stored payloads carry
+#: (repro.integrators.newton.NewtonSolver; damping 1.0, limiting always on)
+_RETIRED_NEWTON = {
+    "max_iterations": 50,
+    "abstol": 1e-6,
+    "reltol": 1e-3,
+    "residual_tol": 1e-9,
+    "damping": 1.0,
+    "apply_limiting": True,
+}
 
 #: retired ``SimOptions`` fields and the behaviour now fixed in their place.
 #: Stored payloads (queued jobs, older clients) may still carry them:
 #: :meth:`SimOptions.from_dict` drops a key holding its fixed value and
-#: refuses any other value by name.
+#: refuses any other value by name.  The nested ``newton`` / ``dc`` dicts
+#: are compared entry by entry (``"newton.max_iterations"``), in nested or
+#: dotted form.
 RETIRED_SIM_FIELDS: Dict[str, object] = {
     "cache_linearization": True,
     "reuse_symbolic": True,
@@ -32,106 +51,43 @@ RETIRED_SIM_FIELDS: Dict[str, object] = {
     "h_bypass_max_refinements": 8,   # ...workspace.H_BYPASS_MAX_REFINEMENTS
     "lu_cache_entries": 8,           # LinearizationCache.MAX_ENTRIES
     "bypass_tol": 0.0,               # nonlinear LUs are never reused stale
+    "correction": False,             # the method name picks ER-C ("er-c")
+    "alpha": 0.5,                    # repro.integrators.base.Integrator.ALPHA
+    "beta": 2.0,                     # Integrator.BETA
+    "grow_when_rejections_below": 1,  # Integrator.GROW_WHEN_REJECTIONS_BELOW
+    "grow_error_fraction": 0.25,     # Integrator.GROW_ERROR_FRACTION
+    "max_rejections": 25,            # Integrator.MAX_REJECTIONS
+    "krylov_max_dim": 100,           # repro.linalg.krylov.KRYLOV_MAX_DIM
+    "gshunt": 0.0,                   # no shunt conductance
+    "newton": _RETIRED_NEWTON,
+    "dc": {                          # repro.analysis.dc
+        "newton": _RETIRED_NEWTON,
+        "gmin_steps": [1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-12, 0.0],
+        "source_steps": [0.1, 0.2, 0.4, 0.6, 0.8, 1.0],
+        # run(x0=mna.initial_state()) starts from the .ic vector instead
+        "use_initial_conditions": False,
+    },
 }
 
-
-def _dataclass_to_dict(obj) -> Dict[str, object]:
-    """Serialize a (possibly nested) options dataclass into plain builtins."""
-    out: Dict[str, object] = {}
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if hasattr(value, "to_dict"):
-            out[f.name] = value.to_dict()
-        elif isinstance(value, list):
-            out[f.name] = list(value)
-        else:
-            out[f.name] = value
-    return out
+_UNKNOWN = object()
 
 
-def _dataclass_from_dict(cls, data: Dict[str, object], nested: Dict[str, type]):
-    """Reconstruct ``cls`` from :func:`_dataclass_to_dict` output.
-
-    Unknown keys raise so that typos in serialized option files fail loudly
-    instead of silently falling back to defaults.  Nested fields accept
-    either an already-built options object or its dict form.
-    """
-    if not isinstance(data, dict):
-        raise TypeError(f"{cls.__name__}.from_dict expects a dict, got {type(data).__name__}")
-    known = {f.name for f in fields(cls)}
-    unknown = set(data) - known
-    if unknown:
-        raise ValueError(
-            f"unknown {cls.__name__} field(s): {', '.join(sorted(map(str, unknown)))}"
-        )
-    kwargs: Dict[str, object] = {}
-    for key, value in data.items():
-        if key in nested and isinstance(value, dict):
-            kwargs[key] = nested[key].from_dict(value)
-        elif isinstance(value, list):
-            kwargs[key] = list(value)
-        else:
-            kwargs[key] = value
-    return cls(**kwargs)
+def _leaves(key: str, value):
+    """Yield ``(dotted name, value)`` for every non-dict entry under ``key``."""
+    if isinstance(value, dict):
+        for sub, sub_value in value.items():
+            yield from _leaves(f"{key}.{sub}", sub_value)
+    else:
+        yield key, value
 
 
-@dataclass
-class NewtonOptions:
-    """Newton-Raphson controls used by BENR / TR / Gear and the DC solver."""
-
-    #: maximum iterations per solve
-    max_iterations: int = 50
-    #: absolute convergence tolerance on the voltage update [V]
-    abstol: float = 1e-6
-    #: relative convergence tolerance on the voltage update
-    reltol: float = 1e-3
-    #: absolute tolerance on the residual (KCL) [A]
-    residual_tol: float = 1e-9
-    #: damping factor applied to the Newton update when it diverges
-    damping: float = 1.0
-    #: apply the devices' junction/FET limiting between iterations
-    apply_limiting: bool = True
-
-    def validate(self) -> None:
-        if self.max_iterations < 1:
-            raise ValueError("Newton max_iterations must be at least 1")
-        if self.abstol <= 0 or self.reltol <= 0 or self.residual_tol <= 0:
-            raise ValueError("Newton tolerances must be positive")
-        if not (0.0 < self.damping <= 1.0):
-            raise ValueError("Newton damping must lie in (0, 1]")
-
-    def to_dict(self) -> Dict[str, object]:
-        return _dataclass_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "NewtonOptions":
-        options = _dataclass_from_dict(cls, data, nested={})
-        options.validate()
-        return options
-
-
-@dataclass
-class DCOptions:
-    """DC operating point controls."""
-
-    newton: NewtonOptions = field(default_factory=NewtonOptions)
-    #: gmin stepping ladder (S); used when the plain Newton solve fails
-    gmin_steps: List[float] = field(
-        default_factory=lambda: [1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-12, 0.0]
-    )
-    #: source stepping ladder (scaling of all excitations), used as a final fallback
-    source_steps: List[float] = field(
-        default_factory=lambda: [0.1, 0.2, 0.4, 0.6, 0.8, 1.0]
-    )
-    #: skip the DC solve and start from the circuit's ``.ic`` vector
-    use_initial_conditions: bool = False
-
-    def to_dict(self) -> Dict[str, object]:
-        return _dataclass_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "DCOptions":
-        return _dataclass_from_dict(cls, data, nested={"newton": NewtonOptions})
+def _fixed_value(name: str):
+    """Fixed value of a (dotted) retired field name, ``_UNKNOWN`` if none."""
+    head, *path = name.split(".")
+    fixed = RETIRED_SIM_FIELDS.get(head, _UNKNOWN)
+    for part in path:
+        fixed = fixed.get(part, _UNKNOWN) if isinstance(fixed, dict) else _UNKNOWN
+    return fixed
 
 
 @dataclass
@@ -154,34 +110,15 @@ class SimOptions:
     err_budget: float = 1e-4
     #: MEVP convergence criterion ``epsilon`` of Algorithm 1
     mevp_tol: float = 1e-7
-    #: maximum invert-Krylov subspace dimension
-    krylov_max_dim: int = 100
-    #: enable the Eq. 16-17 correction term (the ER-C method)
-    correction: bool = False
-    #: correction-term coefficient ``gamma``
+    #: ER-C correction-term coefficient ``gamma`` (Eq. 16; method ``"er-c"``)
     gamma: float = 0.1
-    #: step-shrink factor ``alpha`` applied on rejection
-    alpha: float = 0.5
-    #: step-growth factor ``beta`` applied after easy steps
-    beta: float = 2.0
-    #: grow the step when a step needed fewer rejections than this
-    grow_when_rejections_below: int = 1
-    #: additionally require the error estimate to be below this fraction of
-    #: the budget before growing (damps the grow/reject oscillation of the
-    #: plain Algorithm 2 controller; set to 1.0 to disable)
-    grow_error_fraction: float = 0.25
-    #: maximum rejections per step before giving up
-    max_rejections: int = 25
 
     # -- implicit (BENR / TR / Gear) controls ------------------------------------------
-    newton: NewtonOptions = field(default_factory=NewtonOptions)
     #: local truncation error tolerances for the low-order controllers
     lte_abstol: float = 1e-6
     lte_reltol: float = 1e-3
 
     # -- shared numerical safeguards ------------------------------------------------------
-    #: uniform shunt conductance to ground added to G (0 disables)
-    gshunt: float = 0.0
     #: LU fill-in budget emulating a memory limit (None disables)
     max_factor_nnz: Optional[int] = None
 
@@ -205,9 +142,6 @@ class SimOptions:
     #: node names recorded even when ``store_states`` is False
     observe_nodes: List[str] = field(default_factory=list)
 
-    # -- DC ------------------------------------------------------------------------------------
-    dc: DCOptions = field(default_factory=DCOptions)
-
     def __post_init__(self):
         self.validate()
 
@@ -222,26 +156,14 @@ class SimOptions:
                 raise ValueError(f"{name} must be positive")
         if self.h_min is not None and self.h_max is not None and self.h_min > self.h_max:
             raise ValueError("h_min must not exceed h_max")
-        if self.max_rejections < 0:
-            raise ValueError("max_rejections must be non-negative")
         if min(self.lte_abstol, self.lte_reltol) < 0 or self.lte_abstol == self.lte_reltol == 0:
             raise ValueError("lte_abstol and lte_reltol must be non-negative and not both zero")
         if self.err_budget <= 0 or self.mevp_tol <= 0:
             raise ValueError("error budgets must be positive")
-        if not (0.0 < self.alpha < 1.0):
-            raise ValueError("alpha must lie in (0, 1)")
-        if self.beta < 1.0:
-            raise ValueError("beta must be at least 1")
-        if self.krylov_max_dim < 2:
-            raise ValueError("krylov_max_dim must be at least 2")
-        if not self.gshunt >= 0.0:
-            # a negative shunt conductance feeds energy in: an active circuit
-            raise ValueError("gshunt must be non-negative")
         if self.step_ladder not in ("off", "geometric"):
             raise ValueError("step_ladder must be 'off' or 'geometric'")
         if not (0.0 <= self.h_bypass_tol < 1.0):
             raise ValueError("h_bypass_tol must lie in [0, 1)")
-        self.newton.validate()
 
     @property
     def span(self) -> float:
@@ -263,29 +185,47 @@ class SimOptions:
     # -- serialization ----------------------------------------------------------------
 
     def to_dict(self) -> Dict[str, object]:
-        """Serialize (recursively) into JSON/pickle-friendly builtins.
+        """Serialize into JSON/pickle-friendly builtins.
 
         ``SimOptions.from_dict(options.to_dict())`` round-trips exactly;
         the campaign scenario layer ships options between processes in this
         form.
         """
-        return _dataclass_to_dict(self)
+        out: Dict[str, object] = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            out[f.name] = list(value) if isinstance(value, list) else value
+        return out
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "SimOptions":
         """Rebuild from :meth:`to_dict` output (validating on construction).
 
-        Keys of :data:`RETIRED_SIM_FIELDS` are dropped when they carry the
-        behaviour that is now fixed and refused by name otherwise.
+        Keys of :data:`RETIRED_SIM_FIELDS` -- nested dicts and dotted keys
+        such as ``"newton.abstol"`` included -- are dropped when they carry
+        the behaviour that is now fixed and refused by name otherwise.
+        Unknown keys raise, so typos in serialized option files fail loudly
+        instead of silently falling back to defaults.
         """
-        if isinstance(data, dict):
-            data = dict(data)
-            for name, fixed in RETIRED_SIM_FIELDS.items():
-                if name in data and data.pop(name) != fixed:
+        if not isinstance(data, dict):
+            raise TypeError(f"SimOptions.from_dict expects a dict, got {type(data).__name__}")
+        data = dict(data)
+        for key in list(data):
+            if str(key).split(".")[0] not in RETIRED_SIM_FIELDS:
+                continue
+            for name, value in _leaves(str(key), data.pop(key)):
+                fixed = _fixed_value(name)
+                if fixed is _UNKNOWN:
+                    raise ValueError(f"unknown SimOptions field {name!r}")
+                if value != fixed:
                     raise ValueError(
                         f"SimOptions field {name!r} is retired; only its fixed "
                         f"value {fixed!r} is accepted"
                     )
-        return _dataclass_from_dict(
-            cls, data, nested={"newton": NewtonOptions, "dc": DCOptions}
-        )
+        unknown = set(data) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(
+                f"unknown SimOptions field(s): {', '.join(sorted(map(str, unknown)))}"
+            )
+        return cls(**{key: list(value) if isinstance(value, list) else value
+                      for key, value in data.items()})

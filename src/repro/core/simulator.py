@@ -28,7 +28,7 @@ from repro.circuit.mna import MNASystem
 from repro.circuit.netlist import Circuit
 from repro.core.options import SimOptions
 from repro.core.results import SimulationResult
-from repro.integrators import INTEGRATOR_REGISTRY
+from repro.integrators import INTEGRATOR_REGISTRY, ExponentialRosenbrockEuler
 from repro.integrators.base import Integrator
 from repro.linalg.sparse_lu import LUStats
 
@@ -72,17 +72,12 @@ class TransientSimulator:
         return key
 
     def _make_integrator(self) -> Integrator:
-        options = self.options
-        # "er-c" / "erc" select the corrected variant of the same integrator.
-        if self.method in ("er-c", "erc") and not options.correction:
-            options = options.with_updates(correction=True)
-            self.options = options
-        elif self.method == "er" and options.correction:
-            # explicit request for plain ER wins over a stale correction flag
-            options = options.with_updates(correction=False)
-            self.options = options
         cls = INTEGRATOR_REGISTRY[self.method]
-        return cls(self.mna, options)
+        if cls is ExponentialRosenbrockEuler:
+            # "er-c" / "erc" select the corrected variant of the same class
+            return cls(self.mna, self.options,
+                       correction=self.method in ("er-c", "erc"))
+        return cls(self.mna, self.options)
 
     # -- running ----------------------------------------------------------------------------
 
@@ -109,8 +104,7 @@ class TransientSimulator:
         if self.dc_result is None:
             self._dc_lu_stats = LUStats()
             self.dc_result = dc_operating_point(
-                self.mna, self.options.dc, gshunt=self.options.gshunt,
-                lu_stats=self._dc_lu_stats,
+                self.mna, lu_stats=self._dc_lu_stats,
                 max_factor_nnz=self.options.max_factor_nnz,
             )
         return self.dc_result
@@ -118,9 +112,10 @@ class TransientSimulator:
     def run(self, x0: Optional[np.ndarray] = None) -> SimulationResult:
         """Run the transient analysis and return the result.
 
-        ``x0`` overrides the starting state; by default the DC operating
-        point is computed first (Algorithm 2, line 2), reusing the result
-        cached by an earlier :meth:`run_dc` call when one exists.  The DC
+        ``x0`` overrides the starting state -- ``mna.initial_state()``
+        starts from the circuit's ``.ic`` vector -- and by default the DC
+        operating point is computed first (Algorithm 2, line 2), reusing
+        the result cached by an earlier :meth:`run_dc` call when one exists.  The DC
         solve's LU counters are merged into every result that starts from
         it, so the Table-I statistics do not depend on whether (or how
         often) the cache was warmed.

@@ -7,11 +7,11 @@ constant for the whole transient.  :class:`LinearizationCache` keeps the
 integrators from re-assembling and re-factorizing them on every step:
 
 * **Linear fast path** -- when ``mna.has_nonlinear`` is False the cache
-  hands out the assembled matrices (with the optional ``gshunt`` applied
-  exactly once) and reuses one :class:`~repro.linalg.sparse_lu.SparseLU`
-  per matrix key across all steps.  Shifted systems such as ``C/h + G``
-  are keyed by their scalar coefficients, so a factorization is reused
-  until the step size actually changes.  Results are bit-identical to the
+  hands out the assembled matrices and reuses one
+  :class:`~repro.linalg.sparse_lu.SparseLU` per matrix key across all
+  steps.  Shifted systems such as ``C/h + G`` are keyed by their scalar
+  coefficients, so a factorization is reused until the step size
+  actually changes.  Results are bit-identical to the
   uncached path: the cached objects carry exactly the floats the per-step
   assembly would have produced.
 * **Cross-``h`` stale reuse** -- applied to *step-size* drift on the
@@ -104,7 +104,6 @@ class LinearizationCache:
     def __init__(self, mna: MNASystem, options: Optional[SimOptions] = None):
         self.mna = mna
         options = options if options is not None else SimOptions()
-        self.gshunt = float(options.gshunt)
         self.max_entries = self.MAX_ENTRIES
         #: cross-``h`` stale-reuse threshold; 0 keeps the exact-key policy
         self.h_bypass_tol = float(options.h_bypass_tol)
@@ -112,8 +111,6 @@ class LinearizationCache:
         #: value-keyed LU cache above it (a fresh factorization with a
         #: reused ordering is still a real, counted factorization)
         self.symbolic = SymbolicCache()
-        self._identity = sp.identity(mna.n, format="csc")
-        self._shunted_G: Optional[sp.csc_matrix] = None
         self._matrices: "OrderedDict[CacheKey, sp.spmatrix]" = OrderedDict()
         self._lus: "OrderedDict[CacheKey, Tuple[sp.spmatrix, SparseLU]]" = OrderedDict()
 
@@ -126,7 +123,6 @@ class LinearizationCache:
 
     def invalidate(self) -> None:
         """Drop every cached matrix, factorization and symbolic ordering."""
-        self._shunted_G = None
         self._matrices.clear()
         self._lus.clear()
         self.symbolic.clear()
@@ -141,15 +137,14 @@ class LinearizationCache:
     # -- linearization ------------------------------------------------------------------
 
     def evaluate(self, x: np.ndarray) -> EvalResult:
-        """Evaluate the circuit at ``x`` with the optional gshunt applied.
+        """Evaluate the circuit at ``x``.
 
-        On the linear fast path the constant ``C`` and ``G`` (gshunt
-        included) are assembled once and only the state-dependent vectors
-        ``f = G x`` and ``q = C x`` are recomputed -- with exactly the
-        arithmetic of the uncached path, so trajectories are bit-identical.
+        On the linear fast path the constant ``C`` and ``G`` are assembled
+        once and only the state-dependent vectors ``f = G x`` and
+        ``q = C x`` are recomputed -- with exactly the arithmetic of the
+        uncached path, so trajectories are bit-identical.
         """
         mna = self.mna
-        gshunt = self.gshunt
         if self.reuse_exact:
             x = np.asarray(x, dtype=float)
             if x.shape != (mna.n,):
@@ -158,22 +153,8 @@ class LinearizationCache:
                 )
             f = np.asarray(mna.G_lin @ x).ravel()
             q = np.asarray(mna.C_lin @ x).ravel()
-            if gshunt:
-                if self._shunted_G is None:
-                    self._shunted_G = (mna.G_lin + gshunt * self._identity).tocsc()
-                return EvalResult(C=mna.C_lin, G=self._shunted_G,
-                                  f=f + gshunt * x, q=q)
             return EvalResult(C=mna.C_lin, G=mna.G_lin, f=f, q=q)
-
-        ev = mna.evaluate(x)
-        if gshunt:
-            ev = EvalResult(
-                C=ev.C,
-                G=(ev.G + gshunt * self._identity).tocsc(),
-                f=ev.f + gshunt * x,
-                q=ev.q,
-            )
-        return ev
+        return mna.evaluate(x)
 
     # -- assembled-matrix memoization ------------------------------------------------------
 

@@ -105,6 +105,20 @@ class Integrator(ABC):
     #: short method name used in reports ("BENR", "ER", ...)
     name: str = "base"
 
+    # -- step control (Algorithm 2), shared by ER, EXPM-STD and ImplicitNR ----------
+    #: step-shrink factor ``alpha`` applied on rejection
+    ALPHA = 0.5
+    #: step-growth factor ``beta`` applied after easy steps
+    BETA = 2.0
+    #: grow the step when it needed fewer rejections than this
+    GROW_WHEN_REJECTIONS_BELOW = 1
+    #: ER additionally requires the error estimate to sit below this
+    #: fraction of the budget before growing (damps the grow/reject
+    #: oscillation of the plain Algorithm 2 controller)
+    GROW_ERROR_FRACTION = 0.25
+    #: rejections per step before the run gives up
+    MAX_REJECTIONS = 25
+
     def __init__(self, mna: MNASystem, options: Optional[SimOptions] = None):
         self.mna = mna
         self.options = options if options is not None else SimOptions()
@@ -120,11 +134,8 @@ class Integrator(ABC):
     # -- shared helpers ---------------------------------------------------------------
 
     def evaluate(self, x: np.ndarray) -> EvalResult:
-        """Evaluate the circuit at ``x``, applying the optional gshunt.
+        """Evaluate the circuit at ``x``.
 
-        A uniform shunt conductance ``gshunt`` to ground keeps ``G``
-        non-singular on circuits with floating nodes; it is added
-        consistently to both ``f(x)`` and ``G(x)`` so Jacobians stay exact.
         On linear circuits the cache serves the constant matrices without
         re-assembling them (bit-identical to the direct evaluation).
         """

@@ -31,8 +31,8 @@ One accepted step at state ``x_k``, time ``t``, step size ``h``:
    nonlinear error estimator (Eq. 15/24)
    ``err = (e^{hJ} - I) w_e`` with ``w_e = -G_k^{-1} Delta F_k``
    (lines 10-11), requiring one more invert-Krylov basis;
-6. optionally apply the phi_2 correction term (Eq. 16-17/25, lines 12-15)
-   -- the ER-C variant -- which needs one further basis;
+6. for ER-C (method ``"er-c"``) apply the phi_2 correction term
+   (Eq. 16-17/25, lines 12-15), which needs one further basis;
 7. if ``||err||_inf`` exceeds the budget, shrink ``h`` by ``alpha`` and go
    back to step 4 *reusing the basis of step 3*: the step size only enters
    the small dense exponential ``e^{h H_m^{-1}}``, so no LU and no Arnoldi
@@ -54,7 +54,11 @@ __all__ = ["ExponentialRosenbrockEuler"]
 
 
 class ExponentialRosenbrockEuler(Integrator):
-    """The ER / ER-C method of Algorithm 2 (correction selected via options)."""
+    """The ER / ER-C method of Algorithm 2.
+
+    ``correction=True`` selects ER-C; :class:`TransientSimulator` sets it
+    from the method name (``"er-c"`` / ``"erc"``).
+    """
 
     name = "ER"
 
@@ -63,9 +67,11 @@ class ExponentialRosenbrockEuler(Integrator):
     #: lowers the next start and an overshoot corrects itself
     WARM_START_BACKOFF = 2
 
-    def __init__(self, mna, options=None):
+    def __init__(self, mna, options=None, correction: bool = False):
         super().__init__(mna, options)
-        if self.options.correction:
+        #: apply the Eq. 25 correction term (the ER-C method)
+        self.correction = correction
+        if correction:
             self.name = "ER-C"
             self.stats.method = self.name
         #: converged dimension of the last basis built per step vector:
@@ -80,8 +86,7 @@ class ExponentialRosenbrockEuler(Integrator):
     def _build_basis(self, iks: InvertKrylovMEVP, role: str, vector: np.ndarray,
                      h: float) -> IKSBasis:
         start = max(1, self._last_dim.get(role, 1) - self.WARM_START_BACKOFF)
-        basis = iks.build(vector, h, tol=self.options.mevp_tol,
-                          max_dim=self.options.krylov_max_dim, start=start)
+        basis = iks.build(vector, h, tol=self.options.mevp_tol, start=start)
         self._last_dim[role] = basis.dimension
         return basis
 
@@ -108,8 +113,7 @@ class ExponentialRosenbrockEuler(Integrator):
         # the one factorization of the run.
         lu_G = self.cache.lu(("G",), ev.G, stats=self.stats.lu,
                              max_factor_nnz=opts.max_factor_nnz, label="G")
-        iks = InvertKrylovMEVP(ev.C, ev.G, lu_G, stats=self.stats.mevp,
-                               max_dim=opts.krylov_max_dim)
+        iks = InvertKrylovMEVP(ev.C, ev.G, lu_G, stats=self.stats.mevp)
 
         # Line 6: the step vector q = p + r and its Krylov basis (reusable
         # across h).  The Eq. 13 slope of the excitation: for piecewise-linear
@@ -158,7 +162,7 @@ class ExponentialRosenbrockEuler(Integrator):
                 err_norm = 0.0
 
             # Lines 12-15: ER-C correction term (Eq. 25), reusing Delta F.
-            if opts.correction and np.linalg.norm(delta_f) > 0.0:
+            if self.correction and np.linalg.norm(delta_f) > 0.0:
                 c = -lu_G.solve(np.asarray(ev.C @ w_e).ravel())
                 basis_c = self._build_basis(iks, "c", c, h_try)
                 krylov_dims.append(basis_c.dimension)
@@ -171,24 +175,23 @@ class ExponentialRosenbrockEuler(Integrator):
             if err_norm <= opts.err_budget:
                 break
             rejections += 1
-            if rejections > opts.max_rejections or h_try * opts.alpha < h_min:
+            if rejections > self.MAX_REJECTIONS or h_try * self.ALPHA < h_min:
                 raise ConvergenceError(
                     f"ER error control rejected the step {rejections} times at t={t:g} "
                     f"(last error {err_norm:.3e}, budget {opts.err_budget:.3e})"
                 )
-            h_try *= opts.alpha
+            h_try *= self.ALPHA
             # The basis converged at the old h; check it at the new one from
             # its current dimension on, extending only if it falls short.
-            basis_q.ensure_converged(h_try, opts.mevp_tol, max_dim=opts.krylov_max_dim,
-                                     start=basis_q.dimension)
+            basis_q.ensure_converged(h_try, opts.mevp_tol, start=basis_q.dimension)
 
         # Lines 22-25: grow the next step after easy steps.  On top of the
         # paper's rejection-count test we require the error to sit well below
-        # the budget (grow_error_fraction) so the controller does not
+        # the budget (GROW_ERROR_FRACTION) so the controller does not
         # oscillate between growing and rejecting every other step.
-        if (rejections < opts.grow_when_rejections_below
-                and err_norm <= opts.grow_error_fraction * opts.err_budget):
-            h_next = opts.beta * h_try
+        if (rejections < self.GROW_WHEN_REJECTIONS_BELOW
+                and err_norm <= self.GROW_ERROR_FRACTION * opts.err_budget):
+            h_next = self.BETA * h_try
         else:
             h_next = h_try
 

@@ -8,7 +8,7 @@ about (Eq. 2-3) is common to them and lives here once:
 * a Newton-Raphson solve whose Jacobian ``a C/h + b G`` is factorized
   through the :class:`~repro.core.workspace.LinearizationCache` -- on every
   Newton iteration and every step-size change;
-* a Newton failure shrinks ``h`` by ``alpha`` and retries, an LTE failure
+* a Newton failure shrinks ``h`` by ``ALPHA`` and retries, an LTE failure
   shrinks it by the asymptotic controller, both snapped onto the step
   ladder when it is on (:meth:`Integrator.snap_retry`);
 * the next-step proposal ``h * SAFETY * err**EXPONENT`` bounded by
@@ -95,7 +95,7 @@ class ImplicitNR(Integrator):
             return residual(ev), self.cache.matrix(jac_key, lambda: jacobian(ev))
 
         solver = NewtonSolver(
-            self.mna, self.options.newton, lu_stats=self.stats.lu,
+            self.mna, lu_stats=self.stats.lu,
             max_factor_nnz=self.options.max_factor_nnz,
             factorizer=self.cached_factorizer(jac_key),
         )
@@ -124,8 +124,8 @@ class ImplicitNR(Integrator):
             newton_total += newton.iterations
             if not newton.converged:
                 rejections += 1
-                h_try = self.snap_retry(h_try * opts.alpha)
-                if h_try < h_min or rejections > opts.max_rejections:
+                h_try = self.snap_retry(h_try * self.ALPHA)
+                if h_try < h_min or rejections > self.MAX_REJECTIONS:
                     raise ConvergenceError(
                         f"{self.name} Newton iteration failed to converge at t={t:g} "
                         f"(h reduced to {h_try:g})"
@@ -137,7 +137,7 @@ class ImplicitNR(Integrator):
             if error_ratio <= 1.0:
                 break
             rejections += 1
-            if rejections > opts.max_rejections:
+            if rejections > self.MAX_REJECTIONS:
                 raise ConvergenceError(
                     f"{self.name} step control rejected the step {rejections} "
                     f"times at t={t:g}"

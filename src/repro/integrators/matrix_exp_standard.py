@@ -28,6 +28,7 @@ import numpy as np
 from repro.core.results import StepRecord
 from repro.integrators.base import ConvergenceError, Integrator, StepOutcome
 from repro.linalg.arnoldi import ArnoldiBreakdown, ArnoldiProcess
+from repro.linalg.krylov import KRYLOV_MAX_DIM
 from repro.linalg.phi import expm_dense, phi_times_vector
 from repro.linalg.regularization import epsilon_regularize
 from repro.linalg.sparse_lu import SparseLU
@@ -38,11 +39,11 @@ __all__ = ["StandardKrylovExponential"]
 class _StdKrylovPhi:
     """Projected ``h^j phi_j(hJ) v`` products in one standard Krylov basis."""
 
-    def __init__(self, G, lu_C: SparseLU, v: np.ndarray, max_dim: int, stats):
+    def __init__(self, G, lu_C: SparseLU, v: np.ndarray, stats):
         self._G = G
         self._lu_C = lu_C
         self._stats = stats
-        self._process = ArnoldiProcess(self._apply, v, max_dim=max_dim)
+        self._process = ArnoldiProcess(self._apply, v, max_dim=KRYLOV_MAX_DIM)
         self.beta = self._process.beta
 
     def _apply(self, w: np.ndarray) -> np.ndarray:
@@ -119,8 +120,8 @@ class StandardKrylovExponential(Integrator):
         slope = self.mna.source_difference(t, t + h) / h
         b_k = lu_C.solve(slope)
 
-        basis_g = _StdKrylovPhi(ev.G, lu_C, g_k, opts.krylov_max_dim, self.stats.mevp)
-        basis_b = _StdKrylovPhi(ev.G, lu_C, b_k, opts.krylov_max_dim, self.stats.mevp)
+        basis_g = _StdKrylovPhi(ev.G, lu_C, g_k, self.stats.mevp)
+        basis_b = _StdKrylovPhi(ev.G, lu_C, b_k, self.stats.mevp)
 
         rejections = 0
         h_try = h
@@ -130,7 +131,7 @@ class StandardKrylovExponential(Integrator):
             if not converged:
                 raise ConvergenceError(
                     f"standard Krylov MEVP did not converge within "
-                    f"{opts.krylov_max_dim} dimensions at t={t:g} (stiff C); "
+                    f"{KRYLOV_MAX_DIM} dimensions at t={t:g} (stiff C); "
                     "this is the failure mode the invert Krylov subspace avoids"
                 )
             term1 = basis_g.phi_product(h_try, 1)
@@ -146,7 +147,7 @@ class StandardKrylovExponential(Integrator):
             delta_f = np.asarray(ev.G @ (x_new - x)).ravel() - (ev_new.f - f_k)
             if self.mna.has_nonlinear and np.linalg.norm(delta_f) > 0.0:
                 basis_e = _StdKrylovPhi(ev.G, lu_C, lu_C.solve(delta_f),
-                                        opts.krylov_max_dim, self.stats.mevp)
+                                        self.stats.mevp)
                 basis_e.converge(h_try, opts.mevp_tol)
                 err_vec = basis_e.phi_product(h_try, 1)
                 err_norm = float(np.max(np.abs(err_vec)))
@@ -157,17 +158,17 @@ class StandardKrylovExponential(Integrator):
             if err_norm <= opts.err_budget:
                 break
             rejections += 1
-            if rejections > opts.max_rejections or h_try * opts.alpha < h_min:
+            if rejections > self.MAX_REJECTIONS or h_try * self.ALPHA < h_min:
                 raise ConvergenceError(
                     f"EXPM-STD error control rejected the step {rejections} times at t={t:g}"
                 )
-            h_try *= opts.alpha
+            h_try *= self.ALPHA
 
         self.stats.mevp.record(basis_g.dimension, True)
         self.stats.mevp.record(basis_b.dimension, True)
 
-        if rejections < opts.grow_when_rejections_below:
-            h_next = opts.beta * h_try
+        if rejections < self.GROW_WHEN_REJECTIONS_BELOW:
+            h_next = self.BETA * h_try
         else:
             h_next = h_try
 

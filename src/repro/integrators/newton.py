@@ -3,8 +3,9 @@
 This is the workhorse of the BENR / TR / Gear baselines (Eq. 3 of the
 paper): every iteration linearizes the nonlinear residual, LU-factorizes
 the Jacobian (the ``C/h + G`` combination for BENR) and solves for the
-update.  SPICE-style device voltage limiting and optional damping keep the
-iteration robust on exponential device characteristics.
+update.  SPICE-style device voltage limiting keeps the iteration robust on
+exponential device characteristics.  The iteration limit and the
+convergence tolerances are constants of :class:`NewtonSolver`.
 
 All factorizations go through :func:`repro.linalg.sparse_lu.factorize` so
 the LU counts and fill-in that drive the paper's cost comparison are
@@ -20,7 +21,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.circuit.mna import MNASystem
-from repro.core.options import NewtonOptions
 from repro.linalg.sparse_lu import LUStats, SparseLU, factorize
 
 __all__ = ["NewtonResult", "NewtonSolver"]
@@ -45,18 +45,25 @@ class NewtonResult:
 
 
 class NewtonSolver:
-    """Damped Newton-Raphson with SPICE-style device limiting."""
+    """Newton-Raphson with SPICE-style device limiting."""
+
+    #: maximum iterations per solve
+    MAX_ITERATIONS = 50
+    #: absolute convergence tolerance on the voltage update [V]
+    ABSTOL = 1e-6
+    #: relative convergence tolerance on the voltage update
+    RELTOL = 1e-3
+    #: absolute tolerance on the residual (KCL) [A]
+    RESIDUAL_TOL = 1e-9
 
     def __init__(
         self,
         mna: MNASystem,
-        options: Optional[NewtonOptions] = None,
         lu_stats: Optional[LUStats] = None,
         max_factor_nnz: Optional[int] = None,
         factorizer: Optional[Factorizer] = None,
     ):
         self.mna = mna
-        self.options = options if options is not None else NewtonOptions()
         self.lu_stats = lu_stats
         self.max_factor_nnz = max_factor_nnz
         #: optional cache-aware factorization routine (defaults to a plain
@@ -67,7 +74,7 @@ class NewtonSolver:
 
     def _apply_limiting(self, x_new: np.ndarray, x_old: np.ndarray) -> np.ndarray:
         """Apply per-device junction/FET limiting to the proposed update."""
-        if not self.options.apply_limiting or not self.mna.has_nonlinear:
+        if not self.mna.has_nonlinear:
             return x_new
         limited = np.array(x_new, copy=True)
         for device, terminals in zip(self.mna.devices, self.mna.device_terminals):
@@ -87,19 +94,18 @@ class NewtonSolver:
         """Solve ``T(x) = 0`` starting from ``x0``.
 
         Convergence requires the weighted update norm
-        ``max_i |dx_i| / (abstol + reltol |x_i|) <= 1`` -- the standard
-        SPICE criterion -- or a residual below ``residual_tol``.
+        ``max_i |dx_i| / (ABSTOL + RELTOL |x_i|) <= 1`` -- the standard
+        SPICE criterion -- or a residual below ``RESIDUAL_TOL``.
         """
-        opts = self.options
         x = np.array(x0, dtype=float, copy=True)
         update_norm = np.inf
         residual_norm = np.inf
 
-        for iteration in range(1, opts.max_iterations + 1):
+        for iteration in range(1, self.MAX_ITERATIONS + 1):
             residual, jacobian = residual_jacobian(x)
             residual = np.asarray(residual, dtype=float).ravel()
             residual_norm = float(np.max(np.abs(residual))) if residual.size else 0.0
-            if residual_norm <= opts.residual_tol:
+            if residual_norm <= self.RESIDUAL_TOL:
                 return NewtonResult(x, True, iteration, residual_norm, 0.0)
 
             if self.factorizer is not None:
@@ -113,14 +119,13 @@ class NewtonSolver:
             if not np.all(np.isfinite(dx)):
                 return NewtonResult(x, False, iteration, residual_norm, np.inf)
 
-            x_proposed = x + opts.damping * dx
-            x_proposed = self._apply_limiting(x_proposed, x)
+            x_proposed = self._apply_limiting(x + dx, x)
             actual_dx = x_proposed - x
             x = x_proposed
 
-            scale = opts.abstol + opts.reltol * np.abs(x)
+            scale = self.ABSTOL + self.RELTOL * np.abs(x)
             update_norm = float(np.max(np.abs(actual_dx) / scale)) if actual_dx.size else 0.0
             if update_norm <= 1.0:
                 return NewtonResult(x, True, iteration, residual_norm, update_norm)
 
-        return NewtonResult(x, False, opts.max_iterations, residual_norm, update_norm)
+        return NewtonResult(x, False, self.MAX_ITERATIONS, residual_norm, update_norm)

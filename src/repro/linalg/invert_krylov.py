@@ -40,7 +40,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.linalg.arnoldi import ArnoldiBreakdown, ArnoldiProcess
-from repro.linalg.krylov import MEVPStats
+from repro.linalg.krylov import KRYLOV_MAX_DIM, MEVPStats
 from repro.linalg.phi import expm_dense
 from repro.linalg.sparse_lu import SparseLU
 
@@ -105,8 +105,6 @@ class IKSBasis:
         self._G = G
         self._stats = stats
         self.beta = process.beta
-        #: dimension at which the last convergence check succeeded
-        self.converged_dimension: Optional[int] = None
         # caches keyed by the current dimension / (dimension, h); the
         # dimension-keyed caches are naturally bounded by max_dim, the
         # (dimension, h) cache by PROPAGATOR_CACHE_MAX
@@ -291,7 +289,6 @@ class IKSBasis:
         operator application in the shared stats.
         """
         if self.is_zero:
-            self.converged_dimension = 0
             return True
         process = self._process
         max_dim = process.max_dim if max_dim is None else min(int(max_dim), process.max_dim)
@@ -309,17 +306,14 @@ class IKSBasis:
                     and (terminal or self._is_check_dim(m, start))
                     and small(m)
                     and (terminal or m < 2 or small(m - 1))):
-                self.converged_dimension = m
                 return True
             if terminal:
-                self.converged_dimension = m
                 return process.breakdown
             try:
                 process.extend()
                 if self._stats is not None:
                     self._stats.num_operator_applications += 1
             except ArnoldiBreakdown:
-                self.converged_dimension = self.dimension
                 return True
 
 
@@ -347,7 +341,7 @@ class InvertKrylovMEVP:
         G: sp.spmatrix,
         lu_G: SparseLU,
         stats: Optional[MEVPStats] = None,
-        max_dim: int = 100,
+        max_dim: int = KRYLOV_MAX_DIM,
     ):
         self.C = C.tocsc()
         self.G = G.tocsc()

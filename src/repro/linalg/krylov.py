@@ -26,7 +26,11 @@ from repro.linalg.arnoldi import ArnoldiBreakdown, ArnoldiProcess
 from repro.linalg.phi import expm_dense
 from repro.linalg.sparse_lu import SparseLU
 
-__all__ = ["MEVPStats", "KrylovResult", "StandardKrylovMEVP"]
+__all__ = ["KRYLOV_MAX_DIM", "MEVPStats", "KrylovResult", "StandardKrylovMEVP"]
+
+#: hard cap on the subspace dimension of every Krylov MEVP (standard and
+#: invert); a basis that reaches it without converging is reported as such
+KRYLOV_MAX_DIM = 100
 
 
 @dataclass
@@ -107,7 +111,7 @@ class StandardKrylovMEVP:
         G: sp.spmatrix,
         lu_C: SparseLU,
         stats: Optional[MEVPStats] = None,
-        max_dim: int = 100,
+        max_dim: int = KRYLOV_MAX_DIM,
     ):
         self.C = C.tocsc()
         self.G = G.tocsc()

@@ -23,7 +23,7 @@ from repro.campaign import (
     run_campaign,
 )
 from repro.campaign.sweep import sample_distribution
-from repro.core.options import SimOptions
+from repro.core.options import RETIRED_SIM_FIELDS, SimOptions
 from repro.core.rng import as_generator
 from repro.reporting import render_campaign_table, render_method_matrix
 
@@ -74,7 +74,7 @@ class TestScenario:
             name="s1",
             circuit=CircuitSpec("rc_mesh", {"rows": 4, "cols": 4, "seed": 3}),
             method="er-c",
-            options={"err_budget": 1e-5, "newton.abstol": 1e-8},
+            options={"err_budget": 1e-5, "gamma": 0.05},
             seed=3,
             observe=["n1_1"],
             tags={"corner": "slow"},
@@ -91,19 +91,22 @@ class TestScenario:
     def test_sim_options_applies_overrides(self):
         scenario = Scenario(
             name="s", circuit=CircuitSpec("rc_ladder"),
-            options={"err_budget": 5e-6, "newton.max_iterations": 9},
+            options={"err_budget": 5e-6, "gamma": 0.2},
         )
-        options = scenario.sim_options(SimOptions(t_stop=3e-9))
+        base = SimOptions(t_stop=3e-9)
+        options = scenario.sim_options(base)
         assert options.t_stop == 3e-9
         assert options.err_budget == 5e-6
-        assert options.newton.max_iterations == 9
+        assert options.gamma == 0.2
         # the base object is untouched
-        assert SimOptions(t_stop=3e-9).newton.max_iterations == 50
+        assert base == SimOptions(t_stop=3e-9)
 
     def test_dotted_override_three_levels(self):
-        options = apply_option_overrides(SimOptions(), {"dc.newton.abstol": 1e-10})
-        assert options.dc.newton.abstol == 1e-10
-        assert SimOptions().dc.newton.abstol != 1e-10
+        # the nested Newton/DC settings are constants: a dotted override
+        # is accepted at its fixed value only and refused by name otherwise
+        with pytest.raises(ValueError, match=r"'dc\.newton\.abstol' is retired"):
+            apply_option_overrides(SimOptions(), {"dc.newton.abstol": 1e-10})
+        assert apply_option_overrides(SimOptions(), {"dc.newton.abstol": 1e-6}) == SimOptions()
 
     def test_dotted_override_rejects_scalar_head(self):
         with pytest.raises(ValueError):
@@ -284,11 +287,12 @@ class TestSerialExecution:
         assert warm_outcome.samples == cold_outcome.samples
 
     def test_dc_cache_key_separates_dc_relevant_options(self):
-        """Scenarios differing in gshunt must not share a DC point."""
+        """Scenarios differing in the LU memory budget must not share a DC
+        point (the budget applies to the DC factorizations too)."""
         base = small_scenarios(methods=("er",), budgets=(1e-3,))[0]
-        shunted = Scenario.from_dict({**base.to_dict(), "name": "shunted"})
-        shunted.options = {**shunted.options, "gshunt": 1e-9}
-        campaign = run_campaign([base, shunted], base_options=FAST_OPTIONS,
+        budgeted = Scenario.from_dict({**base.to_dict(), "name": "budgeted"})
+        budgeted.options = {**budgeted.options, "max_factor_nnz": 10**9}
+        campaign = run_campaign([base, budgeted], base_options=FAST_OPTIONS,
                                 backend="serial")
         assert campaign.outcomes[0].dc_cache_hit is False
         assert campaign.outcomes[1].dc_cache_hit is False
@@ -456,14 +460,11 @@ class TestExecuteScenario:
         assert outcome.runtime_seconds > 0
 
     def test_accepts_pre_retirement_base_options(self):
-        """A queued job whose base options carry the retired LU-reuse
-        keys at their fixed values runs as if they were absent."""
+        """A queued job whose base options carry the retired keys (the
+        nested ``newton`` / ``dc`` dicts included) at their fixed values
+        runs as if they were absent."""
         scenario = small_scenarios(methods=("er",), budgets=(1e-3,))[0]
-        legacy = dict(FAST_OPTIONS.to_dict(), cache_linearization=True,
-                      reuse_symbolic=True, reuse_segment_slope=True,
-                      step_ladder_ratio=2.0, h_bypass_refine_tol=1e-10,
-                      h_bypass_max_refinements=8, lu_cache_entries=8,
-                      bypass_tol=0.0)
+        legacy = dict(FAST_OPTIONS.to_dict(), **RETIRED_SIM_FIELDS)
         data = execute_scenario(scenario.to_dict(), legacy)
         outcome = ScenarioOutcome.from_dict(data)
         assert outcome.ok, outcome.error
@@ -479,3 +480,8 @@ class TestExecuteScenario:
             execute_scenario(scenario.to_dict(), legacy))
         assert not outcome.ok
         assert "cache_linearization" in outcome.error
+        legacy = dict(FAST_OPTIONS.to_dict(), dc={"newton": {"max_iterations": 9}})
+        outcome = ScenarioOutcome.from_dict(
+            execute_scenario(scenario.to_dict(), legacy))
+        assert not outcome.ok
+        assert "dc.newton.max_iterations" in outcome.error

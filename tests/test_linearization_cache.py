@@ -173,17 +173,15 @@ class TestCachePrimitives:
 
     def test_evaluate_matches_direct_evaluation(self):
         mna = self._mna()
-        options = SimOptions(gshunt=1e-9)
-        cache = LinearizationCache(mna, options)
+        cache = LinearizationCache(mna, SimOptions())
         rng = np.random.default_rng(0)
         x = rng.standard_normal(mna.n)
         ev = cache.evaluate(x)
         direct = mna.evaluate(x)
-        identity = sp.identity(mna.n, format="csc")
-        np.testing.assert_array_equal(ev.f, direct.f + options.gshunt * x)
+        np.testing.assert_array_equal(ev.f, direct.f)
         np.testing.assert_array_equal(ev.q, direct.q)
-        expected_G = (direct.G + options.gshunt * identity).tocsc()
-        assert (ev.G != expected_G).nnz == 0
+        assert (ev.G != direct.G).nnz == 0
+        assert (ev.C != direct.C).nnz == 0
 
     def test_invalidate_clears_entries(self):
         mna = self._mna()

@@ -8,7 +8,8 @@ from repro.analysis.dc import dc_operating_point
 from repro.circuit.devices.diode import DiodeModel
 from repro.circuit.devices.mosfet import MOSFETModel
 from repro.circuit.netlist import Circuit
-from repro.core.options import DCOptions, NewtonOptions
+from repro.core.options import SimOptions
+from repro.core.simulator import TransientSimulator
 from repro.integrators.newton import NewtonSolver
 from repro.linalg.sparse_lu import LUStats
 
@@ -36,7 +37,7 @@ class TestNewtonSolver:
         assert result.iterations <= 2
         assert mna.voltage(result.x, "out") == pytest.approx(1.5)
 
-    def test_nonlinear_scalar_equation(self):
+    def test_nonlinear_scalar_equation(self, monkeypatch):
         """Solve x^2 = 4 dressed up as a one-unknown circuit-style residual."""
         ckt = Circuit()
         ckt.add_resistor("R1", "a", "0", 1.0)
@@ -47,7 +48,8 @@ class TestNewtonSolver:
             jacobian = sp.csc_matrix(np.array([[2.0 * x[0]]]))
             return residual, jacobian
 
-        solver = NewtonSolver(mna, NewtonOptions(max_iterations=50, residual_tol=1e-12))
+        monkeypatch.setattr(NewtonSolver, "RESIDUAL_TOL", 1e-12)
+        solver = NewtonSolver(mna)
         result = solver.solve(np.array([1.0]), residual_jacobian)
         assert result.converged
         assert result.x[0] == pytest.approx(2.0, rel=1e-6)
@@ -66,25 +68,18 @@ class TestNewtonSolver:
         assert stats.num_factorizations >= 1
         assert stats.num_solves >= 1
 
-    def test_nonconvergence_reported(self):
+    def test_nonconvergence_reported(self, monkeypatch):
         mna = divider()
 
         def residual_jacobian(x):
             # gradient points the wrong way: Newton diverges
             return np.array([1.0, 1.0, 1.0]), sp.identity(3, format="csc") * 1e-12
 
-        solver = NewtonSolver(mna, NewtonOptions(max_iterations=5))
+        monkeypatch.setattr(NewtonSolver, "MAX_ITERATIONS", 5)
+        solver = NewtonSolver(mna)
         result = solver.solve(np.zeros(3), residual_jacobian)
         assert not result.converged
         assert result.iterations == 5
-
-    def test_options_validation(self):
-        with pytest.raises(ValueError):
-            NewtonOptions(max_iterations=0).validate()
-        with pytest.raises(ValueError):
-            NewtonOptions(abstol=-1).validate()
-        with pytest.raises(ValueError):
-            NewtonOptions(damping=0.0).validate()
 
 
 class TestDeviceLimiting:
@@ -162,17 +157,15 @@ class TestDCOperatingPoint:
         assert mna.voltage(dc.x, "out3") == pytest.approx(1.0, abs=0.05)
 
     def test_use_initial_conditions_skips_solve(self):
+        """UIC: ``run(x0=mna.initial_state())`` starts the transient from
+        the ``.ic`` vector and never solves DC."""
         mna = divider()
         mna.circuit.set_initial_condition("out", 0.123)
-        dc = dc_operating_point(mna, DCOptions(use_initial_conditions=True))
-        assert dc.strategy == "initial-conditions"
-        assert mna.voltage(dc.x, "out") == pytest.approx(0.123)
-
-    def test_gshunt_changes_jacobian_but_small_effect(self):
-        mna = divider()
-        dc = dc_operating_point(mna, gshunt=1e-12)
-        assert dc.converged
-        assert mna.voltage(dc.x, "out") == pytest.approx(1.5, rel=1e-6)
+        simulator = TransientSimulator(mna, "benr",
+                                       SimOptions(t_stop=1e-11, h_init=1e-12))
+        result = simulator.run(x0=mna.initial_state())
+        assert simulator.dc_result is None
+        assert result.voltage("out")[0] == pytest.approx(0.123)
 
     def test_mosfet_diode_connected(self):
         """Diode-connected NMOS pulled up through a resistor settles above vt."""

@@ -3,9 +3,10 @@
 Requires ``hypothesis`` (skipped when absent -- the runtime stack stays
 numpy/scipy-only).  Two families of properties:
 
-* ``to_dict``/``from_dict`` of the option dataclasses round-trips exactly
+* ``to_dict``/``from_dict`` of :class:`SimOptions` round-trips exactly
   for *every* valid field combination, not just the defaults the
-  example-based tests cover;
+  example-based tests cover, and a stored retired ``newton``/``dc`` dict
+  loads exactly when every entry holds its fixed value;
 * the campaign scenario hash is a pure function of scenario *content* --
   invariant under dict insertion order and presentation metadata (name,
   tags), sensitive to everything else.
@@ -23,7 +24,7 @@ from repro.campaign.scenario import (  # noqa: E402
     Scenario,
     scenario_hash,
 )
-from repro.core.options import DCOptions, NewtonOptions, SimOptions  # noqa: E402
+from repro.core.options import RETIRED_SIM_FIELDS, SimOptions  # noqa: E402
 
 COMMON = settings(max_examples=40,
                   suppress_health_check=[HealthCheck.too_slow], deadline=None)
@@ -32,27 +33,47 @@ COMMON = settings(max_examples=40,
 positive_floats = st.floats(min_value=1e-15, max_value=1e3,
                             allow_nan=False, allow_infinity=False)
 
+#: values a stored payload might carry for a retired setting
+payload_values = st.one_of(st.integers(min_value=-10**6, max_value=10**6),
+                           st.floats(allow_nan=False), st.booleans(),
+                           st.lists(st.floats(allow_nan=False), max_size=4))
 
-newton_options = st.builds(
-    NewtonOptions,
-    max_iterations=st.integers(min_value=1, max_value=500),
-    abstol=positive_floats,
-    reltol=positive_floats,
-    residual_tol=positive_floats,
-    damping=st.floats(min_value=1e-6, max_value=1.0,
-                      allow_nan=False, exclude_min=False),
-    apply_limiting=st.booleans(),
-)
 
-dc_options = st.builds(
-    DCOptions,
-    newton=newton_options,
-    gmin_steps=st.lists(st.floats(min_value=0.0, max_value=1.0,
-                                  allow_nan=False), max_size=8),
-    source_steps=st.lists(st.floats(min_value=0.01, max_value=1.0,
-                                    allow_nan=False), max_size=8),
-    use_initial_conditions=st.booleans(),
-)
+def _leaf_paths(fixed, prefix=()):
+    """Every path to a non-dict entry of a nested fixed-value dict."""
+    for key, value in fixed.items():
+        if isinstance(value, dict):
+            yield from _leaf_paths(value, prefix + (key,))
+        else:
+            yield prefix + (key,)
+
+
+def _get(fixed, path):
+    for part in path:
+        fixed = fixed[part]
+    return fixed
+
+
+def _set(node, path, value):
+    for part in path[:-1]:
+        node = node.setdefault(part, {})
+    node[path[-1]] = value
+
+
+@st.composite
+def retired_payloads(draw, name):
+    """``(payload, changed)``: a partial nested ``name`` dict holding fixed
+    values, with at most one entry changed (``changed`` is its dotted name)."""
+    fixed = RETIRED_SIM_FIELDS[name]
+    paths = draw(st.lists(st.sampled_from(sorted(_leaf_paths(fixed))), unique=True))
+    payload = {}
+    for path in paths:
+        _set(payload, path, _get(fixed, path))
+    if not paths or not draw(st.booleans()):
+        return payload, None
+    path = draw(st.sampled_from(paths))
+    _set(payload, path, draw(payload_values.filter(lambda v: v != _get(fixed, path))))
+    return payload, ".".join((name,) + path)
 
 
 @st.composite
@@ -79,16 +100,9 @@ def sim_options(draw):
         h_max=h_max,
         err_budget=draw(positive_floats),
         mevp_tol=draw(positive_floats),
-        krylov_max_dim=draw(st.integers(min_value=2, max_value=300)),
-        correction=draw(st.booleans()),
         gamma=draw(st.floats(min_value=0.0, max_value=1.0, allow_nan=False)),
-        alpha=draw(st.floats(min_value=1e-3, max_value=0.999, allow_nan=False)),
-        beta=draw(st.floats(min_value=1.0, max_value=16.0, allow_nan=False)),
-        max_rejections=draw(st.integers(min_value=0, max_value=100)),
-        newton=draw(newton_options),
         lte_abstol=lte_abstol,
         lte_reltol=lte_reltol,
-        gshunt=draw(st.floats(min_value=0.0, max_value=1e-3, allow_nan=False)),
         max_factor_nnz=draw(st.one_of(st.none(),
                                       st.integers(min_value=1, max_value=10**9))),
         step_ladder=draw(st.sampled_from(["off", "geometric"])),
@@ -97,20 +111,31 @@ def sim_options(draw):
         store_states=draw(st.booleans()),
         observe_nodes=draw(st.lists(st.text(min_size=1, max_size=8),
                                     max_size=4)),
-        dc=draw(dc_options),
     )
 
 
 class TestOptionsRoundTrip:
     @COMMON
-    @given(options=newton_options)
-    def test_newton_options(self, options):
-        assert NewtonOptions.from_dict(options.to_dict()) == options
+    @given(case=retired_payloads("newton"))
+    def test_newton_options(self, case):
+        """A stored ``newton`` dict loads while it holds the fixed values
+        and is refused by the dotted name of any entry that does not."""
+        payload, changed = case
+        if changed is None:
+            assert SimOptions.from_dict({"newton": payload}) == SimOptions()
+        else:
+            with pytest.raises(ValueError, match=f"'{changed}' is retired"):
+                SimOptions.from_dict({"newton": payload})
 
     @COMMON
-    @given(options=dc_options)
-    def test_dc_options(self, options):
-        assert DCOptions.from_dict(options.to_dict()) == options
+    @given(case=retired_payloads("dc"))
+    def test_dc_options(self, case):
+        payload, changed = case
+        if changed is None:
+            assert SimOptions.from_dict({"dc": payload}) == SimOptions()
+        else:
+            with pytest.raises(ValueError, match=f"'{changed}' is retired"):
+                SimOptions.from_dict({"dc": payload})
 
     @COMMON
     @given(options=sim_options())

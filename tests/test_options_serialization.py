@@ -4,47 +4,89 @@ import dataclasses
 
 import pytest
 
-from repro.core.options import RETIRED_SIM_FIELDS, DCOptions, NewtonOptions, SimOptions
+from repro.core.options import RETIRED_SIM_FIELDS, SimOptions
 from repro.core.simulator import TransientSimulator
 from repro.circuit.netlist import Circuit
 from repro.circuit.sources import PWL
 
+#: ``SimOptions().to_dict()`` as written before the Newton/DC settings, the
+#: step controller, the Krylov cap, ``gshunt`` and ``correction`` were
+#: retired -- the form queued jobs, journals and older clients still carry
+PARENT_DEFAULT_PAYLOAD = {
+    "t_stop": 1e-09,
+    "t_start": 0.0,
+    "h_init": None,
+    "h_min": None,
+    "h_max": None,
+    "err_budget": 0.0001,
+    "mevp_tol": 1e-07,
+    "krylov_max_dim": 100,
+    "correction": False,
+    "gamma": 0.1,
+    "alpha": 0.5,
+    "beta": 2.0,
+    "grow_when_rejections_below": 1,
+    "grow_error_fraction": 0.25,
+    "max_rejections": 25,
+    "newton": {"max_iterations": 50, "abstol": 1e-06, "reltol": 0.001,
+               "residual_tol": 1e-09, "damping": 1.0, "apply_limiting": True},
+    "lte_abstol": 1e-06,
+    "lte_reltol": 0.001,
+    "gshunt": 0.0,
+    "max_factor_nnz": None,
+    "step_ladder": "off",
+    "h_bypass_tol": 0.0,
+    "store_states": True,
+    "observe_nodes": [],
+    "dc": {
+        "newton": {"max_iterations": 50, "abstol": 1e-06, "reltol": 0.001,
+                   "residual_tol": 1e-09, "damping": 1.0, "apply_limiting": True},
+        "gmin_steps": [0.001, 0.0001, 1e-05, 1e-06, 1e-07, 1e-08, 1e-09, 1e-10,
+                       1e-12, 0.0],
+        "source_steps": [0.1, 0.2, 0.4, 0.6, 0.8, 1.0],
+        "use_initial_conditions": False,
+    },
+}
+
+
+def rc_circuit():
+    ckt = Circuit("rc")
+    ckt.add_vsource("Vin", "in", "0", PWL([(0.0, 0.0), (0.1e-9, 1.0)]))
+    ckt.add_resistor("R1", "in", "out", 1000.0)
+    ckt.add_capacitor("C1", "out", "0", 1e-12)
+    return ckt
+
 
 class TestNewtonOptions:
+    """The retired nested ``newton`` payload: fixed values only."""
+
     def test_round_trip(self):
-        options = NewtonOptions(max_iterations=17, abstol=1e-8, damping=0.7)
-        data = options.to_dict()
-        assert data["max_iterations"] == 17
-        assert NewtonOptions.from_dict(data) == options
+        data = {"t_stop": 2e-9, "newton": dict(PARENT_DEFAULT_PAYLOAD["newton"])}
+        assert SimOptions.from_dict(data) == SimOptions(t_stop=2e-9)
 
     def test_from_dict_validates(self):
-        with pytest.raises(ValueError):
-            NewtonOptions.from_dict({"damping": 2.0})
+        with pytest.raises(ValueError, match=r"'newton\.max_iterations' is retired"):
+            SimOptions.from_dict({"newton": {"max_iterations": 9}})
+        with pytest.raises(ValueError, match=r"'newton\.damping' is retired"):
+            SimOptions.from_dict({"newton": {"damping": 0.7}})
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ValueError, match="dampng"):
-            NewtonOptions.from_dict({"dampng": 0.5})
+        with pytest.raises(ValueError, match=r"newton\.dampng"):
+            SimOptions.from_dict({"newton": {"dampng": 0.5}})
 
 
 class TestDCOptions:
-    def test_round_trip_with_nested_newton(self):
-        options = DCOptions(
-            newton=NewtonOptions(max_iterations=9),
-            gmin_steps=[1e-3, 1e-6, 0.0],
-            use_initial_conditions=True,
-        )
-        restored = DCOptions.from_dict(options.to_dict())
-        assert restored == options
-        assert isinstance(restored.newton, NewtonOptions)
+    """The retired nested ``dc`` payload, with its own ``newton`` dict."""
 
-    def test_lists_are_copied(self):
-        options = DCOptions()
-        data = options.to_dict()
-        data["gmin_steps"].append(123.0)
-        assert 123.0 not in options.gmin_steps
-        restored = DCOptions.from_dict(data)
-        data["gmin_steps"].append(456.0)
-        assert 456.0 not in restored.gmin_steps
+    def test_round_trip_with_nested_newton(self):
+        data = {"dc": PARENT_DEFAULT_PAYLOAD["dc"]}
+        assert SimOptions.from_dict(data) == SimOptions()
+        with pytest.raises(ValueError, match=r"'dc\.newton\.max_iterations' is retired"):
+            SimOptions.from_dict({"dc": {"newton": {"max_iterations": 9}}})
+        with pytest.raises(ValueError, match=r"'dc\.gmin_steps' is retired"):
+            SimOptions.from_dict({"dc": {"gmin_steps": [1e-3, 1e-6, 0.0]}})
+        with pytest.raises(ValueError, match=r"'dc\.use_initial_conditions' is retired"):
+            SimOptions.from_dict({"dc": {"use_initial_conditions": True}})
 
 
 class TestSimOptions:
@@ -56,52 +98,51 @@ class TestSimOptions:
         options = SimOptions(
             t_stop=2e-9,
             h_init=1e-12,
-            correction=True,
             gamma=0.05,
             observe_nodes=["out", "mid"],
-            newton=NewtonOptions(abstol=1e-9),
-            dc=DCOptions(newton=NewtonOptions(max_iterations=7)),
             max_factor_nnz=1234,
         )
         data = options.to_dict()
-        assert data["newton"]["abstol"] == 1e-9
-        assert data["dc"]["newton"]["max_iterations"] == 7
+        # no nested option dataclasses are left to serialize
+        assert not any(isinstance(value, dict) for value in data.values())
         restored = SimOptions.from_dict(data)
         assert restored == options
         # derived accessors still work after the round trip
         assert restored.resolved_h_init() == 1e-12
         assert restored.span == pytest.approx(2e-9)
 
+    def test_lists_are_copied(self):
+        options = SimOptions(observe_nodes=["out"])
+        data = options.to_dict()
+        data["observe_nodes"].append("mid")
+        assert options.observe_nodes == ["out"]
+        restored = SimOptions.from_dict(data)
+        data["observe_nodes"].append("in")
+        assert restored.observe_nodes == ["out", "mid"]
+
     def test_from_dict_partial(self):
-        restored = SimOptions.from_dict({"t_stop": 5e-9, "newton": {"reltol": 1e-4}})
+        restored = SimOptions.from_dict({"t_stop": 5e-9, "newton": {"reltol": 1e-3}})
         assert restored.t_stop == 5e-9
-        assert restored.newton.reltol == 1e-4
         assert restored.err_budget == SimOptions().err_budget
 
     def test_from_dict_validates(self):
-        with pytest.raises(ValueError):
-            SimOptions.from_dict({"alpha": 1.5})
+        with pytest.raises(ValueError, match="h_min must be positive"):
+            SimOptions.from_dict({"h_min": 0.0})
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="no_such_option"):
             SimOptions.from_dict({"no_such_option": 1})
 
     def test_correction_normalization_survives_round_trip(self):
-        """The er-c method flips ``correction`` on; the serialized form of
-        the normalized options must rebuild into the same behaviour."""
-        ckt = Circuit("rc")
-        ckt.add_vsource("Vin", "in", "0", PWL([(0.0, 0.0), (0.1e-9, 1.0)]))
-        ckt.add_resistor("R1", "in", "out", 1000.0)
-        ckt.add_capacitor("C1", "out", "0", 1e-12)
-
+        """The method name alone picks ER-C, so options rebuilt from their
+        dict form select the same integrator under every method."""
+        ckt = rc_circuit()
         sim = TransientSimulator(ckt, method="er-c", options=SimOptions(t_stop=1e-9))
-        assert sim.options.correction is True
         data = sim.options.to_dict()
-        assert data["correction"] is True
-
-        # plain ER with a stale correction flag gets normalized back off
-        sim2 = TransientSimulator(ckt, method="er", options=SimOptions.from_dict(data))
-        assert sim2.options.correction is False
+        assert "correction" not in data
+        restored = SimOptions.from_dict(data)
+        assert TransientSimulator(ckt, method="er-c", options=restored).integrator.correction
+        assert not TransientSimulator(ckt, method="er", options=restored).integrator.correction
 
 
 class TestSimOptionsValidation:
@@ -126,9 +167,11 @@ class TestSimOptionsValidation:
         SimOptions(h_min=1.0)
 
     def test_max_rejections_must_be_non_negative(self):
-        with pytest.raises(ValueError, match="max_rejections"):
-            SimOptions(max_rejections=-1)
-        SimOptions(max_rejections=0)
+        # the rejection limit is a constant now; a stored payload may only
+        # carry its fixed value
+        with pytest.raises(ValueError, match="'max_rejections' is retired"):
+            SimOptions.from_dict({"max_rejections": -1})
+        SimOptions.from_dict({"max_rejections": 25})
 
     @pytest.mark.parametrize("tols", [(-1e-6, 1e-3), (1e-6, -1e-3)])
     def test_lte_tolerances_must_be_non_negative(self, tols):
@@ -137,12 +180,11 @@ class TestSimOptionsValidation:
 
     @pytest.mark.parametrize("gshunt", [-1e-4, -1e-2, float("nan")])
     def test_gshunt_must_be_non_negative(self, gshunt):
-        # accepted, a negative shunt simulates an active circuit: node
-        # voltages of a passive RC ladder driven at 1 V settle near 2 V
-        with pytest.raises(ValueError, match="gshunt must be non-negative"):
-            SimOptions(gshunt=gshunt)
-        SimOptions(gshunt=0.0)
-        SimOptions(gshunt=1e-9)
+        # accepted, a negative shunt would simulate an active circuit; the
+        # shunt is gone, so a stored payload may only carry 0
+        with pytest.raises(ValueError, match="'gshunt' is retired"):
+            SimOptions.from_dict({"gshunt": gshunt})
+        SimOptions.from_dict({"gshunt": 0.0})
 
     def test_lte_tolerances_must_not_both_be_zero(self):
         with pytest.raises(ValueError, match="not both zero"):
@@ -152,20 +194,33 @@ class TestSimOptionsValidation:
 
 
 class TestRetiredFields:
-    """Payloads written before the LU-reuse knobs were retired."""
+    """Payloads written before tuning knobs became constants."""
 
     def test_retired_fields_are_gone(self):
         names = {f.name for f in dataclasses.fields(SimOptions)}
         assert not names & set(RETIRED_SIM_FIELDS)
+        assert len(names) == 15
 
     def test_table_matches_the_fixed_constants(self):
+        from repro.analysis.dc import GMIN_STEPS, SOURCE_STEPS
         from repro.core.workspace import (
             H_BYPASS_MAX_REFINEMENTS,
             H_BYPASS_REFINE_TOL,
             LinearizationCache,
         )
+        from repro.integrators.base import Integrator
         from repro.integrators.ladder import LADDER_RATIO
+        from repro.integrators.newton import NewtonSolver
+        from repro.linalg.krylov import KRYLOV_MAX_DIM
 
+        newton = {
+            "max_iterations": NewtonSolver.MAX_ITERATIONS,
+            "abstol": NewtonSolver.ABSTOL,
+            "reltol": NewtonSolver.RELTOL,
+            "residual_tol": NewtonSolver.RESIDUAL_TOL,
+            "damping": 1.0,
+            "apply_limiting": True,
+        }
         assert RETIRED_SIM_FIELDS == {
             "cache_linearization": True,
             "reuse_symbolic": True,
@@ -175,7 +230,25 @@ class TestRetiredFields:
             "h_bypass_max_refinements": H_BYPASS_MAX_REFINEMENTS,
             "lu_cache_entries": LinearizationCache.MAX_ENTRIES,
             "bypass_tol": 0.0,
+            "correction": False,
+            "alpha": Integrator.ALPHA,
+            "beta": Integrator.BETA,
+            "grow_when_rejections_below": Integrator.GROW_WHEN_REJECTIONS_BELOW,
+            "grow_error_fraction": Integrator.GROW_ERROR_FRACTION,
+            "max_rejections": Integrator.MAX_REJECTIONS,
+            "krylov_max_dim": KRYLOV_MAX_DIM,
+            "gshunt": 0.0,
+            "newton": newton,
+            "dc": {
+                "newton": newton,
+                "gmin_steps": list(GMIN_STEPS),
+                "source_steps": list(SOURCE_STEPS),
+                "use_initial_conditions": False,
+            },
         }
+
+    def test_parent_default_payload_loads(self):
+        assert SimOptions.from_dict(PARENT_DEFAULT_PAYLOAD) == SimOptions()
 
     def test_fixed_values_are_dropped(self):
         data = dict(SimOptions(t_stop=2e-9).to_dict(), **RETIRED_SIM_FIELDS)
@@ -190,12 +263,31 @@ class TestRetiredFields:
         ("h_bypass_max_refinements", 4),
         ("lu_cache_entries", 2),
         ("bypass_tol", 0.05),
+        ("correction", True),
+        ("alpha", 0.25),
+        ("beta", 1.5),
+        ("grow_when_rejections_below", 2),
+        ("grow_error_fraction", 1.0),
+        ("max_rejections", 0),
+        ("krylov_max_dim", 30),
+        ("gshunt", 1e-9),
     ])
     def test_other_values_are_refused_by_name(self, name, value):
-        with pytest.raises(ValueError, match=f"{name}.*retired"):
+        with pytest.raises(ValueError, match=f"'{name}' is retired"):
             SimOptions.from_dict({name: value})
 
+    @pytest.mark.parametrize("key", [
+        "newton.max_iterations", "newton.abstol", "dc.newton.residual_tol",
+    ])
+    def test_dotted_keys_are_checked_like_nested_ones(self, key):
+        with pytest.raises(ValueError, match=f"'{key}' is retired"):
+            SimOptions.from_dict({key: 7})
+        fixed = RETIRED_SIM_FIELDS
+        for part in key.split("."):
+            fixed = fixed[part]
+        assert SimOptions.from_dict({key: fixed}) == SimOptions()
+
     def test_caller_dict_is_not_mutated(self):
-        data = {"t_stop": 2e-9, "lu_cache_entries": 8}
+        data = {"t_stop": 2e-9, "lu_cache_entries": 8, "newton": {"abstol": 1e-6}}
         SimOptions.from_dict(data)
-        assert data == {"t_stop": 2e-9, "lu_cache_entries": 8}
+        assert data == {"t_stop": 2e-9, "lu_cache_entries": 8, "newton": {"abstol": 1e-6}}

@@ -197,13 +197,27 @@ class TestValidationAndErrors:
         assert status == 202
 
     def test_negative_gshunt_is_400(self, service):
-        # accepted, it would simulate an active circuit and report success
+        # accepted, it would simulate an active circuit and report success;
+        # the shunt is retired, so only its fixed value 0 decodes
         status, document = http(f"{service.url}/scenarios", {
             "scenario": scenario_body(),
             "base_options": dict(FAST_BASE_OPTIONS, gshunt=-1e-4),
         })
         assert status == 400
-        assert "gshunt must be non-negative" in document["error"]
+        assert "'gshunt' is retired" in document["error"]
+
+    def test_retired_nested_newton_value_is_400(self, service):
+        status, document = http(f"{service.url}/scenarios", {
+            "scenario": scenario_body(),
+            "base_options": dict(FAST_BASE_OPTIONS, newton={"max_iterations": 9}),
+        })
+        assert status == 400
+        assert "'newton.max_iterations' is retired" in document["error"]
+        status, _ = http(f"{service.url}/scenarios", {
+            "scenario": scenario_body(),
+            "base_options": dict(FAST_BASE_OPTIONS, newton={"max_iterations": 50}),
+        })
+        assert status == 202
 
     def test_invalid_priority_is_400(self, service):
         status, document = http(f"{service.url}/scenarios", {

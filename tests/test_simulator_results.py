@@ -35,13 +35,13 @@ class TestSimOptions:
 
     def test_invalid_controller_parameters(self):
         with pytest.raises(ValueError):
-            SimOptions(alpha=1.5)
-        with pytest.raises(ValueError):
-            SimOptions(beta=0.5)
-        with pytest.raises(ValueError):
             SimOptions(err_budget=0.0)
         with pytest.raises(ValueError):
-            SimOptions(krylov_max_dim=1)
+            SimOptions(mevp_tol=0.0)
+        with pytest.raises(ValueError):
+            SimOptions(step_ladder="linear")
+        with pytest.raises(ValueError):
+            SimOptions(h_bypass_tol=1.0)
 
     def test_resolved_defaults(self):
         opts = SimOptions(t_stop=1e-9)
@@ -51,9 +51,9 @@ class TestSimOptions:
 
     def test_with_updates_returns_new_object(self):
         opts = SimOptions(t_stop=1e-9)
-        updated = opts.with_updates(t_stop=2e-9, correction=True)
+        updated = opts.with_updates(t_stop=2e-9, gamma=0.2)
         assert updated.t_stop == 2e-9
-        assert updated.correction is True
+        assert updated.gamma == 0.2
         assert opts.t_stop == 1e-9  # original untouched
 
 
@@ -69,15 +69,31 @@ class TestTransientSimulatorFacade:
         assert sim2.integrator.name == "Gear2"
 
     def test_erc_method_sets_correction(self):
-        sim = TransientSimulator(rc_circuit(), method="er-c")
-        assert sim.options.correction is True
-        assert sim.integrator.name == "ER-C"
+        for method in ("er-c", "erc"):
+            sim = TransientSimulator(rc_circuit(), method=method)
+            assert sim.integrator.correction is True
+            assert sim.integrator.name == "ER-C"
 
     def test_plain_er_clears_stale_correction_flag(self):
-        sim = TransientSimulator(rc_circuit(), method="er",
-                                 options=SimOptions(correction=True))
-        assert sim.options.correction is False
+        sim = TransientSimulator(rc_circuit(), method="er")
+        assert sim.integrator.correction is False
         assert sim.integrator.name == "ER"
+        # a stored payload still asking for the correction under "er" is
+        # refused rather than silently run as plain ER
+        with pytest.raises(ValueError, match="'correction' is retired"):
+            SimOptions.from_dict({"correction": True})
+
+    def test_erc_gamma_changes_the_trajectory(self):
+        """``gamma`` reaches the Eq. 25 correction of method "er-c"."""
+        from repro.benchcircuits.inverter_chain import inverter_chain
+
+        def final_state(gamma):
+            result = simulate(inverter_chain(2), "er-c", t_stop=0.2e-9,
+                              h_init=5e-12, gamma=gamma)
+            assert result.stats.completed and result.stats.method == "ER-C"
+            return result.final_state
+
+        assert not np.array_equal(final_state(0.1), final_state(0.3))
 
     def test_accepts_prebuilt_mna(self):
         mna = rc_circuit().build()

@@ -4,8 +4,8 @@ Runs the stiff inverter chain at a fixed step with the plain ER method
 (gamma = 0) and with the ER-C correction term for several values of
 gamma, measuring the maximum waveform error against a fine-step BENR
 reference.  The paper fixes gamma = 0.1 (Algorithm 2, line 14); this
-ablation checks that the correction helps around that value and quantifies
-the sensitivity.
+ablation checks that the correction helps around that value, that the
+error falls strictly as gamma grows, and quantifies the sensitivity.
 
 Report: ``benchmarks/output/ablation_gamma.txt``.
 """
@@ -76,3 +76,6 @@ def test_gamma_render(benchmark, report_writer):
     # the corrected solution must never be dramatically worse than plain ER
     # around the paper's recommended gamma
     assert _ERRORS[0.1] < 3.0 * _ERRORS[0.0]
+    # the Eq. 25 correction points the right way: on this chain every
+    # larger gamma removes more of plain ER's error
+    assert all(_ERRORS[a] > _ERRORS[b] for a, b in zip(GAMMAS, GAMMAS[1:]))

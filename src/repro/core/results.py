@@ -92,11 +92,6 @@ class RunStatistics:
         return self.lu.num_cache_hits
 
     @property
-    def num_lu_orderings(self) -> int:
-        """Factorizations that paid for a fresh fill-reducing ordering."""
-        return self.lu.num_orderings
-
-    @property
     def num_symbolic_reuses(self) -> int:
         """Numeric refactorizations served by a pattern-matched ordering."""
         return self.lu.num_symbolic_reuses

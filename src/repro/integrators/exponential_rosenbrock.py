@@ -20,19 +20,20 @@ One accepted step at state ``x_k``, time ``t``, step size ``h``:
 
    both ``p`` and ``r`` are propagated by the same ``e^{hJ} - I``, so one
    invert-Krylov basis is built for their sum ``q = p + r`` (line 6).
-   Its convergence sweep -- like those of the error and correction
-   bases below -- is warm-started two dimensions below the dimension
-   the same vector's basis converged at on the previous build, and
-   checks every dimension from there (the first build of a run sweeps
-   cold, see :meth:`IKSBasis.ensure_converged`);
+   Its convergence sweep -- like that of the error basis below -- is
+   warm-started two dimensions below the dimension the same vector's
+   basis converged at on the previous build, and checks every dimension
+   from there (the first build of a run sweeps cold, see
+   :meth:`IKSBasis.ensure_converged`);
 4. trial solution ``x_{k+1}(h) = x_k + (e^{hJ}-I) q + h g_s``
    (Eq. 14, line 9);
 5. evaluate the devices at ``x_{k+1}`` to get ``Delta F_k`` and the local
    nonlinear error estimator (Eq. 15/24)
    ``err = (e^{hJ} - I) w_e`` with ``w_e = -G_k^{-1} Delta F_k``
    (lines 10-11), requiring one more invert-Krylov basis;
-6. for ER-C (method ``"er-c"``) apply the phi_2 correction term
-   (Eq. 16-17/25, lines 12-15), which needs one further basis;
+6. for ER-C (method ``"er-c"``) add the phi_2 correction term
+   (Eq. 16-17/25, lines 12-15) from the error basis of step 5 -- no
+   further solve and no further basis (derivation below);
 7. if ``||err||_inf`` exceeds the budget, shrink ``h`` by ``alpha`` and go
    back to step 4 *reusing the basis of step 3*: the step size only enters
    the small dense exponential ``e^{h H_m^{-1}}``, so no LU and no Arnoldi
@@ -40,6 +41,34 @@ One accepted step at state ``x_k``, time ``t``, step size ``h``:
    BENR, where every step-size change re-factorizes ``C/h + G``;
 8. on acceptance, grow the next step by ``beta`` when the step needed no
    (or few) rejections (lines 22-25).
+
+The ER-C correction.  With the nonlinear remainder
+``Delta F(x) = G_k (x - x_k) - (f(x) - f_k)`` (Eq. 16) the circuit
+equation ``C x' = -f(x) + B u`` reads exactly
+
+    x' = J (x - x_k) + C^{-1} (B u - f_k) + C^{-1} Delta F(x).
+
+ER drops the last term.  ER-C takes it as linear in time over the step,
+``Delta F(t_k + s) ~ (s / h) Delta F_k`` with
+``Delta F_k = Delta F(x_{k+1})`` (Eq. 17), and variation of constants
+adds
+
+    int_0^h e^{(h-s)J} C^{-1} (s/h) Delta F_k ds = h phi_2(hJ) C^{-1} Delta F_k
+
+to the ER solution -- with a plus sign, as the remainder enters the
+equation above.  The vector ``w_e = -G_k^{-1} Delta F_k`` of the error
+estimate satisfies ``J w_e = C^{-1} Delta F_k`` (``J = -C^{-1} G_k``),
+and ``phi_1(z) = 1 + z phi_2(z)`` gives
+
+    h phi_2(hJ) C^{-1} Delta F_k = (phi_1(hJ) - I) w_e
+                                 = h phi_1(hJ) w_e / h - w_e,
+
+where ``h phi_1(hJ) w_e`` comes from the error basis built on ``w_e`` in
+the projected space (:meth:`IKSBasis.phi1_times`).  So one vector, one
+basis, gives both the Eq. 24 estimate and the Eq. 25 correction, applied
+as ``x_{k+1} += gamma * phi2_term`` (``gamma = 0.1`` in the paper).  The
+sign and the phi_2 weight are those of the exponential Rosenbrock
+schemes of Hochbruck, Ostermann & Schweitzer (SIAM J. Numer. Anal. 2009).
 """
 
 from __future__ import annotations
@@ -75,7 +104,7 @@ class ExponentialRosenbrockEuler(Integrator):
             self.name = "ER-C"
             self.stats.method = self.name
         #: converged dimension of the last basis built per step vector:
-        #: ``q`` (Eq. 14), ``e`` (Eq. 24 error) and ``c`` (Eq. 25 correction)
+        #: ``q`` (Eq. 14) and ``e`` (Eq. 24 error, also the Eq. 25 correction)
         self._last_dim: dict = {}
 
     def prepare(self, x0: np.ndarray, t0: float) -> None:
@@ -161,15 +190,12 @@ class ExponentialRosenbrockEuler(Integrator):
                 w_e = np.zeros_like(x)
                 err_norm = 0.0
 
-            # Lines 12-15: ER-C correction term (Eq. 25), reusing Delta F.
+            # Lines 12-15: ER-C correction term (Eq. 25) from the error
+            # basis: phi2_term equals h * phi_2(hJ) C^{-1} Delta F (module
+            # docstring), added with the sign of its derivation.
             if self.correction and np.linalg.norm(delta_f) > 0.0:
-                c = -lu_G.solve(np.asarray(ev.C @ w_e).ravel())
-                basis_c = self._build_basis(iks, "c", c, h_try)
-                krylov_dims.append(basis_c.dimension)
-                # phi2_term equals h * phi_2(hJ) C^{-1} Delta F, so the
-                # correction D_k of Eq. 16 is gamma * phi2_term.
-                phi2_term = (self._propagated_difference(basis_c, c, h_try) / h_try) - w_e
-                x_new = x_new - opts.gamma * phi2_term
+                phi2_term = basis_e.phi1_times(h_try, w_e) / h_try - w_e
+                x_new = x_new + opts.gamma * phi2_term
 
             # Line 16: accept or shrink.
             if err_norm <= opts.err_budget:

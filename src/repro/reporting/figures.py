@@ -42,16 +42,6 @@ class Figure1Report:
     bandwidth_G: float
 
     @property
-    def fill_ratio_G(self) -> float:
-        """Fill-in of the G factors relative to nnz(G)."""
-        return self.nnz_LU_G / max(self.nnz_G, 1)
-
-    @property
-    def fill_ratio_ChG(self) -> float:
-        """Fill-in of the (C/h + G) factors relative to nnz(C/h + G)."""
-        return self.nnz_LU_ChG / max(self.nnz_C + self.nnz_G, 1)
-
-    @property
     def factor_advantage(self) -> float:
         """How much smaller the G factors are than the (C/h + G) factors."""
         return self.nnz_LU_ChG / max(self.nnz_LU_G, 1)

@@ -3,9 +3,8 @@
 A dashboard over the :mod:`repro.service` HTTP API.  The package is a
 thin vertical slice with three layers:
 
-* :mod:`repro.watch.client` -- a polling client over ``/stats``,
-  ``/metrics``, ``/campaigns`` and the NDJSON campaign streams, which
-  digests each poll into a :class:`~repro.watch.client.FleetSnapshot`
+* :mod:`repro.watch.client` -- a polling client over ``/healthz``,
+  ``/stats``, ``/metrics`` and ``/campaigns``, which digests each poll into a :class:`~repro.watch.client.FleetSnapshot`
   (queue depth, per-worker state, campaign progress, and rates derived
   from successive counter readings: steps/sec, simulations/sec,
   cache-hit and coalescing fractions).

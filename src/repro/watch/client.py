@@ -1,10 +1,9 @@
 """Polling client layer of the watch dashboard.
 
 The client wraps the service's observability surface -- ``/healthz``,
-``/stats``, ``/metrics``, ``/campaigns`` and the per-campaign NDJSON
-streams -- behind one call, :meth:`WatchClient.poll`, which returns a
-:class:`FleetSnapshot`.  Rates (steps/sec, simulations/sec) cannot be
-read off any single scrape; the client keeps a bounded history of
+``/stats``, ``/metrics`` and ``/campaigns`` -- behind one call,
+:meth:`WatchClient.poll`, which returns a :class:`FleetSnapshot`.  Rates
+(steps/sec, simulations/sec) cannot be read off any single scrape; the client keeps a bounded history of
 counter readings and differentiates successive polls, so a snapshot
 carries both the instantaneous fleet state and short rate series ready
 for sparklines.
@@ -21,7 +20,7 @@ import urllib.error
 import urllib.request
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterator, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.telemetry.prometheus import ParsedMetrics, parse_text
 
@@ -185,23 +184,6 @@ class WatchClient:
 
     def metrics(self) -> ParsedMetrics:
         return parse_text(self._fetch("/metrics").decode("utf-8"))
-
-    def stream_campaign(self, campaign_id: str,
-                        timeout: Optional[float] = None) \
-            -> Iterator[Dict[str, object]]:
-        """Yield NDJSON events of one campaign stream as they land."""
-        request = urllib.request.Request(
-            f"{self.url}/campaigns/{campaign_id}/stream",
-            headers=self._headers())
-        try:
-            with urllib.request.urlopen(
-                    request, timeout=timeout or self.timeout) as response:
-                for line in response:
-                    line = line.strip()
-                    if line:
-                        yield json.loads(line.decode("utf-8"))
-        except (urllib.error.URLError, OSError, TimeoutError) as exc:
-            raise WatchError(f"stream {campaign_id}: {exc}") from exc
 
     # -- the poll ----------------------------------------------------------------------
 

@@ -23,7 +23,8 @@ Usage::
 
 ``--check`` enforces the acceptance targets on the headline case (ER on
 the PWL-ramp-driven RC mesh): >= 3x steps/sec with the cache on, O(1) LU
-factorizations per run, and bit-identical trajectories.
+factorizations per run, at most one invert-Krylov basis per input plus
+one (the linear superposition), and bit-identical trajectories.
 """
 
 from __future__ import annotations
@@ -129,6 +130,7 @@ def mode_record(result) -> dict:
         "steps_per_second": stats.num_steps / runtime if runtime > 0 else None,
         "lu_factorizations": stats.lu.num_factorizations,
         "lu_reused": stats.lu.num_reused,
+        "krylov_builds": stats.mevp.num_evaluations - stats.mevp.num_basis_reuses,
         "avg_krylov_dim": round(stats.average_krylov_dimension, 2),
     }
 
@@ -150,6 +152,7 @@ def bench_case(name, factory, params, sim_kwargs, repeats):
             "case": name,
             "method": off.stats.method,
             "n": mna.n,
+            "inputs": mna.num_inputs,
             "uncached": off_rec,
             "cached": on_rec,
             "speedup": speedup,
@@ -196,6 +199,13 @@ def check_acceptance(rows, smoke: bool) -> list:
         )
     if row["cached"]["lu_reused"] < row["cached"]["steps"] - 1:
         failures.append("headline cached run under-reports LU reuses")
+    # linear PWL circuit: one basis per input (plus one for a start away
+    # from the DC point), however many steps the run takes
+    if row["cached"]["krylov_builds"] > row["inputs"] + 1:
+        failures.append(
+            f"headline cached run built {row['cached']['krylov_builds']} Krylov "
+            f"bases for {row['inputs']} inputs (expected at most inputs + 1)"
+        )
     return failures
 
 
@@ -243,8 +253,8 @@ def main(argv=None) -> int:
             for failure in failures:
                 print(f"CHECK FAILED: {failure}", file=sys.stderr)
             return 1
-        targets = "O(1) LU, trajectories <= 1e-12" if args.smoke \
-            else "headline >= 3x, O(1) LU, trajectories <= 1e-12"
+        targets = "O(1) LU, bases <= inputs + 1, trajectories <= 1e-12" if args.smoke \
+            else "headline >= 3x, O(1) LU, bases <= inputs + 1, trajectories <= 1e-12"
         print(f"acceptance checks passed ({targets})")
 
     if args.history is not False:

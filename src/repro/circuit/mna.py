@@ -362,6 +362,13 @@ class MNASystem:
     def source_slope(self, t0: float, t1: float) -> np.ndarray:
         """Return the Eq. (13) excitation slope ``B du/dt`` for ``[t0, t1]``.
 
+        ``du/dt`` is :meth:`input_slopes`.
+        """
+        return np.asarray(self.B @ self.input_slopes(t0, t1)).ravel()
+
+    def input_slopes(self, t0: float, t1: float) -> np.ndarray:
+        """Return the Eq. (13) slope ``du/dt`` of every input for ``[t0, t1]``.
+
         Piecewise-linear waveforms (PWL, PULSE, DC) contribute their exact
         analytic segment slope -- a constant, bit-identical value for every
         step inside one segment.  It is evaluated at the
@@ -376,15 +383,14 @@ class MNASystem:
         never steps across a breakpoint by more than rounding.
         """
         if self.num_inputs == 0:
-            return np.asarray(self.B @ np.zeros(1)).ravel()
+            return np.zeros(1)
         h = t1 - t0
         mid = 0.5 * (t0 + t1)
-        du = np.array([
+        return np.array([
             w.slope(mid) if w.is_piecewise_linear
             else (w.value(t1) - w.value(t0)) / h
             for w in self._waveforms
         ])
-        return np.asarray(self.B @ du).ravel()
 
     def breakpoints(self, t_end: float) -> List[float]:
         """Sorted source breakpoints in ``(0, t_end)`` (see Eq. 13 discussion)."""

@@ -69,17 +69,147 @@ basis, gives both the Eq. 24 estimate and the Eq. 25 correction, applied
 as ``x_{k+1} += gamma * phi2_term`` (``gamma = 0.1`` in the paper).  The
 sign and the phi_2 weight are those of the exponential Rosenbrock
 schemes of Hochbruck, Ostermann & Schweitzer (SIAM J. Numer. Anal. 2009).
+
+Linear circuits with piecewise-linear inputs: superposition.  With no
+nonlinear device and every input piecewise linear (PWL, PULSE, DC) the
+solution is known in closed form -- the MATEX decomposition of the
+paper's linear predecessor (Zhuang, Weng, Lin & Cheng, DAC 2014):
+
+    x(t) = G^{-1} B u(t0) + e^{(t - t0) J} d
+           + sum_i sum_j ds_ij R_i(t - tau_ij),
+
+with ``d = x0 - G^{-1} B u(t0)`` (zero up to rounding after a DC
+solve, the ``.ic`` offset of a UIC start), ``ds_ij`` the change of input
+``i``'s Eq. 13 slope at ``tau_ij`` and ``R_i(t) = (e^{tJ} - I) r_i + t g_i``
+its unit-ramp response, ``g_i = G^{-1} b_i`` and ``r_i = G^{-1} C g_i``.
+Every term of input ``i`` is propagated by one invert-Krylov basis on
+``r_i``, built at the input's first nonzero slope and extended only when
+a later time needs more dimensions; ``d`` gets one more.  The step loop,
+its time points and lines 4-5 of Algorithm 2 are those of stepping ER
+(``Delta F`` is identically zero, so every step is accepted and the next
+one grows by ``beta``); only ``x(t + h)`` comes from the sum instead of
+from Eq. 14.  Each input's basis converges on the Eq. 22 residual of its
+combined response (:class:`~repro.linalg.invert_krylov.Lags`), in state
+units against ``mevp_tol``.  The exact ``J`` of a passive circuit has no
+growing mode, so a basis accepted with one (``Re lambda(H_m^{-1}) > 0``)
+carries a projection artefact that a long lag would amplify: the run
+then continues from its current state with Eq. 14 stepping, as it does
+when a basis reaches the dimension cap unconverged.
 """
 
 from __future__ import annotations
+
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.core.results import StepRecord
 from repro.integrators.base import ConvergenceError, Integrator, StepOutcome
-from repro.linalg.invert_krylov import IKSBasis, InvertKrylovMEVP
+from repro.linalg.invert_krylov import IKSBasis, InvertKrylovMEVP, Lags
 
 __all__ = ["ExponentialRosenbrockEuler"]
+
+
+class _Response:
+    """One propagated vector of the superposition and its lag set."""
+
+    def __init__(self, vector: np.ndarray):
+        #: the vector until its basis is built (then ``beta V_m e_1``)
+        self.vector: Optional[np.ndarray] = vector
+        self.lags = Lags()
+        #: invert-Krylov basis on the vector, built at its first evaluation
+        #: (never for a zero vector, whose propagation is zero)
+        self.basis: Optional[IKSBasis] = None
+        self.is_zero = not np.any(vector)
+
+
+class _Superposition:
+    """The closed-form linear PWL solution of the module docstring.
+
+    Built at the first step from that step's ``G`` factorization.
+    :meth:`advance` returns ``x(t + h)`` and the dimensions of the bases it
+    evaluated, or None when a basis cannot serve ``t + h`` (the caller
+    then steps).
+    """
+
+    def __init__(self, mna, iks: InvertKrylovMEVP, x0: np.ndarray, t0: float,
+                 tol: float):
+        self.mna = mna
+        self.iks = iks
+        self.tol = tol
+        self.x_dc = iks.lu_G.solve(mna.source_vector(t0))
+        #: per input: the Eq. 13 slope of the last step, and
+        #: ``sum_j ds_j (t - tau_j)`` over its ramp terms
+        self.slopes = np.zeros(max(mna.num_inputs, 1))
+        self.ramps = np.zeros_like(self.slopes)
+        #: per input, from its first nonzero slope on: ``(g_i, response on r_i)``
+        self.inputs: Dict[int, Tuple[np.ndarray, _Response]] = {}
+        #: ``e^{(t - t0) J} d``; None when ``x0`` is ``G^{-1} B u(t0)`` exactly
+        self.offset: Optional[_Response] = None
+        #: largest basis dimension so far: the initial storage of the next
+        #: basis, and the storage every basis is trimmed to at most
+        self.capacity = 0
+        d = np.asarray(x0, dtype=float) - self.x_dc
+        if np.any(d):
+            self.offset = _Response(d)
+            self.offset.lags.add(t0, 1.0)
+
+    def _evaluate(self, response: _Response, t: float) -> Optional[np.ndarray]:
+        """Return ``sum_j w_j e^{(t - tau_j) J} v`` for ``response``; None
+        when its basis is accepted unconverged or with a growing mode."""
+        lags = response.lags.at(t)
+        basis = response.basis
+        if basis is None:
+            # the inputs of one circuit converge at similar dimensions: the
+            # sweep starts near the largest basis so far, and storage for
+            # it spares most growth copies (and the later extensions of the
+            # smaller ones)
+            start = max(1, self.capacity - ExponentialRosenbrockEuler.WARM_START_BACKOFF)
+            basis = response.basis = self.iks.build(
+                response.vector, lags, tol=self.tol, start=start,
+                capacity=self.capacity)
+            response.vector = None
+            self.capacity = max(self.capacity, basis.dimension)
+        else:
+            basis.ensure_converged(lags, self.tol, start=basis.dimension)
+            self.iks.stats.record(basis.dimension, basis.converged)
+            self.iks.stats.num_basis_reuses += 1
+        basis.trim(self.capacity)
+        if not basis.converged or basis.has_growing_mode():
+            return None
+        return basis.mevp(lags)
+
+    def advance(self, t: float, h: float):
+        t_new = t + h
+        lu_G = self.iks.lu_G
+        slopes = self.mna.input_slopes(t, t_new)
+        for i in np.flatnonzero(slopes != self.slopes):
+            if i not in self.inputs:
+                g = lu_G.solve(self.mna.B[:, [i]].toarray().ravel())
+                r = lu_G.solve(np.asarray(self.iks.C @ g).ravel())
+                self.inputs[i] = (g, _Response(r))
+            self.inputs[i][1].lags.add(t, slopes[i] - self.slopes[i])
+        self.slopes = slopes
+        self.ramps = self.ramps + slopes * h
+
+        x = self.x_dc.copy()
+        dims = []
+        responses = [] if self.offset is None else [(0.0, self.offset)]
+        for i, (g, response) in self.inputs.items():
+            x += self.ramps[i] * g
+            responses.append((slopes[i], response))
+        for slope, response in responses:
+            if response.is_zero:
+                continue
+            propagated = self._evaluate(response, t_new)
+            if propagated is None:
+                return None
+            x += propagated
+            if slope:
+                # the -I of sum_j ds_j (e^{(t - tau_j) J} - I) r_i
+                x -= slope * response.basis.start_vector()
+            dims.append(response.basis.dimension)
+        return x, dims
 
 
 class ExponentialRosenbrockEuler(Integrator):
@@ -106,9 +236,16 @@ class ExponentialRosenbrockEuler(Integrator):
         #: converged dimension of the last basis built per step vector:
         #: ``q`` (Eq. 14) and ``e`` (Eq. 24 error, also the Eq. 25 correction)
         self._last_dim: dict = {}
+        #: whether the run is still solved by superposition (module
+        #: docstring), and its state once the first step has built it
+        self._superpose = False
+        self._superposition: Optional[_Superposition] = None
 
     def prepare(self, x0: np.ndarray, t0: float) -> None:
         self._last_dim = {}
+        self._superpose = not self.mna.has_nonlinear and all(
+            w.is_piecewise_linear for w in self.mna.waveforms)
+        self._superposition = None
 
     # -- helpers ------------------------------------------------------------------------
 
@@ -143,6 +280,25 @@ class ExponentialRosenbrockEuler(Integrator):
         lu_G = self.cache.lu(("G",), ev.G, stats=self.stats.lu,
                              max_factor_nnz=opts.max_factor_nnz, label="G")
         iks = InvertKrylovMEVP(ev.C, ev.G, lu_G, stats=self.stats.mevp)
+
+        if self._superpose:
+            if self._superposition is None:
+                self._superposition = _Superposition(self.mna, iks, x, t, opts.mevp_tol)
+            superposed = self._superposition.advance(t, h)
+            if superposed is not None:
+                x_new, krylov_dims = superposed
+                if not np.all(np.isfinite(x_new)):
+                    raise ConvergenceError(
+                        f"ER superposition produced a non-finite state at t={t:g}"
+                    )
+                # Delta F is identically zero: no rejection, and the step
+                # grows by beta exactly as a stepping ER step would
+                record = StepRecord(t=t + h, h=h, krylov_dimensions=krylov_dims)
+                return StepOutcome(x=x_new, h_used=h, h_next=self.BETA * h,
+                                   record=record)
+            # a basis cannot serve t + h: Eq. 14 stepping from x on
+            self._superpose = False
+            self._superposition = None
 
         # Line 6: the step vector q = p + r and its Krylov basis (reusable
         # across h).  The Eq. 13 slope of the excitation: for piecewise-linear

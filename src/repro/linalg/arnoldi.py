@@ -55,6 +55,8 @@ class ArnoldiProcess:
         Maximum subspace dimension (storage is allocated up front).
     reorthogonalize:
         Run a second Gram-Schmidt pass (default True).
+    capacity:
+        Initial storage, in basis vectors (grown geometrically as needed).
     """
 
     #: relative tolerance below which ``h_{j+1,j}`` is treated as a breakdown:
@@ -70,6 +72,7 @@ class ArnoldiProcess:
         v0: np.ndarray,
         max_dim: int = 100,
         reorthogonalize: bool = True,
+        capacity: int = 16,
     ):
         v0 = np.asarray(v0, dtype=float).ravel()
         self.n = v0.shape[0]
@@ -83,7 +86,7 @@ class ArnoldiProcess:
         # Storage grows geometrically up to max_dim: most bases converge at
         # a few tens of dimensions, so eagerly zeroing an (n, max_dim + 1)
         # array per basis would dominate small builds.
-        self._capacity = min(self.max_dim, 16)
+        self._capacity = max(1, min(self.max_dim, int(capacity)))
         self.V = np.zeros((self.n, self._capacity + 1))
         self.H = np.zeros((self._capacity + 1, self._capacity))
         self.m = 0
@@ -149,6 +152,18 @@ class ArnoldiProcess:
             raise ArnoldiBreakdown(self.m)
         self.V[:, j + 1] = w / h_next
         return self.m
+
+    def trim(self, capacity: int = 0) -> None:
+        """Shrink the storage to ``max(m, capacity)`` basis vectors.
+
+        A basis kept for a whole run should not hold the spare columns of
+        the geometric growth; a later :meth:`extend` grows it again.
+        """
+        keep = max(self.m, int(capacity), 1)
+        if self._capacity > keep:
+            self.V = self.V[:, :keep + 1].copy()
+            self.H = self.H[:keep + 1, :keep].copy()
+            self._capacity = keep
 
     # -- views -------------------------------------------------------------------------
 

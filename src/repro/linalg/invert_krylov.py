@@ -29,12 +29,20 @@ exponential, a built basis is valid for every ``h``: when the integrator
 rejects a step and shrinks ``h`` it simply re-evaluates
 :meth:`IKSBasis.mevp` -- no new LU factorization, no new Arnoldi run
 (the "(time-step) scaling-invariant property" the paper exploits).
+
+The same property lets one basis serve a whole linear transient.  A
+:class:`Lags` set stands for ``sum_j w_j e^{(t - tau_j) J} v`` -- the
+combined response of one input's ramp terms in the MATEX superposition
+(Zhuang, Weng, Lin & Cheng, DAC 2014) -- and every evaluation and
+convergence check accepts it where it accepts a scalar ``h`` (the one-lag
+case).  Through the eigen-decomposition of ``H_m`` a lag set is
+propagated mode by mode, so moving it to a later time costs O(m).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -44,7 +52,124 @@ from repro.linalg.krylov import KRYLOV_MAX_DIM, MEVPStats
 from repro.linalg.phi import expm_dense
 from repro.linalg.sparse_lu import SparseLU
 
-__all__ = ["IKSBasis", "InvertKrylovMEVP"]
+__all__ = ["IKSBasis", "InvertKrylovMEVP", "Lags"]
+
+
+class _Modes:
+    """Eigen-decomposition of ``H_m`` -- the DAE-limit kernel of ``e^{h H_m^{-1}}``.
+
+    ``H_m = W diag(mu) W^{-1}``, so ``e^{h H_m^{-1}} e_1 = W (f * c)`` with
+    ``f = e^{h / mu}`` and ``c = W^{-1} e_1``.  Modes whose projected
+    eigenvalue ``mu`` is (numerically) zero are the algebraic DAE modes of
+    a circuit with singular capacitance matrix: they relax instantly,
+    ``exp(h/mu) -> 0``.  Modes whose exponent would *grow* enormously over
+    one step can only be rounding artefacts of that same near-singularity
+    in a passive circuit and are treated the same way.
+    """
+
+    def __init__(self, Hm: np.ndarray):
+        m = Hm.shape[0]
+        e1 = np.zeros(m)
+        e1[0] = 1.0
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            self.eigvals, self.eigvecs = np.linalg.eig(Hm)
+            self.coeffs = np.linalg.solve(self.eigvecs, e1.astype(complex))
+            scale = np.max(np.abs(self.eigvals)) if m else 1.0
+            self.tiny = np.abs(self.eigvals) <= 1e-13 * max(scale, 1e-300)
+            self.safe_eigvals = np.where(self.tiny, 1.0, self.eigvals)
+        self._well_conditioned: Optional[bool] = None
+
+    @property
+    def well_conditioned(self) -> bool:
+        """Whether ``W`` is safe to propagate through (else use ``expm``)."""
+        if self._well_conditioned is None:
+            # 1-norm condition estimate, as for H_m^{-1} below
+            try:
+                inverse = np.linalg.inv(self.eigvecs)
+            except np.linalg.LinAlgError:
+                inverse = np.full_like(self.eigvecs, np.inf)
+            cond = np.linalg.norm(self.eigvecs, 1) * np.linalg.norm(inverse, 1)
+            self._well_conditioned = bool(np.isfinite(cond) and cond < 1e8)
+        return self._well_conditioned
+
+    @property
+    def has_growing_mode(self) -> bool:
+        """Whether some ``Re lambda(H_m^{-1}) = Re(1/mu)`` is positive."""
+        return bool(np.any(~self.tiny & (self.eigvals.real > 0.0)))
+
+    def factors(self, h: float) -> np.ndarray:
+        """Return ``e^{h / mu}`` per mode, with the DAE limit."""
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            exponent = h / self.safe_eigvals
+            spurious = self.tiny | (exponent.real > 50.0)
+            exponent = np.clip(exponent.real, -745.0, 50.0) + 1j * exponent.imag
+            return np.where(spurious, 0.0, np.exp(exponent))
+
+    def sums(self, fvals: np.ndarray) -> Tuple[np.ndarray, float]:
+        """Return ``(W (f * c),  e_m^T H_m^{-1} W (f * c))`` for modal weights ``f``."""
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            gvals = np.where(self.tiny, 0.0, fvals / self.safe_eigvals)
+            col = np.real(self.eigvecs @ (fvals * self.coeffs))
+            res_vec = np.real(self.eigvecs @ (gvals * self.coeffs))
+        return col, float(res_vec[-1])
+
+
+class Lags:
+    """A weighted set of lags: ``sum_j w_j e^{(t - tau_j) J} v`` at one time ``t``.
+
+    Terms are added in non-decreasing ``tau`` and the set is moved forward
+    with :meth:`at`.  A lag set serves one :class:`IKSBasis`: per basis
+    dimension it keeps the terms folded into modal weights anchored at
+    the latest ``tau``, ``F = sum_j w_j e^{(tau_last - tau_j) / mu}``, so
+    an evaluation at ``t`` is the O(m) product ``e^{(t - tau_last) / mu} F``
+    and a new term folds in at O(m) too.  A dimension met for the first
+    time is folded from the whole term list.
+    """
+
+    def __init__(self):
+        self.taus: List[float] = []
+        self.weights: List[float] = []
+        self.t = 0.0
+        #: per dimension: (folded modal weights, terms folded, anchor tau)
+        self._folds: Dict[int, Tuple[np.ndarray, int, float]] = {}
+        #: per dimension: the last :meth:`propagate` and its (t, terms) key
+        self._last: Dict[int, Tuple[Tuple[float, int], Tuple[np.ndarray, float]]] = {}
+
+    def add(self, tau: float, weight: float) -> None:
+        if self.taus and tau < self.taus[-1]:
+            raise ValueError("lag terms must be added in time order")
+        self.taus.append(float(tau))
+        self.weights.append(float(weight))
+
+    def at(self, t: float) -> "Lags":
+        """Move the evaluation time to ``t``; returns ``self``."""
+        self.t = float(t)
+        return self
+
+    def terms(self) -> List[Tuple[float, float]]:
+        """Return ``(lag, weight)`` pairs at the current time."""
+        return [(self.t - tau, w) for tau, w in zip(self.taus, self.weights)]
+
+    def propagate(self, m: int, modes: _Modes) -> Tuple[np.ndarray, float]:
+        """Return :meth:`_Modes.sums` of :meth:`modal` -- the weighted
+        ``e^{t_j H_m^{-1}} e_1`` and its Eq. 22 scalar -- once per time."""
+        key = (self.t, len(self.taus))
+        last = self._last.get(m)
+        if last is None or last[0] != key:
+            last = self._last[m] = (key, modes.sums(self.modal(m, modes)))
+        return last[1]
+
+    def modal(self, m: int, modes: _Modes) -> np.ndarray:
+        """Return ``sum_j w_j e^{(t - tau_j) / mu}`` in the modes of ``H_m``."""
+        folded, count, anchor = self._folds.get(
+            m, (np.zeros(m, dtype=complex), 0, self.taus[0]))
+        for tau, weight in zip(self.taus[count:], self.weights[count:]):
+            if tau > anchor:
+                folded = folded * modes.factors(tau - anchor)
+            folded = folded + weight
+            anchor = tau
+        self._folds[m] = (folded, len(self.taus), anchor)
+        return folded * modes.factors(self.t - anchor)
 
 
 class IKSBasis:
@@ -86,6 +211,9 @@ class IKSBasis:
         self._hinv_cache: Dict[int, Optional[np.ndarray]] = {}
         self._propagator_cache: "OrderedDict[Tuple[int, float], Tuple[np.ndarray, float]]" = OrderedDict()
         self._gv_norm_cache: Dict[int, float] = {}
+        self._modes_cache: Dict[int, _Modes] = {}
+        #: outcome of the last :meth:`ensure_converged`
+        self.converged = False
 
     # -- small dense helpers ----------------------------------------------------------
 
@@ -97,6 +225,10 @@ class IKSBasis:
     def is_zero(self) -> bool:
         """True when the MEVP argument was the zero vector."""
         return self.beta == 0.0
+
+    def start_vector(self) -> np.ndarray:
+        """Return the vector the basis was built on, ``beta V_m e_1``."""
+        return self.beta * self._process.V[:, 0]
 
     def _hessenberg_inverse(self, m: int) -> Optional[np.ndarray]:
         """Return ``H_m^{-1}``; None if ``H_m`` is (numerically) singular."""
@@ -117,7 +249,12 @@ class IKSBasis:
         self._hinv_cache[m] = hinv
         return hinv
 
-    def _propagator(self, m: int, h: float) -> Tuple[np.ndarray, float]:
+    def _modes(self, m: int) -> _Modes:
+        if m not in self._modes_cache:
+            self._modes_cache[m] = _Modes(self._process.hessenberg(m))
+        return self._modes_cache[m]
+
+    def _propagator(self, m: int, h: Union[float, Lags]) -> Tuple[np.ndarray, float]:
         """Return ``(e^{h H_m^{-1}} e_1,  e_m^T H_m^{-1} e^{h H_m^{-1}} e_1)``.
 
         For a well-conditioned ``H_m`` the dense inverse + matrix exponential
@@ -127,17 +264,28 @@ class IKSBasis:
         capacitance matrix) -- the propagator is evaluated through the
         eigen-decomposition with the correct DAE limit ``exp(h/lambda) -> 0``
         as ``lambda -> 0^-``: the algebraic modes relax instantly and
-        contribute nothing to the propagated state.
+        contribute nothing to the propagated state (:class:`_Modes`).
+
+        A :class:`Lags` set returns the weighted sums over its lags: through
+        the eigen-decomposition when its eigenvectors are well conditioned,
+        otherwise lag by lag.
         """
+        if isinstance(h, Lags):
+            modes = self._modes(m)
+            if modes.well_conditioned:
+                return h.propagate(m, modes)
+            col, scalar = np.zeros(m), 0.0
+            for lag, weight in h.terms():
+                lag_col, lag_scalar = self._propagator(m, lag)
+                col = col + weight * lag_col
+                scalar += weight * lag_scalar
+            return col, scalar
         key = (m, float(h))
         cached = self._propagator_cache.get(key)
         if cached is not None:
             self._propagator_cache.move_to_end(key)
             return cached
 
-        Hm = self._process.hessenberg(m)
-        e1 = np.zeros(m)
-        e1[0] = 1.0
         hinv = self._hessenberg_inverse(m)
         col: Optional[np.ndarray] = None
         res_scalar = np.inf
@@ -150,26 +298,9 @@ class IKSBasis:
             else:
                 col = None
         if col is None:
-            # Eigenvalue-based evaluation with the singular-mode limit.  Modes
-            # whose projected eigenvalue is (numerically) zero are the
-            # algebraic DAE modes: they relax instantly, exp(h/lambda) -> 0.
-            # Modes whose exponent would *grow* enormously over one step can
-            # only be rounding artefacts of that same near-singularity in a
-            # passive circuit and are treated the same way.
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                eigvals, eigvecs = np.linalg.eig(Hm)
-                coeffs = np.linalg.solve(eigvecs, e1.astype(complex))
-                scale = np.max(np.abs(eigvals)) if m else 1.0
-                tiny = np.abs(eigvals) <= 1e-13 * max(scale, 1e-300)
-                safe_eigvals = np.where(tiny, 1.0, eigvals)
-                exponent = h / safe_eigvals
-                spurious = tiny | (exponent.real > 50.0)
-                exponent = np.clip(exponent.real, -745.0, 50.0) + 1j * exponent.imag
-                fvals = np.where(spurious, 0.0, np.exp(exponent))
-                gvals = np.where(spurious, 0.0, fvals / safe_eigvals)
-                col = np.real(eigvecs @ (fvals * coeffs))
-                res_vec = np.real(eigvecs @ (gvals * coeffs))
-                res_scalar = float(res_vec[m - 1])
+            # eigenvalue-based evaluation with the singular-mode limit
+            modes = self._modes(m)
+            col, res_scalar = modes.sums(modes.factors(h))
             if not np.all(np.isfinite(col)):
                 raise np.linalg.LinAlgError(
                     f"invert-Krylov propagator evaluation failed at dimension {m}"
@@ -188,8 +319,11 @@ class IKSBasis:
 
     # -- Eq. 20 / Eq. 22 ------------------------------------------------------------------
 
-    def mevp(self, h: float, m: Optional[int] = None) -> np.ndarray:
-        """Return the approximation of ``e^{hJ} v`` (Eq. 20) at dimension ``m``."""
+    def mevp(self, h: Union[float, Lags], m: Optional[int] = None) -> np.ndarray:
+        """Return the approximation of ``e^{hJ} v`` (Eq. 20) at dimension ``m``.
+
+        For a :class:`Lags` set: ``sum_j w_j e^{t_j J} v``.
+        """
         if self.is_zero:
             return np.zeros(self._process.n)
         m = self.dimension if m is None else int(m)
@@ -198,8 +332,14 @@ class IKSBasis:
         col, _ = self._propagator(m, h)
         return self.beta * (self._process.basis(m) @ col)
 
-    def residual_norm(self, h: float, m: Optional[int] = None) -> float:
-        """Return ``||r_m(h)||_2`` of the KCL/KVL residual (Eq. 22)."""
+    def residual_norm(self, h: Union[float, Lags], m: Optional[int] = None) -> float:
+        """Return ``||r_m(h)||_2`` of the KCL/KVL residual (Eq. 22).
+
+        For a :class:`Lags` set it is the residual of the weighted sum
+        ``sum_j w_j e^{t_j J} v``, in the units of ``w_j v``: the residual
+        is linear in the propagated vector and every lag shares the
+        direction ``G v_{m+1}``, so only the scalar is summed.
+        """
         if self._stats is not None:
             self._stats.num_residual_checks += 1
         if self.is_zero:
@@ -218,6 +358,28 @@ class IKSBasis:
             return np.inf
         h_sub = self._process.subdiagonal(m)
         return self.beta * abs(h_sub) * self._g_vnext_norm(m) * abs(scalar)
+
+    def has_growing_mode(self, m: Optional[int] = None) -> bool:
+        """Whether ``H_m^{-1}`` has an eigenvalue with positive real part.
+
+        ``J`` of a passive circuit has none, so at an accepted dimension
+        such a mode is an artefact of the projection.  (At ``m = 1`` the
+        Rayleigh quotient can be positive on a genuinely stable operator.)
+        """
+        if self.is_zero:
+            return False
+        m = self.dimension if m is None else int(m)
+        return self._modes(m).has_growing_mode
+
+    def trim(self, capacity: int = 0) -> None:
+        """Release storage above ``max(m, capacity)`` (see
+        :meth:`ArnoldiProcess.trim`) and the small dense caches of the
+        dimensions below ``m - 1``; the basis stays extendable."""
+        self._process.trim(capacity)
+        keep = self.dimension - 1
+        for cache in (self._hinv_cache, self._modes_cache, self._gv_norm_cache):
+            for m in [m for m in cache if m < keep]:
+                del cache[m]
 
     # -- phi-function products (Eq. 23) ------------------------------------------------------
 
@@ -241,9 +403,12 @@ class IKSBasis:
 
     # -- adaptive construction ------------------------------------------------------------------
 
-    def ensure_converged(self, h: float, tol: float, max_dim: Optional[int] = None,
-                         start: int = 1) -> bool:
+    def ensure_converged(self, h: Union[float, Lags], tol: float,
+                         max_dim: Optional[int] = None, start: int = 1) -> bool:
         """Extend the basis until the Eq. 22 residual is below ``tol``.
+
+        ``h`` is a step size or a :class:`Lags` set (whose residual is that
+        of the weighted sum, see :meth:`residual_norm`).
 
         One acceptance rule: a dimension ``m`` is accepted when it is
         terminal (``max_dim`` reached, or the Arnoldi process broke down
@@ -265,9 +430,15 @@ class IKSBasis:
         most once per call.  ``start = self.dimension`` checks an already
         extended basis at a new ``h`` before extending it any further.
 
-        Returns True on convergence.  Counts every extension as one
-        operator application in the shared stats.
+        Returns True on convergence, also kept in :attr:`converged`.
+        Counts every extension as one operator application in the shared
+        stats.
         """
+        self.converged = self._sweep(h, tol, max_dim, start)
+        return self.converged
+
+    def _sweep(self, h: Union[float, Lags], tol: float, max_dim: Optional[int],
+               start: int) -> bool:
         if self.is_zero:
             return True
         process = self._process
@@ -332,18 +503,23 @@ class InvertKrylovMEVP:
         """One Algorithm 1, line 3 application: solve ``-G w = C v``."""
         return -self.lu_G.solve(np.asarray(self.C @ v).ravel())
 
-    def build(self, v: np.ndarray, h: float, tol: float = 1e-7,
-              max_dim: Optional[int] = None, start: int = 1) -> IKSBasis:
+    def build(self, v: np.ndarray, h: Union[float, Lags], tol: float = 1e-7,
+              max_dim: Optional[int] = None, start: int = 1,
+              capacity: int = 16) -> IKSBasis:
         """Run Algorithm 1 for the vector ``v`` and step size ``h``.
+
+        ``h`` may be a :class:`Lags` set; the basis then converges for its
+        weighted sum.
 
         ``start`` is the dimension the convergence sweep starts checking
         at (see :meth:`IKSBasis.ensure_converged`); 1 is the cold sweep.
+        ``capacity`` is the initial storage of the basis, in vectors.
         Returns the (possibly still extendable) basis; statistics are
         recorded with the dimension reached at convergence.
         """
         v = np.asarray(v, dtype=float).ravel()
         limit = self.max_dim if max_dim is None else int(max_dim)
-        process = ArnoldiProcess(self._apply, v, max_dim=limit)
+        process = ArnoldiProcess(self._apply, v, max_dim=limit, capacity=capacity)
         basis = IKSBasis(process, self.G, stats=self.stats)
         converged = basis.ensure_converged(h, tol, max_dim=limit, start=start)
         if self.stats is not None:

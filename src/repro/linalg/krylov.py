@@ -45,7 +45,10 @@ class MEVPStats:
     num_operator_applications: int = 0
     num_nonconverged: int = 0
     dimensions: list = field(default_factory=list)
-    #: always 0 (no basis outlives its step); kept for the records that read it
+    #: evaluations served by a basis built earlier in the run (ER's linear
+    #: superposition re-evaluates each input's basis at every later step);
+    #: each is also one of ``num_evaluations``, so the bases actually built
+    #: number ``num_evaluations - num_basis_reuses``
     num_basis_reuses: int = 0
     #: Eq. 22 residual evaluations of the invert-Krylov convergence sweep
     num_residual_checks: int = 0

@@ -192,6 +192,28 @@ class TestBlockedGramSchmidt:
         assert process.orthogonality_defect() <= 1e-10
 
 
+    def test_trim_keeps_the_basis_extendable(self):
+        """A trimmed basis holds only its used columns and extends exactly
+        like one that kept the spare storage."""
+        A, apply_A = self.stiff_operator(n=60)
+        v0 = np.random.default_rng(11).standard_normal(60)
+        kept = ArnoldiProcess(apply_A, v0, max_dim=50)
+        trimmed = ArnoldiProcess(apply_A, v0, max_dim=50, capacity=4)
+        for _ in range(20):
+            kept.extend()
+            trimmed.extend()
+        trimmed.trim()
+        assert trimmed.V.shape == (60, 21) and trimmed.H.shape == (21, 20)
+        trimmed.trim(capacity=30)  # never grows
+        assert trimmed.V.shape == (60, 21)
+        for _ in range(5):
+            kept.extend()
+            trimmed.extend()
+        np.testing.assert_allclose(trimmed.basis(), kept.basis(), atol=1e-12)
+        np.testing.assert_allclose(trimmed.hessenberg(), kept.hessenberg(),
+                                   rtol=1e-12, atol=1e-12 * np.abs(A).max())
+
+
 class TestLimitsAndValidation:
     def test_dimension_limit_enforced(self):
         _, apply_A = random_operator()

@@ -10,10 +10,13 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from repro.benchcircuits.inverter_chain import inverter_chain
+from repro.benchcircuits.rlc_networks import rlc_line
+from repro.circuit.netlist import Circuit
+from repro.circuit.sources import PULSE, PWL
 from repro.core.options import SimOptions
 from repro.core.simulator import TransientSimulator
 from repro.linalg import invert_krylov
-from repro.linalg.invert_krylov import IKSBasis, InvertKrylovMEVP
+from repro.linalg.invert_krylov import IKSBasis, InvertKrylovMEVP, Lags
 from repro.linalg.krylov import MEVPStats, StandardKrylovMEVP
 from repro.linalg.rational_krylov import RationalKrylovMEVP
 from repro.linalg.sparse_lu import factorize
@@ -114,6 +117,34 @@ class TestInvertKrylov:
         dense = h * (np.linalg.solve(h * J, sla.expm(h * J) - np.eye(30)) @ v)
         np.testing.assert_allclose(basis.phi1_times(h, v), dense, rtol=1e-4, atol=1e-8)
 
+    def test_lag_set_is_the_weighted_sum_of_single_lags(self, monkeypatch):
+        """A :class:`Lags` set evaluates ``sum_j w_j e^{t_j J} v`` -- through
+        the eigen-decomposition of ``H_m``, folding terms added later into
+        the same modal weights, or lag by lag when the eigenvectors are
+        ill-conditioned -- and one lag of weight 1 is the step size."""
+        C, G = rc_line_system(n=40, seed=4)
+        v = np.random.default_rng(4).standard_normal(40)
+        iks = InvertKrylovMEVP(C, G, factorize(G))
+        lags = Lags()
+        for tau, weight in ((0.0, 2.0), (3e-11, -1.5), (8e-11, 0.5)):
+            lags.add(tau, weight)
+        basis = iks.build(v, lags.at(2e-10), tol=1e-10)
+
+        def exact():
+            return sum(w * dense_expm_reference(C, G, v, t) for t, w in lags.terms())
+
+        np.testing.assert_allclose(basis.mevp(lags), exact(), rtol=1e-6, atol=1e-9)
+        lags.add(2e-10, 1.0)
+        assert basis.ensure_converged(lags.at(3e-10), 1e-10, start=basis.dimension)
+        np.testing.assert_allclose(basis.mevp(lags), exact(), rtol=1e-6, atol=1e-9)
+        single = Lags()
+        single.add(0.0, 1.0)
+        assert basis.residual_norm(single.at(1e-10)) == pytest.approx(
+            basis.residual_norm(1e-10), rel=1e-6)
+        monkeypatch.setattr(invert_krylov._Modes, "well_conditioned",
+                            property(lambda modes: False))
+        np.testing.assert_allclose(basis.mevp(lags), exact(), rtol=1e-6, atol=1e-9)
+
     def test_stats_operator_application_counting(self):
         C, G = rc_line_system(n=25)
         stats = MEVPStats()
@@ -131,15 +162,41 @@ def dense_dae_expm(C, G, v, h):
     return np.real(W @ (f * np.linalg.solve(W, v.astype(complex))))
 
 
+def dense_lagged_expm(C, G, v, lags):
+    """``sum_j w_j e^{t_j J} v`` for a step size or a :class:`Lags` set."""
+    if not isinstance(lags, Lags):
+        return dense_dae_expm(C, G, v, lags)
+    return sum(w * dense_dae_expm(C, G, v, t) for t, w in lags.terms())
+
+
+def dense_exact_states(mna, times, x0):
+    """The exact trajectory of a linear circuit through ``times``.
+
+    Eq. 14 with the dense exponential, interval by interval: exact for
+    piecewise-linear inputs whose breakpoints are among ``times``, which
+    the time loop guarantees."""
+    C, G = mna.C_lin, mna.G_lin
+    x = np.array(x0, dtype=float)
+    states = [x]
+    for t0, t1 in zip(times[:-1], times[1:]):
+        g_s = sla.solve(G.toarray(), mna.source_slope(t0, t1))
+        q = (x - sla.solve(G.toarray(), mna.source_vector(t0))
+             + sla.solve(G.toarray(), C @ g_s))
+        x = x + dense_dae_expm(C, G, q, t1 - t0) - q + (t1 - t0) * g_s
+        states.append(x)
+    return np.array(states)
+
+
 class TestConvergenceSweep:
     @staticmethod
-    def er_basis_errors(monkeypatch, family, size, t_stop):
-        """Run ER on a driven verify-matrix ramp scenario; return every
-        basis' max error against the dense exponential at its returned
-        dimension, and the step sizes of the bases that stopped at m = 1
-        without an Arnoldi breakdown."""
+    def er_run(monkeypatch, family, size, t_stop, source="ramp"):
+        """Run ER on a driven verify-matrix scenario; return the result,
+        its error against the dense exact trajectory, every basis' max
+        error against the dense exponential at its build, and the step
+        sizes of the bases that stopped at m = 1 without an Arnoldi
+        breakdown."""
         config = MATRIX_FAMILIES[family]
-        mna = driven_family(family=family, source="ramp", t_stop=t_stop,
+        mna = driven_family(family=family, source=source, t_stop=t_stop,
                             **config[size]).build()
         errors, one_dimensional = [], []
         build = InvertKrylovMEVP.build
@@ -147,7 +204,7 @@ class TestConvergenceSweep:
         def checked_build(self, v, h, **kw):
             basis = build(self, v, h, **kw)
             if not basis.is_zero:
-                exact = dense_dae_expm(self.C, self.G, v, h)
+                exact = dense_lagged_expm(self.C, self.G, v, h)
                 errors.append(float(np.max(np.abs(basis.mevp(h) - exact))))
                 if basis.dimension == 1 and not basis._process.breakdown:
                     one_dimensional.append(h)
@@ -155,29 +212,42 @@ class TestConvergenceSweep:
 
         monkeypatch.setattr(InvertKrylovMEVP, "build", checked_build)
         options = SimOptions(t_stop=t_stop, h_init=config["h_init"],
-                             h_max=config["h_max"], store_states=False)
+                             h_max=config["h_max"])
         result = TransientSimulator(mna, method="er", options=options).run()
         assert result.stats.completed
-        assert len(errors) == result.stats.num_steps
-        return errors, one_dimensional
+        states = result.state_array
+        exact = dense_exact_states(mna, result.times, states[0])
+        return result, float(np.max(np.abs(states - exact))), errors, one_dimensional
 
     def test_no_basis_stops_on_an_isolated_residual_dip(self, monkeypatch):
         """On the ringing RLC line the Eq. 22 residual scalar can pass near
         zero at one isolated dimension (a 2.5e-3 MEVP error was accepted at
-        m = 11 with residual 9e-8); every basis of a full-size ER run must
-        instead match the dense exponential at its returned dimension."""
-        errors, _ = self.er_basis_errors(monkeypatch, "rlc_line", "full", 0.5e-9)
+        m = 11 with residual 9e-8).  Under the SIN drive ER steps, one basis
+        per step, and every basis must match the dense exponential at its
+        returned dimension.  Under the ramp the superposition's projection
+        has a growing mode, so the run steps from its first step on; the
+        whole trajectory must match the dense solution."""
+        result, _, errors, _ = self.er_run(monkeypatch, "rlc_line", "full", 0.5e-9,
+                                           source="sin")
+        assert len(errors) == result.stats.num_steps
         assert max(errors) <= 1e-4
+        result, state_error, errors, _ = self.er_run(monkeypatch, "rlc_line", "full",
+                                                     0.5e-9)
+        # the superposition's one build, then one per stepped step
+        assert len(errors) == result.stats.num_steps + 1
+        assert max(errors) <= 1e-4
+        assert state_error <= 1e-4
 
     def test_linear_ramp_bases_match_dense_exponential(self, monkeypatch):
         """On the rc_ladder/ramp smoke scenario, bases accepted at m = 1 on
         one small Eq. 22 residual carried MEVP errors up to 1.04e-5 V into
         a linear circuit.  Only an Arnoldi breakdown may end a basis at
-        m = 1."""
-        errors, one_dimensional = self.er_basis_errors(
+        m = 1, and the superposed trajectory must match the dense one."""
+        result, state_error, errors, one_dimensional = self.er_run(
             monkeypatch, "rc_ladder", "smoke", 0.25e-9)
         assert one_dimensional == []
         assert max(errors) <= 2e-6
+        assert state_error <= 2e-6
 
     @staticmethod
     def inverter_simulator():
@@ -267,6 +337,85 @@ class TestConvergenceSweep:
         assert stats.num_residual_checks == calls["residual"]
         assert stats.num_expm_calls == calls["expm"] > 0
         assert stats.num_residual_checks <= 2420 / 2
+
+
+def multi_input_circuit(uic=False):
+    """An RC ladder with coupling caps and four inputs: a PWL supply, a
+    PULSE and a PWL current load switching at different times, and a DC
+    bias that never ramps."""
+    ckt = Circuit("multi_input")
+    ckt.add_vsource("Vdd", "in", "0", PWL([(0.0, 0.0), (60e-12, 1.0)]))
+    previous = "in"
+    for k in range(1, 41):
+        ckt.add_resistor(f"R{k}", previous, f"n{k}", 50.0 + 5.0 * k)
+        ckt.add_capacitor(f"C{k}", f"n{k}", "0", (0.5 + 0.05 * k) * 1e-14)
+        if k > 1:
+            ckt.add_coupling_capacitor(f"Cc{k}", f"n{k}", f"n{k - 1}", 2e-14)
+        previous = f"n{k}"
+    ckt.add_isource("Ipulse", "n12", "0",
+                    PULSE(0.0, 5e-4, 30e-12, 20e-12, 25e-12, 40e-12, 300e-12))
+    ckt.add_isource("Iload", "n33", "0",
+                    PWL([(70e-12, 0.0), (90e-12, 1e-3), (150e-12, 1e-3), (160e-12, 0.0)]))
+    ckt.add_isource("Ibias", "n20", "0", 2e-4)
+    if uic:
+        ckt.set_initial_condition("n15", 0.3)
+        ckt.set_initial_condition("n30", -0.2)
+    return ckt
+
+
+class TestLinearSuperposition:
+    """ER on linear circuits with piecewise-linear inputs: one basis per
+    input, the state from the closed-form sum (exponential_rosenbrock)."""
+
+    @staticmethod
+    def run(mna, x0=None, **overrides):
+        options = SimOptions(**{"t_stop": 0.3e-9, "h_init": 1e-12, **overrides})
+        result = TransientSimulator(mna, method="er", options=options).run(x0=x0)
+        assert result.stats.completed
+        states = result.state_array
+        exact = dense_exact_states(mna, result.times, states[0])
+        return result.stats, float(np.max(np.abs(states - exact)))
+
+    @staticmethod
+    def builds(stats):
+        return stats.mevp.num_evaluations - stats.mevp.num_basis_reuses
+
+    def test_multi_input_matches_dense_exact_solution(self):
+        mna = multi_input_circuit().build()
+        stats, error = self.run(mna)
+        assert error <= 1e-6
+        # three inputs ramp (the DC bias never does); the DC start needs
+        # at most a rounding-sized offset basis
+        assert 3 <= self.builds(stats) <= 4
+        assert stats.mevp.num_basis_reuses > 2 * stats.num_steps
+
+    def test_uic_start_is_superposed_through_the_offset(self):
+        mna = multi_input_circuit(uic=True).build()
+        x0 = mna.initial_state()
+        assert np.any(x0)
+        stats, error = self.run(mna, x0=x0)
+        assert error <= 1e-6
+        assert self.builds(stats) == 4
+        assert stats.mevp.num_basis_reuses > 3 * (stats.num_steps - 1)
+
+    def test_growing_projection_falls_back_to_stepping_mid_run(self):
+        """On the 16-segment RLC line every basis on the delayed ramp's
+        ``r`` is accepted with a projected eigenvalue ``Re lambda > 0``
+        (the exact ones are all <= -2.5e9).  The quiet first 0.1 ns is
+        superposed, then the run steps on from the state it reached."""
+        mna = rlc_line(16, drive=PWL([(0.1e-9, 0.0), (0.3e-9, 1.0)])).build()
+        stats, error = self.run(mna, t_stop=0.5e-9, h_max=2e-12)
+        assert error <= 1e-4
+        # the one superposition build, then one basis per stepped step
+        assert 1 < self.builds(stats) < stats.num_steps
+        assert stats.mevp.num_basis_reuses == 0
+
+    def test_sin_drive_still_builds_one_basis_per_step(self):
+        mna = driven_family(family="rc_ladder", source="sin", t_stop=0.25e-9,
+                            num_segments=20).build()
+        stats, error = self.run(mna, t_stop=0.25e-9, h_max=4e-12)
+        assert self.builds(stats) == stats.mevp.num_evaluations == stats.num_steps
+        assert stats.mevp.num_basis_reuses == 0
 
 
 class TestStandardKrylov:

@@ -69,22 +69,26 @@ class TestLinearExactness:
         assert r_off.stats.num_lu_factorizations >= r_off.stats.num_steps
         assert r_off.stats.lu.num_reused == 0
 
-    def test_er_one_basis_per_linear_step(self):
-        """Eq. 14 on a linear PWL circuit: one invert-Krylov basis per step,
-        built on ``q = p + r``; nothing is carried across steps."""
-        r_on = run(linear_circuit(), "er", cached=True)
-        stats = r_on.stats
-        assert stats.num_rejections == 0
-        assert stats.mevp.num_evaluations == stats.num_steps
-        assert stats.mevp.num_basis_reuses == 0
-        # three solves per ramp step (p, g_s, r) plus one per Arnoldi
-        # extension; the DC point (every source at 0 V) adds none.  No
-        # basis stops at m = 1 without breaking down (a one-dimensional
-        # residual has no predecessor to confirm it), so every step
-        # extends at least twice
-        assert stats.num_steps == 15
-        assert stats.mevp.num_operator_applications == 31
-        assert stats.lu.num_solves == 76
+    def test_er_one_basis_per_linear_input(self):
+        """A linear PWL circuit is solved by superposition: at most one
+        invert-Krylov basis per piecewise-linear input, plus one for a
+        start away from ``G^{-1} B u(t0)``, built once and re-evaluated at
+        every later step -- however many steps the run takes."""
+        circuit = linear_circuit()
+        inputs = len(circuit.build().waveforms)
+        for overrides, steps in (({}, 15), ({"h_max": 2e-11}, 53)):
+            stats = run(circuit, "er", cached=True, **overrides).stats
+            assert stats.num_steps == steps
+            assert stats.num_rejections == 0
+            builds = stats.mevp.num_evaluations - stats.mevp.num_basis_reuses
+            assert 1 <= builds <= inputs + 1
+            assert stats.mevp.num_evaluations == stats.num_steps
+            # one basis on the ramp input's r = G^{-1} C G^{-1} b: three
+            # Arnoldi extensions, and three solves besides them
+            # (G^{-1} B u(0), g and r); the DC point (every source at 0 V)
+            # needs no offset basis
+            assert stats.mevp.num_operator_applications == 3
+            assert stats.lu.num_solves == 6
 
 
 class TestNonlinearExactness:

@@ -12,14 +12,13 @@ Run with::
     python examples/method_shootout.py --smoke            # tiny run (CI)
     python examples/method_shootout.py --backend queue    # broker workers
     python examples/method_shootout.py --cache .campaign_cache
-    python examples/method_shootout.py --journal run.jsonl --resume
 
-``--cache`` keys finished outcomes by scenario content hash: rerunning
-an unchanged plan simulates nothing and still renders the tables.
-``--journal`` streams outcomes to a JSONL file with durable
-checkpoints; after an interruption, ``--resume`` replays it and runs
-only the missing scenarios.  The campaign outcomes are also persisted
-to ``examples/output/method_shootout.json`` so they can be re-aggregated
+``--cache`` keys finished outcomes by scenario content hash and stores
+each one durably as it arrives: rerunning an unchanged plan simulates
+nothing and still renders the tables, and rerunning after an
+interruption simulates only the scenarios that had not finished.  The
+campaign outcomes are also persisted to
+``examples/output/method_shootout.json`` so they can be re-aggregated
 without re-simulating (``CampaignResult.load``).
 """
 
@@ -68,10 +67,6 @@ def main() -> int:
                              "longest-first")
     parser.add_argument("--cache", type=Path, default=None,
                         help="scenario-hash result cache directory")
-    parser.add_argument("--journal", type=Path, default=None,
-                        help="append-only outcome journal (JSONL)")
-    parser.add_argument("--resume", action="store_true",
-                        help="replay --journal and run only missing scenarios")
     args = parser.parse_args()
 
     scenarios = build_scenarios(args.smoke)
@@ -83,8 +78,7 @@ def main() -> int:
     campaign = run_campaign(
         scenarios, base_options=base, backend=backend, workers=args.workers,
         timeout=300.0,
-        cache=args.cache, journal=args.journal, resume=args.resume,
-        schedule=args.schedule,
+        cache=args.cache, schedule=args.schedule,
         progress=lambda outcome, done, total: print(
             f"  [{done:2d}/{total}] {outcome.scenario.name}: {outcome.status} "
             + (f"(reused from {outcome.reused_from})" if outcome.reused
@@ -95,7 +89,7 @@ def main() -> int:
     meta = campaign.metadata
     print(f"\n{campaign} in {meta['wall_seconds']:.2f}s wall-clock "
           f"({meta['num_executed']} simulated, {meta['num_cached']} from "
-          f"cache, {meta['num_resumed']} from journal)\n")
+          f"cache)\n")
     print(render_campaign_table(campaign, reference_method="benr"))
     print()
     print(render_method_matrix(campaign, reference_method="benr"))

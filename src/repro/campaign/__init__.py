@@ -17,11 +17,10 @@ embarrassingly parallel sweep.  This subpackage turns the one-shot
   ``execute_scenario(dict) -> dict`` contract every backend ships, with
   per-worker assembly/DC caching, timeouts and failure capture;
 * :mod:`repro.campaign.runner` -- campaign policy over the backend seam:
-  result-cache adoption, journal checkpoint/resume, adaptive scheduling;
+  result-cache adoption, adaptive scheduling, streaming collection;
 * :mod:`repro.campaign.cache` -- scenario-hash result cache (a re-planned
-  campaign only simulates scenarios whose canonical spec changed);
-* :mod:`repro.campaign.journal` -- append-only outcome journal with
-  durable checkpoints and `resume` replay;
+  campaign only simulates scenarios whose canonical spec changed, and an
+  interrupted one resumes by re-running against the same directory);
 * :mod:`repro.campaign.schedule` -- predicted-runtime (LPT) scheduling;
 * :mod:`repro.campaign.store` -- outcome collection, incremental
   aggregation and JSON persistence (rendered by
@@ -66,7 +65,6 @@ from repro.campaign.backends import (
     resolve_backend,
 )
 from repro.campaign.cache import ResultCache, context_hash
-from repro.campaign.journal import CampaignJournal, JournalContextError
 from repro.campaign.runner import default_workers, execute_scenario, run_campaign
 from repro.campaign.schedule import (
     RuntimeModel,
@@ -93,8 +91,6 @@ __all__ = [
     "resolve_backend",
     "ResultCache",
     "context_hash",
-    "CampaignJournal",
-    "JournalContextError",
     "RuntimeModel",
     "plan_schedule",
     "append_history",

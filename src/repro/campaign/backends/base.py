@@ -5,9 +5,9 @@ dicts) together with an :class:`ExecutionContext`, gets each one executed
 by :func:`repro.campaign.execution.execute_scenario` somewhere -- in
 process, in a pool worker, in a queue worker on another host -- and delivers
 every outcome dict exactly once through the supplied callback.  All
-campaign-level policy (scenario ordering, result caching, journaling,
-aggregation) lives in :func:`repro.campaign.runner.run_campaign` *above*
-this seam, so a new transport only has to move bytes.
+campaign-level policy (scenario ordering, result caching, aggregation)
+lives in :func:`repro.campaign.runner.run_campaign` *above* this seam,
+so a new transport only has to move bytes.
 
 Contract, precisely:
 

@@ -23,6 +23,11 @@ Two rules keep the cache honest:
 * only ``status == "ok"`` outcomes are stored.  Failures and timeouts
   are re-executed on the next run -- a cache must never make a transient
   infrastructure failure permanent.
+
+Entries are written durably as each outcome arrives, so the cache is
+also the campaign's checkpoint: re-running an interrupted campaign
+against the same directory adopts everything that finished before the
+interruption and executes only the rest.
 """
 
 from __future__ import annotations
@@ -112,6 +117,10 @@ class ResultCache:
         number of service workers can share one cache directory --
         concurrent readers see either the old entry or the new one,
         never a torn write, and the last writer wins bytes-for-bytes.
+        It is also **durable**: the temp file is fsynced before the
+        rename, so a crash never leaves an entry whose name is in place
+        but whose bytes are not -- the checkpoint a campaign resumed
+        through the cache relies on.
         """
         if outcome.get("status") != "ok":
             return None
@@ -130,8 +139,11 @@ class ResultCache:
         # "*.json" globs of __len__ and the key lookups of get()
         tmp = path.with_name(
             f".{path.name}.{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp")
-        tmp.write_text(json.dumps(entry, default=repr) + "\n")
         try:
+            with tmp.open("w") as handle:
+                handle.write(json.dumps(entry, default=repr) + "\n")
+                handle.flush()
+                os.fsync(handle.fileno())
             os.replace(tmp, path)
         except OSError:
             try:

@@ -6,10 +6,9 @@ runs (the classic makespan tail).  Dispatching the *predicted-longest*
 scenarios first (LPT scheduling) trims that tail without changing any
 outcome -- scenarios are independent, so order is pure policy.
 
-Predictions come from outcomes that already exist -- resumed journal
-entries, result-cache hits, or a prior :class:`CampaignResult` passed as
-``history`` -- which carry both the measured ``runtime_seconds`` and the
-circuit's structure stats:
+Predictions come from outcomes that already exist -- result-cache hits
+and the runtime records persisted next to the cache (below) -- which
+carry both the measured runtime and the circuit's structure stats:
 
 1. a scenario whose ``(circuit, method)`` pair has recorded runs is
    predicted at their mean runtime;
@@ -27,9 +26,9 @@ reproducible from its own report.
 The model also **persists**: :func:`append_history` /
 :func:`load_history` keep a shared append-only JSONL of
 per-``(circuit, method)`` runtime records next to the result cache (or
-the service broker), so a *first-run* campaign -- nothing adopted,
-nothing in ``history`` -- still gets real LPT predictions from every
-prior campaign and every service worker that ever ran the circuit.
+the service broker), so a *first-run* campaign -- nothing adopted --
+still gets real LPT predictions from every prior campaign and every
+service worker that ever ran the circuit.
 ``run_campaign(schedule="adaptive", cache=...)`` loads the file
 automatically and appends its own executed outcomes back.
 """

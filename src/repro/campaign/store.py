@@ -12,9 +12,9 @@ Aggregation is *incremental*: every index the views need -- name lookup,
 variant grouping, per-method totals, the static part of each table row --
 is maintained by :meth:`CampaignResult.add` as outcomes arrive, so
 rendering a table from a campaign of thousands of scenarios never
-re-scans the full outcome list, and a streaming consumer (the journal's
-checkpoint lines, a progress UI) can read consistent aggregates
-mid-campaign from :meth:`CampaignResult.aggregates`.
+re-scans the full outcome list, and a streaming consumer (a progress
+UI) can read consistent aggregates mid-campaign from
+:meth:`CampaignResult.aggregates`.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ class ScenarioOutcome:
     #: whether the worker reused a cached DC operating point
     dc_cache_hit: bool = False
     #: None when this outcome was simulated by the campaign that reports
-    #: it; "cache" / "journal" / "queue" when it was adopted without
+    #: it; "cache" / "queue" when it was adopted without
     #: this campaign simulating anything ("queue": another campaign's
     #: broker job, or the duplicate delivery of an in-campaign twin)
     reused_from: Optional[str] = None
@@ -81,7 +81,7 @@ class ScenarioOutcome:
 
     @property
     def reused(self) -> bool:
-        """Whether the outcome was adopted (cache/journal) instead of run."""
+        """Whether the outcome was adopted (cache/queue) instead of run."""
         return self.reused_from is not None
 
     @property
@@ -150,9 +150,9 @@ class IncrementalAggregates:
     """Running per-method totals, updated one outcome at a time.
 
     Cheap enough to update on every delivery, rich enough for progress
-    displays and journal checkpoints: per method (lower-cased) the
-    outcome count, ok count, total runtime and total accepted steps,
-    plus campaign-wide totals.
+    displays (:meth:`CampaignResult.aggregates`): per method
+    (lower-cased) the outcome count, ok count, total runtime and total
+    accepted steps, plus campaign-wide totals.
     """
 
     def __init__(self):

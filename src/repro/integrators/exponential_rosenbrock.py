@@ -84,13 +84,16 @@ solve, the ``.ic`` offset of a UIC start), ``ds_ij`` the change of input
 its unit-ramp response, ``g_i = G^{-1} b_i`` and ``r_i = G^{-1} C g_i``.
 Every term of input ``i`` is propagated by one invert-Krylov basis on
 ``r_i``, built at the input's first nonzero slope and extended only when
-a later time needs more dimensions; ``d`` gets one more.  The step loop,
-its time points and lines 4-5 of Algorithm 2 are those of stepping ER
-(``Delta F`` is identically zero, so every step is accepted and the next
-one grows by ``beta``); only ``x(t + h)`` comes from the sum instead of
-from Eq. 14.  Each input's basis converges on the Eq. 22 residual of its
-combined response (:class:`~repro.linalg.invert_krylov.Lags`), in state
-units against ``mevp_tol``.  The exact ``J`` of a passive circuit has no
+a later time needs more dimensions; ``d`` gets one more when
+``max|d|`` exceeds ``mevp_tol``, the state-units tolerance every basis
+converges to (after a DC start ``d`` is solver rounding, far below it).
+The step loop, its time points and lines 4-5 of Algorithm 2 are those
+of stepping ER (``Delta F`` is identically zero, so every step is
+accepted and the next one grows by ``beta``); only ``x(t + h)`` comes
+from the sum instead of from Eq. 14.  Each input's basis converges on
+the Eq. 22 residual of its combined response
+(:class:`~repro.linalg.invert_krylov.Lags`), in state units against
+``mevp_tol``.  The exact ``J`` of a passive circuit has no
 growing mode, so a basis accepted with one (``Re lambda(H_m^{-1}) > 0``)
 carries a projection artefact that a long lag would amplify: the run
 then continues from its current state with Eq. 14 stepping, as it does
@@ -144,13 +147,14 @@ class _Superposition:
         self.ramps = np.zeros_like(self.slopes)
         #: per input, from its first nonzero slope on: ``(g_i, response on r_i)``
         self.inputs: Dict[int, Tuple[np.ndarray, _Response]] = {}
-        #: ``e^{(t - t0) J} d``; None when ``x0`` is ``G^{-1} B u(t0)`` exactly
+        #: ``e^{(t - t0) J} d``; None when ``max|d| <= tol`` (after a DC
+        #: start ``d`` is solver rounding)
         self.offset: Optional[_Response] = None
         #: largest basis dimension so far: the initial storage of the next
         #: basis, and the storage every basis is trimmed to at most
         self.capacity = 0
         d = np.asarray(x0, dtype=float) - self.x_dc
-        if np.any(d):
+        if np.max(np.abs(d), initial=0.0) > tol:
             self.offset = _Response(d)
             self.offset.lags.add(t0, 1.0)
 

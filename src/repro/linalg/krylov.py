@@ -16,7 +16,7 @@ this module exists so the comparison (ablation benchmark A) can be run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -44,7 +44,8 @@ class MEVPStats:
     total_dimension: int = 0
     num_operator_applications: int = 0
     num_nonconverged: int = 0
-    dimensions: list = field(default_factory=list)
+    #: largest subspace dimension of any evaluation
+    max_dimension: int = 0
     #: evaluations served by a basis built earlier in the run (ER's linear
     #: superposition re-evaluates each input's basis at every later step);
     #: each is also one of ``num_evaluations``, so the bases actually built
@@ -61,14 +62,10 @@ class MEVPStats:
             return 0.0
         return self.total_dimension / self.num_evaluations
 
-    @property
-    def max_dimension(self) -> int:
-        return max(self.dimensions) if self.dimensions else 0
-
     def record(self, m: int, converged: bool) -> None:
         self.num_evaluations += 1
         self.total_dimension += m
-        self.dimensions.append(m)
+        self.max_dimension = max(self.max_dimension, m)
         if not converged:
             self.num_nonconverged += 1
 
@@ -77,7 +74,7 @@ class MEVPStats:
         self.total_dimension += other.total_dimension
         self.num_operator_applications += other.num_operator_applications
         self.num_nonconverged += other.num_nonconverged
-        self.dimensions.extend(other.dimensions)
+        self.max_dimension = max(self.max_dimension, other.max_dimension)
         self.num_basis_reuses += other.num_basis_reuses
         self.num_residual_checks += other.num_residual_checks
         self.num_expm_calls += other.num_expm_calls

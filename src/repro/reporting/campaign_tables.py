@@ -32,8 +32,8 @@ DEFAULT_COLUMNS = (
 
 #: the scheduling-independent subset: identical between any two
 #: executions of the same scenarios (no wall-clock columns), so tables
-#: rendered with these columns are byte-identical across backends,
-#: interruptions and resumes
+#: rendered with these columns are byte-identical across backends and
+#: across a campaign interrupted and re-run against its result cache
 DETERMINISTIC_COLUMNS = (
     "scenario", "circuit", "method", "status", "#N", "nnzC", "nnzG",
     "#step", "#NRa", "#ma", "#LU", "peak_factor_nnz",

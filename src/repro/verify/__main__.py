@@ -9,8 +9,9 @@ Three subcommands, selectable by flag:
     ``--regenerate`` the golden store is rewritten from this run
     (refusing to widen tolerance bands unless ``--allow-widen``).
     ``--backend`` picks the campaign execution backend (serial, process
-    pool or queue workers); ``--journal``/``--resume`` stream the
-    campaign to a resumable JSONL journal.
+    pool or queue workers).  Every scenario is simulated afresh: the
+    matrix checks the current program, and stored outcomes carry no code
+    version.
 
 ``--perf-check``
     Gate a ``BENCH_hotpath.json`` payload against the tracked steps/sec
@@ -58,8 +59,6 @@ def _run_matrix(args: argparse.Namespace) -> int:
         allow_widen=args.allow_widen,
         golden_tolerance=args.golden_tolerance,
         backend=args.backend,
-        journal=args.journal,
-        resume=args.resume,
     )
     print(render_verify_report(report))
     if args.json:
@@ -125,10 +124,6 @@ def main(argv=None) -> int:
                         default="auto", help="campaign execution backend")
     matrix.add_argument("--workers", type=int, default=None,
                         help="campaign pool size (default: one per core)")
-    matrix.add_argument("--journal", type=Path, default=None,
-                        help="stream campaign outcomes to this JSONL journal")
-    matrix.add_argument("--resume", action="store_true",
-                        help="replay the journal and run only missing scenarios")
     matrix.add_argument("--goldens", type=Path, default=DEFAULT_GOLDEN_ROOT,
                         help="golden-trajectory store root")
     matrix.add_argument("--no-goldens", action="store_true",

@@ -615,8 +615,6 @@ def run_matrix(
     timeout: Optional[float] = 300.0,
     sample_points: int = DEFAULT_SAMPLE_POINTS,
     backend=None,
-    journal: Optional[Union[str, Path]] = None,
-    resume: bool = False,
 ) -> VerifyReport:
     """Run the full differential verification matrix.
 
@@ -625,15 +623,15 @@ def run_matrix(
     of checked (refusing tolerance widening unless ``allow_widen``).
     ``backend`` picks the campaign execution backend (name or
     :class:`~repro.campaign.backends.base.ExecutionBackend` instance;
-    ``None`` means ``"auto"``); ``journal``/``resume`` stream the matrix
-    campaign's outcomes to a resumable JSONL journal.
+    ``None`` means ``"auto"``).  Every scenario is simulated by the
+    current program: the matrix adopts no stored outcomes, because
+    neither the result cache nor its keys know the code version.
     """
     scenarios = matrix_scenarios(smoke=smoke)
     oracle_pairs = oracle_scenarios(smoke=smoke)
     campaign = run_campaign(
         scenarios, workers=workers, timeout=timeout,
         sample_points=sample_points, backend=backend,
-        journal=journal, resume=resume,
     )
 
     report = VerifyReport(metadata={

@@ -1,4 +1,7 @@
-"""Result-cache tests: scenario-hash keyed outcome reuse."""
+"""Result-cache tests: scenario-hash keyed outcome reuse, durable puts
+and resuming an interrupted campaign through the cache."""
+
+import os
 
 import pytest
 
@@ -11,6 +14,7 @@ from repro.campaign import (
     run_campaign,
 )
 from repro.core.options import SimOptions
+from repro.reporting import DETERMINISTIC_COLUMNS, render_campaign_table
 
 FAST_OPTIONS = SimOptions(t_stop=0.1e-9, h_init=2e-12, store_states=False)
 
@@ -108,22 +112,6 @@ class TestResultCache:
         # served from the cache
         assert second.metadata["num_cached"] == 0
         assert second.metadata["num_executed"] == 1
-
-    def test_journal_adopted_outcomes_warm_the_cache(self, tmp_path):
-        """Resuming with both a journal and a (cold) cache must store the
-        journal-adopted ok outcomes, so the next re-plan hits."""
-        scenarios = small_scenarios(methods=("er",), budgets=(1e-3, 1e-4))
-        journal = tmp_path / "run.jsonl"
-        run_campaign(scenarios, base_options=FAST_OPTIONS, backend="serial",
-                     journal=journal)
-        resumed = run_campaign(scenarios, base_options=FAST_OPTIONS,
-                               backend="serial", journal=journal, resume=True,
-                               cache=tmp_path / "cache")
-        assert resumed.metadata["num_resumed"] == len(scenarios)
-        third = run_campaign(scenarios, base_options=FAST_OPTIONS,
-                             backend="serial", cache=tmp_path / "cache")
-        assert third.metadata["num_cached"] == len(scenarios)
-        assert third.metadata["num_executed"] == 0
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         scenarios = small_scenarios(methods=("er",), budgets=(1e-3,))
@@ -229,3 +217,102 @@ class TestAtomicPut:
         assert len(cache) == 1
         final = cache.get(scenario, ctx)
         assert final["status"] == "ok"
+
+
+class TestDurablePut:
+    def test_each_ok_put_fsyncs_once_before_the_rename(self, tmp_path,
+                                                       monkeypatch):
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            events.append("fsync")
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append("replace")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        cache = ResultCache(tmp_path / "cache")
+        for segments in (3, 4):
+            scenario = Scenario(name=f"s{segments}",
+                                circuit=CircuitSpec("rc_ladder",
+                                                    {"num_segments": segments}))
+            cache.put(scenario, "ctx", {"scenario": scenario.to_dict(),
+                                        "status": "ok", "summary": {}})
+        assert events == ["fsync", "replace"] * 2
+        assert len(cache) == 2
+
+    def test_non_ok_outcome_writes_nothing(self, tmp_path, monkeypatch):
+        events = []
+        monkeypatch.setattr(os, "fsync", lambda fd: events.append("fsync"))
+        cache = ResultCache(tmp_path / "cache")
+        scenario = Scenario(name="s",
+                            circuit=CircuitSpec("rc_ladder",
+                                                {"num_segments": 3}))
+        for status in ("error", "timeout", "failed"):
+            assert cache.put(scenario, "ctx", {"scenario": scenario.to_dict(),
+                                               "status": status}) is None
+        assert events == []
+        assert not (tmp_path / "cache").exists()
+
+
+class Interrupted(Exception):
+    """Raised from a progress callback to cut a campaign short."""
+
+
+class TestResumeThroughCache:
+    def test_interrupted_then_resumed_matches_uninterrupted(self, tmp_path):
+        """Interrupt a campaign after k outcomes, re-run it against the
+        same cache, and the aggregate tables over the deterministic
+        columns are byte-identical to an uninterrupted run's: every
+        outcome delivered before the interruption was already stored."""
+        scenarios = small_scenarios()
+        uninterrupted = run_campaign(scenarios, base_options=FAST_OPTIONS,
+                                     backend="serial")
+        columns = list(DETERMINISTIC_COLUMNS) + ["max_err"]
+        expected_table = render_campaign_table(
+            uninterrupted, reference_method="benr", columns=columns)
+
+        k = 2
+
+        def interrupt(outcome, done, total):
+            if done == k:
+                raise Interrupted
+
+        cache = tmp_path / "cache"
+        with pytest.raises(Interrupted):
+            run_campaign(scenarios, base_options=FAST_OPTIONS,
+                         backend="serial", cache=cache, progress=interrupt)
+        resumed = run_campaign(scenarios, base_options=FAST_OPTIONS,
+                               backend="serial", cache=cache)
+        assert resumed.metadata["num_cached"] == k
+        assert resumed.metadata["num_executed"] == len(scenarios) - k
+        assert render_campaign_table(
+            resumed, reference_method="benr", columns=columns) == expected_table
+        for a, b in zip(uninterrupted, resumed):
+            assert a.deterministic_summary() == b.deterministic_summary()
+            assert a.samples == b.samples
+
+        # the cache now covers everything: a third run executes nothing
+        third = run_campaign(scenarios, base_options=FAST_OPTIONS,
+                             backend="serial", cache=cache)
+        assert third.metadata["num_executed"] == 0
+        assert render_campaign_table(
+            third, reference_method="benr", columns=columns) == expected_table
+
+    def test_resumed_outcomes_are_marked(self, tmp_path):
+        scenarios = small_scenarios(methods=("er",), budgets=(1e-3, 1e-4))
+
+        def interrupt(outcome, done, total):
+            raise Interrupted
+
+        cache = tmp_path / "cache"
+        with pytest.raises(Interrupted):
+            run_campaign(scenarios, base_options=FAST_OPTIONS,
+                         backend="serial", cache=cache, progress=interrupt)
+        resumed = run_campaign(scenarios, base_options=FAST_OPTIONS,
+                               backend="serial", cache=cache)
+        assert [o.reused_from for o in resumed] == ["cache", None]

@@ -10,6 +10,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from repro.benchcircuits.inverter_chain import inverter_chain
+from repro.benchcircuits.large_scale import pdn_multilayer
 from repro.benchcircuits.rlc_networks import rlc_line
 from repro.circuit.netlist import Circuit
 from repro.circuit.sources import PULSE, PWL
@@ -384,9 +385,9 @@ class TestLinearSuperposition:
         mna = multi_input_circuit().build()
         stats, error = self.run(mna)
         assert error <= 1e-6
-        # three inputs ramp (the DC bias never does); the DC start needs
-        # at most a rounding-sized offset basis
-        assert 3 <= self.builds(stats) <= 4
+        # three inputs ramp (the DC bias never does); the DC start leaves
+        # a rounding-sized offset, below mevp_tol, so it gets no basis
+        assert self.builds(stats) == 3
         assert stats.mevp.num_basis_reuses > 2 * stats.num_steps
 
     def test_uic_start_is_superposed_through_the_offset(self):
@@ -397,6 +398,35 @@ class TestLinearSuperposition:
         assert error <= 1e-6
         assert self.builds(stats) == 4
         assert stats.mevp.num_basis_reuses > 3 * (stats.num_steps - 1)
+
+    def test_dc_start_builds_no_offset_basis(self):
+        """The PDN's DC supply sets a nonzero operating point.  Started
+        from it, ``d = x0 - G^{-1} B u(t0)`` is solver rounding (5.7e-14
+        here: the DC Newton solve takes a second, rounding-sized update),
+        so the run builds the PWL load's basis and no basis on ``d``."""
+        ckt = pdn_multilayer(4, 4, layers=2, coupling_fraction=0.5,
+                             num_loads=0, seed=0)
+        ckt.add_isource("Iload", "m1_2_2", "0",
+                        PWL([(20e-12, 0.0), (60e-12, 2e-3)]))
+        mna = ckt.build()
+        stats, error = self.run(mna)
+        assert error <= 1e-6
+        assert self.builds(stats) == 1
+        assert stats.mevp.num_basis_reuses == stats.mevp.num_evaluations - 1
+
+    def test_max_dimension_is_the_largest_evaluated_dimension(self):
+        mna = multi_input_circuit().build()
+        options = SimOptions(t_stop=0.3e-9, h_init=1e-12)
+        result = TransientSimulator(mna, method="er", options=options).run()
+        largest = max(m for step in result.steps for m in step.krylov_dimensions)
+        assert result.stats.mevp.max_dimension == largest
+        merged, other = MEVPStats(), MEVPStats()
+        merged.record(largest + 5, True)
+        other.merge(result.stats.mevp)
+        other.merge(merged)
+        assert other.max_dimension == largest + 5
+        merged.merge(result.stats.mevp)
+        assert merged.max_dimension == largest + 5
 
     def test_growing_projection_falls_back_to_stepping_mid_run(self):
         """On the 16-segment RLC line every basis on the delayed ramp's

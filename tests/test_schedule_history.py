@@ -1,9 +1,10 @@
-"""Cost-model persistence: save/load of per-(circuit, method) runtimes.
+"""Adaptive scheduling and its persisted cost model.
 
-``schedule="adaptive"`` used to refit its runtime model per campaign;
-these tests lock in the persistent path: records appended next to the
-result cache (or by service workers, next to the broker), loaded
-automatically so *first-run* campaigns get real LPT predictions.
+``schedule="adaptive"`` dispatches predicted-longest-first.  Its
+predictions come from cache-adopted outcomes and per-(circuit, method)
+runtime records appended next to the result cache (or by service
+workers, next to the broker), loaded automatically so *first-run*
+campaigns get real LPT predictions.
 """
 
 import json
@@ -17,8 +18,10 @@ from repro.campaign import (
     Scenario,
     ScenarioOutcome,
     append_history,
+    grid_sweep,
     history_path_for,
     load_history,
+    plan_schedule,
     run_campaign,
     save_history,
 )
@@ -154,3 +157,107 @@ class TestAdaptiveCampaignPersistence:
         run_campaign(self.scenarios(), base_options=FAST_OPTIONS,
                      backend="serial", cache=cache)
         assert load_history(history_path_for(cache.root)).num_records == 2
+
+
+MESH_OPTIONS = SimOptions(t_stop=0.1e-9, h_init=2e-12, store_states=False)
+
+
+def mesh_scenarios(methods=("benr", "er"), budgets=(1e-3, 1e-4)):
+    return grid_sweep(
+        circuits=[("rc_mesh", {"rows": 4, "cols": 4, "coupling_fraction": 0.5})],
+        methods=list(methods),
+        option_grid={"err_budget": list(budgets)},
+        observe=["n2_2"],
+    )
+
+
+def history_only_cache(cache_dir, scenarios):
+    """Run ``scenarios`` against ``cache_dir``, then drop the cached
+    outcomes and keep the persisted runtime history: an adaptive re-run
+    must execute everything, with predictions from the history alone."""
+    plain = run_campaign(scenarios, base_options=MESH_OPTIONS,
+                         backend="serial", cache=cache_dir)
+    for entry in cache_dir.glob("*.json"):
+        entry.unlink()
+    return plain
+
+
+class TestAdaptiveScheduling:
+    def test_outcomes_stay_in_plan_order(self, tmp_path):
+        scenarios = mesh_scenarios()
+        plain = history_only_cache(tmp_path / "cache", scenarios)
+        adaptive = run_campaign(scenarios, base_options=MESH_OPTIONS,
+                                backend="serial", schedule="adaptive",
+                                cache=tmp_path / "cache")
+        assert adaptive.metadata["num_executed"] == len(scenarios)
+        assert [o.scenario.name for o in adaptive] == \
+            [s.name for s in scenarios]
+        for a, b in zip(plain, adaptive):
+            assert a.deterministic_summary() == b.deterministic_summary()
+
+    def test_dispatch_order_is_recorded_and_largest_first(self, tmp_path):
+        scenarios = mesh_scenarios()
+        history_only_cache(tmp_path / "cache", scenarios)
+        adaptive = run_campaign(scenarios, base_options=MESH_OPTIONS,
+                                backend="serial", schedule="adaptive",
+                                cache=tmp_path / "cache")
+        record = adaptive.metadata["schedule"]
+        assert record["policy"] == "adaptive"
+        assert record["history_records"] == len(scenarios)
+        order = record["dispatch_order"]
+        assert sorted(order) == sorted(s.name for s in scenarios)
+        predicted = record["predicted_seconds"]
+        # every scenario has (circuit, method) history -> all predicted,
+        # and the dispatch order is non-increasing in predicted runtime
+        values = [predicted[name] for name in order]
+        assert all(v is not None for v in values)
+        assert all(a >= b for a, b in zip(values, values[1:]))
+
+    def test_cache_adopted_outcomes_feed_predictions(self, tmp_path):
+        """With no persisted history, the outcomes adopted from the cache
+        alone predict the pending scenarios of the same pairs."""
+        scenarios = mesh_scenarios()
+        cache = tmp_path / "cache"
+        first = run_campaign(scenarios[:2], base_options=MESH_OPTIONS,
+                             backend="serial", cache=cache)
+        history_path_for(cache).unlink()
+        adaptive = run_campaign(scenarios, base_options=MESH_OPTIONS,
+                                backend="serial", schedule="adaptive",
+                                cache=cache)
+        assert adaptive.metadata["num_cached"] == len(first)
+        record = adaptive.metadata["schedule"]
+        assert record["history_records"] == 0
+        runtime = {o.scenario.method: o.runtime_seconds for o in first}
+        for scenario in scenarios[2:]:
+            assert record["predicted_seconds"][scenario.name] == \
+                pytest.approx(runtime[scenario.method])
+
+    def test_plan_schedule_puts_unknowns_first(self):
+        scenarios = mesh_scenarios(methods=("benr", "er"), budgets=(1e-3,))
+        history_run = run_campaign([scenarios[0]], base_options=MESH_OPTIONS,
+                                   backend="serial")
+        foreign = Scenario.from_dict({**scenarios[1].to_dict(),
+                                      "name": "foreign"})
+        foreign.circuit = type(foreign.circuit)(
+            "rc_ladder", {"num_segments": 5})
+        order, predictions = plan_schedule(
+            list(enumerate([scenarios[0], foreign])), list(history_run))
+        assert predictions["foreign"] is None
+        assert order[0] == 1  # the unknown dispatches first
+
+    def test_runtime_model_prefers_pair_history(self):
+        scenarios = mesh_scenarios()
+        campaign = run_campaign(scenarios, base_options=MESH_OPTIONS,
+                                backend="serial")
+        model = RuntimeModel(campaign)
+        for scenario in scenarios:
+            # each (circuit, method) pair ran twice (two budgets); the
+            # prediction must be exactly that pair's mean runtime
+            pair_runs = [o.runtime_seconds for o in campaign
+                         if o.scenario.method == scenario.method]
+            expected = sum(pair_runs) / len(pair_runs)
+            assert model.predict(scenario) == pytest.approx(expected)
+
+    def test_unknown_schedule_rejected(self):
+        with pytest.raises(ValueError, match="schedule"):
+            run_campaign(mesh_scenarios(), backend="serial", schedule="chaos")

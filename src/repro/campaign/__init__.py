@@ -22,7 +22,7 @@ embarrassingly parallel sweep.  This subpackage turns the one-shot
   campaign only simulates scenarios whose canonical spec changed, and an
   interrupted one resumes by re-running against the same directory);
 * :mod:`repro.campaign.schedule` -- predicted-runtime (LPT) scheduling;
-* :mod:`repro.campaign.store` -- outcome collection, incremental
+* :mod:`repro.campaign.store` -- outcome collection,
   aggregation and JSON persistence (rendered by
   :mod:`repro.reporting.campaign_tables`).
 
@@ -58,7 +58,6 @@ from repro.campaign.sweep import (
 from repro.campaign.backends import (
     BACKEND_NAMES,
     ExecutionBackend,
-    ExecutionContext,
     ProcessPoolBackend,
     QueueBackend,
     SerialBackend,
@@ -77,14 +76,12 @@ from repro.campaign.schedule import (
 from repro.campaign.store import (
     DETERMINISTIC_SUMMARY_KEYS,
     CampaignResult,
-    IncrementalAggregates,
     ScenarioOutcome,
 )
 
 __all__ = [
     "BACKEND_NAMES",
     "ExecutionBackend",
-    "ExecutionContext",
     "SerialBackend",
     "ProcessPoolBackend",
     "QueueBackend",
@@ -97,7 +94,6 @@ __all__ = [
     "history_path_for",
     "load_history",
     "save_history",
-    "IncrementalAggregates",
     "CircuitSpec",
     "Scenario",
     "apply_option_overrides",

@@ -23,7 +23,6 @@ from typing import Optional, Union
 from repro.campaign.backends.base import (
     DeliverFn,
     ExecutionBackend,
-    ExecutionContext,
     WorkItem,
 )
 from repro.campaign.backends.local import (
@@ -35,7 +34,6 @@ from repro.campaign.backends.queue import QueueBackend
 
 __all__ = [
     "ExecutionBackend",
-    "ExecutionContext",
     "SerialBackend",
     "ProcessPoolBackend",
     "QueueBackend",

@@ -1,21 +1,25 @@
 """The execution-backend contract.
 
 A backend is *only* a transport: it receives scenario payloads (plain
-dicts) together with an :class:`ExecutionContext`, gets each one executed
-by :func:`repro.campaign.execution.execute_scenario` somewhere -- in
-process, in a pool worker, in a queue worker on another host -- and delivers
-every outcome dict exactly once through the supplied callback.  All
-campaign-level policy (scenario ordering, result caching, aggregation)
-lives in :func:`repro.campaign.runner.run_campaign` *above* this seam,
-so a new transport only has to move bytes.
+dicts) together with a :class:`repro.wire.JobContext`, gets each one
+executed by :func:`repro.campaign.execution.execute_scenario` somewhere
+-- in process, in a pool worker, in a queue worker on another host --
+and delivers every outcome dict exactly once through the supplied
+callback.  All campaign-level policy (scenario ordering, result
+caching, aggregation) lives in :func:`repro.campaign.runner.run_campaign`
+*above* this seam, so a new transport only has to move bytes.
 
 Contract, precisely:
 
 * ``execute(items, context, deliver)`` receives ``(index, payload)``
-  pairs in dispatch order.  The backend may complete them in any order
-  but must call ``deliver(index, outcome_dict)`` exactly once per item
-  before returning, even for items whose execution infrastructure died
-  (such items deliver an error outcome synthesized via
+  pairs in dispatch order and the campaign's one ``JobContext``.  The
+  context was validated when ``run_campaign`` built it, before any cache
+  lookup or dispatch, so every backend accepts and rejects the same
+  contexts and none validates again.
+* The backend may complete the items in any order but must call
+  ``deliver(index, outcome_dict)`` exactly once per item before
+  returning, even for items whose execution infrastructure died (such
+  items deliver an error outcome synthesized via
   :meth:`ExecutionBackend.failure_outcome`).
 * Outcomes must be *transport-independent*: the same items through any
   backend produce identical deterministic summaries and samples (the
@@ -28,49 +32,18 @@ Contract, precisely:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 from repro.campaign.store import ScenarioOutcome
+from repro.wire import JobContext
 
-__all__ = ["ExecutionContext", "ExecutionBackend", "DeliverFn", "WorkItem"]
+__all__ = ["ExecutionBackend", "DeliverFn", "WorkItem"]
 
 #: one unit of dispatch: (index into the campaign's scenario list, payload)
 WorkItem = Tuple[int, Dict[str, object]]
 
 #: outcome delivery callback: (index, outcome_dict)
 DeliverFn = Callable[[int, Dict[str, object]], None]
-
-
-@dataclass
-class ExecutionContext:
-    """Everything :func:`execute_scenario` needs besides the scenario.
-
-    Fixed for the whole campaign, never per scenario (the queue backend
-    attaches its wire form to every job it enqueues).
-    """
-
-    #: ``SimOptions.to_dict()`` every scenario's overrides sit on top of
-    base_options: Optional[Dict[str, object]] = None
-    #: per-scenario wall-clock budget in seconds (worker-enforced)
-    timeout: Optional[float] = None
-    #: uniform sample-grid size for observed waveforms
-    sample_points: int = 101
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "base_options": self.base_options,
-            "timeout": self.timeout,
-            "sample_points": self.sample_points,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "ExecutionContext":
-        return cls(
-            base_options=data.get("base_options"),
-            timeout=data.get("timeout"),
-            sample_points=int(data.get("sample_points", 101)),
-        )
 
 
 class ExecutionBackend(ABC):
@@ -86,7 +59,7 @@ class ExecutionBackend(ABC):
     records_history: bool = False
 
     @abstractmethod
-    def execute(self, items: Sequence[WorkItem], context: ExecutionContext,
+    def execute(self, items: Sequence[WorkItem], context: JobContext,
                 deliver: DeliverFn) -> None:
         """Execute every item, delivering each outcome exactly once."""
 

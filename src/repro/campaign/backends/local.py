@@ -17,11 +17,11 @@ from typing import Dict, Optional, Sequence
 from repro.campaign.backends.base import (
     DeliverFn,
     ExecutionBackend,
-    ExecutionContext,
     WorkItem,
 )
 from repro.campaign.execution import execute_scenario, reset_worker_caches
 from repro.telemetry import metrics as telemetry
+from repro.wire import JobContext
 
 __all__ = ["SerialBackend", "ProcessPoolBackend", "default_workers"]
 
@@ -42,16 +42,13 @@ class SerialBackend(ExecutionBackend):
 
     name = "serial"
 
-    def execute(self, items: Sequence[WorkItem], context: ExecutionContext,
+    def execute(self, items: Sequence[WorkItem], context: JobContext,
                 deliver: DeliverFn) -> None:
         # mirror the lifetime of a spawned worker's caches: fresh per campaign
         reset_worker_caches()
         for index, payload in items:
             _TM_DISPATCHES.labels(self.name).inc()
-            deliver(index, execute_scenario(
-                payload, context.base_options, context.timeout,
-                context.sample_points,
-            ))
+            deliver(index, execute_scenario(payload, context))
 
     def metadata(self) -> Dict[str, object]:
         return {"mode": self.name, "workers": 1}
@@ -73,15 +70,14 @@ class ProcessPoolBackend(ExecutionBackend):
     def pool_size(self, num_items: int) -> int:
         return self.workers if self.workers else default_workers(num_items)
 
-    def execute(self, items: Sequence[WorkItem], context: ExecutionContext,
+    def execute(self, items: Sequence[WorkItem], context: JobContext,
                 deliver: DeliverFn) -> None:
         workers = self.pool_size(len(items))
         self._resolved_workers = workers
         with ProcessPoolExecutor(max_workers=workers) as pool:
             _TM_DISPATCHES.labels(self.name).inc(len(items))
             pending = {
-                pool.submit(execute_scenario, payload, context.base_options,
-                            context.timeout, context.sample_points): (index, payload)
+                pool.submit(execute_scenario, payload, context): (index, payload)
                 for index, payload in items
             }
             while pending:

@@ -44,7 +44,6 @@ from repro.campaign.backends._spawn import (
 from repro.campaign.backends.base import (
     DeliverFn,
     ExecutionBackend,
-    ExecutionContext,
     WorkItem,
 )
 from repro.campaign.backends.local import _TM_DISPATCHES, default_workers
@@ -52,23 +51,10 @@ from repro.campaign.cache import context_hash
 from repro.campaign.scenario import scenario_hash
 from repro.wire import JobContext, encode
 
-__all__ = ["QueueBackend", "job_id_for", "wire_context"]
+__all__ = ["QueueBackend", "job_id_for"]
 
 
-def wire_context(context: ExecutionContext) -> Dict[str, object]:
-    """Encode an execution context as its typed ``job_context`` message.
-
-    Every job enqueued by a campaign or the front end carries this
-    validated form; workers decode it back through the same schema
-    (:func:`repro.wire.decode_job_context`), which also still accepts
-    the pre-wire plain ``to_dict()`` payloads of older producers.
-    """
-    return encode(JobContext(base_options=context.base_options,
-                             timeout=context.timeout,
-                             sample_points=context.sample_points))
-
-
-def job_id_for(payload: Dict[str, object], context: ExecutionContext) -> str:
+def job_id_for(payload: Dict[str, object], context: JobContext) -> str:
     """The broker job id of one work item: scenario hash + context hash.
 
     Identical to the :class:`~repro.campaign.cache.ResultCache` entry
@@ -77,8 +63,7 @@ def job_id_for(payload: Dict[str, object], context: ExecutionContext) -> str:
     built on.  The per-scenario timeout is execution policy and is
     deliberately outside the hash (as it is for the cache).
     """
-    return f"{scenario_hash(payload)}-" + context_hash(
-        context.base_options, context.sample_points)
+    return f"{scenario_hash(payload)}-{context_hash(context)}"
 
 
 class QueueBackend(ExecutionBackend):
@@ -124,7 +109,7 @@ class QueueBackend(ExecutionBackend):
         return JobBroker(layout.broker_path(root),
                          max_attempts=self.max_attempts)
 
-    def execute(self, items: Sequence[WorkItem], context: ExecutionContext,
+    def execute(self, items: Sequence[WorkItem], context: JobContext,
                 deliver: DeliverFn) -> None:
         items = list(items)
         if not items:
@@ -136,7 +121,7 @@ class QueueBackend(ExecutionBackend):
             tmp_root = Path(tempfile.mkdtemp(prefix="repro-queue-"))
         broker = self._resolve_broker(tmp_root)
         self._broker_path = str(broker.path)
-        context_data = wire_context(context)
+        context_data = encode(context)
         payload_by_index = {index: payload for index, payload in items}
 
         #: job id -> plan indices it answers (identical content coalesces)

@@ -40,6 +40,7 @@ from pathlib import Path
 from typing import Dict, Optional, Union
 
 from repro.campaign.scenario import Scenario, scenario_hash
+from repro.wire import JobContext
 
 __all__ = ["ResultCache", "context_hash"]
 
@@ -47,11 +48,15 @@ __all__ = ["ResultCache", "context_hash"]
 CACHE_FORMAT_VERSION = 1
 
 
-def context_hash(base_options: Optional[Dict[str, object]],
-                 sample_points: int) -> str:
-    """Hash of everything outcome-relevant that is *not* in the scenario."""
+def context_hash(context: JobContext) -> str:
+    """Hash of everything outcome-relevant that is *not* in the scenario.
+
+    The one hash of a job context: every cache key and every broker job
+    id ends in it.  ``timeout`` is left out (execution policy).
+    """
     payload = json.dumps(
-        {"base_options": base_options, "sample_points": int(sample_points)},
+        {"base_options": context.base_options,
+         "sample_points": context.sample_points},
         sort_keys=True, default=repr,
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]

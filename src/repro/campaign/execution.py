@@ -1,8 +1,9 @@
 """The transport-agnostic scenario executor.
 
 :func:`execute_scenario` is the one contract every execution backend
-ships over its transport: it takes a scenario as a plain dict, runs the
-transient analysis, and returns the outcome as a plain dict -- it never
+ships over its transport: it takes a scenario as a plain dict and the
+campaign's :class:`~repro.wire.JobContext`, runs the transient analysis,
+and returns the outcome as a plain dict -- it never
 raises, so a backend only has to move bytes, not interpret failures.
 The function lives in its own module (rather than in the runner) because
 it is imported by three different kinds of host process: the campaign
@@ -49,6 +50,7 @@ from repro.campaign.scenario import Scenario
 from repro.campaign.store import ScenarioOutcome
 from repro.core.options import SimOptions
 from repro.core.simulator import TransientSimulator
+from repro.wire import JobContext
 
 __all__ = ["execute_scenario", "reset_worker_caches"]
 
@@ -84,10 +86,11 @@ def _timeout_guard(seconds: Optional[float]):
 
     Returns a disarm callable.  On platforms without ``setitimer`` (or off
     the main thread) the guard is a no-op and timeouts are best-effort.
+    ``seconds`` comes from a validated :class:`JobContext`: ``None`` or
+    positive.
     """
     if (
         seconds is None
-        or seconds <= 0
         or not hasattr(signal, "setitimer")
         or threading.current_thread() is not threading.main_thread()
     ):
@@ -126,22 +129,22 @@ def _dc_cache_key(circuit_key: str, options: SimOptions) -> Tuple:
 
 def execute_scenario(
     scenario_data: Dict[str, object],
-    base_options_data: Optional[Dict[str, object]] = None,
-    timeout: Optional[float] = None,
-    sample_points: int = 101,
+    context: Optional[JobContext] = None,
 ) -> Dict[str, object]:
-    """Run one scenario and return its outcome as a plain dict.
+    """Run one scenario under a job context; return the outcome as a dict.
 
     This function is the unit shipped to workers over every transport; it
     never raises -- every failure mode is folded into the outcome's
-    status/traceback.
+    status/traceback.  ``None`` is the default context.
     """
+    context = context or JobContext()
     scenario = Scenario.from_dict(scenario_data)
     outcome = ScenarioOutcome(scenario=scenario, worker=os.getpid())
     wall_start = time.perf_counter()
-    disarm = _timeout_guard(timeout)
+    disarm = _timeout_guard(context.timeout)
     try:
-        base = SimOptions.from_dict(base_options_data) if base_options_data else None
+        base = SimOptions.from_dict(context.base_options) \
+            if context.base_options else None
         options = scenario.sim_options(base)
         if scenario.observe:
             observe = list(dict.fromkeys(list(options.observe_nodes) + scenario.observe))
@@ -165,7 +168,8 @@ def execute_scenario(
         if not result.stats.completed:
             outcome.error = result.stats.failure_reason
         elif scenario.observe:
-            grid = np.linspace(options.t_start, options.t_stop, int(sample_points))
+            grid = np.linspace(options.t_start, options.t_stop,
+                               context.sample_points)
             outcome.sample_times = [float(t) for t in grid]
             times = result.time_array
             for node in scenario.observe:

@@ -40,7 +40,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.campaign.backends import (
     ExecutionBackend,
-    ExecutionContext,
     default_workers,
     resolve_backend,
 )
@@ -57,6 +56,7 @@ from repro.campaign.schedule import (
 )
 from repro.campaign.store import CampaignResult, ScenarioOutcome
 from repro.core.options import SimOptions
+from repro.wire import JobContext
 
 __all__ = ["run_campaign", "execute_scenario", "default_workers"]
 
@@ -107,7 +107,22 @@ def run_campaign(
         predicted-longest-first using the adopted outcomes and the
         cache directory's persisted runtime history.  The dispatch order
         lands in ``metadata["schedule"]`` either way.
+
+    Raises
+    ------
+    ValueError
+        When ``base_options``, ``timeout`` and ``sample_points`` do not
+        make a valid :class:`~repro.wire.JobContext` (``sample_points``
+        below 2, a ``timeout`` that is not a positive finite number of
+        seconds): raised before any cache lookup or dispatch, on every
+        backend alike.
     """
+    # the campaign's one job context, validated here -- before any cache
+    # lookup or dispatch -- so every backend sees the same valid context
+    context = JobContext(
+        base_options=base_options.to_dict() if base_options is not None
+        else None,
+        timeout=timeout, sample_points=sample_points)
     scenarios = list(scenarios)
     names = [s.name for s in scenarios]
     if len(set(names)) != len(names):
@@ -117,10 +132,7 @@ def run_campaign(
             f"unknown schedule {schedule!r}; expected "
             + "|".join(SCHEDULE_POLICIES))
 
-    base_data = base_options.to_dict() if base_options is not None else None
-    context = ExecutionContext(base_options=base_data, timeout=timeout,
-                               sample_points=sample_points)
-    ctx_key = context_hash(base_data, sample_points)
+    ctx_key = context_hash(context)
     wall_start = time.perf_counter()
 
     # -- adoption: result cache ------------------------------------------------------
@@ -217,10 +229,10 @@ def run_campaign(
         "num_scenarios": len(scenarios),
         "num_executed": len(pending),
         "num_cached": num_cached,
-        "timeout": timeout,
-        "sample_points": sample_points,
+        "timeout": context.timeout,
+        "sample_points": context.sample_points,
         "wall_seconds": time.perf_counter() - wall_start,
-        "base_options": base_data,
+        "base_options": context.base_options,
         "context": ctx_key,
         "schedule": schedule_record,
     }

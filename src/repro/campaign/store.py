@@ -1,4 +1,4 @@
-"""Campaign result store and incremental aggregation.
+"""Campaign result store and aggregation.
 
 Workers return one :class:`ScenarioOutcome` per scenario -- a compact,
 picklable record of the run's Table-I counters, the circuit's structural
@@ -8,13 +8,12 @@ aggregate views: per-method comparison rows with speedups and maximum
 error against a reference method, JSON persistence, and simple grouping
 helpers the reporting layer renders from.
 
-Aggregation is *incremental*: every index the views need -- name lookup,
-variant grouping, per-method totals, the static part of each table row --
-is maintained by :meth:`CampaignResult.add` as outcomes arrive, so
-rendering a table from a campaign of thousands of scenarios never
-re-scans the full outcome list, and a streaming consumer (a progress
-UI) can read consistent aggregates mid-campaign from
-:meth:`CampaignResult.aggregates`.
+The indices the table views need -- name lookup, variant grouping, the
+static part of each table row -- are maintained by
+:meth:`CampaignResult.add` as outcomes arrive, so rendering a table
+from a campaign of thousands of scenarios never rebuilds them.  The
+per-method totals of :meth:`CampaignResult.aggregates` are summed from
+the outcomes when asked.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from repro.campaign.scenario import Scenario
 __all__ = [
     "ScenarioOutcome",
     "CampaignResult",
-    "IncrementalAggregates",
     "DETERMINISTIC_SUMMARY_KEYS",
 ]
 
@@ -146,43 +144,6 @@ def _max_abs_error(outcome: ScenarioOutcome, reference: ScenarioOutcome) -> Opti
     return worst
 
 
-class IncrementalAggregates:
-    """Running per-method totals, updated one outcome at a time.
-
-    Cheap enough to update on every delivery, rich enough for progress
-    displays (:meth:`CampaignResult.aggregates`): per method
-    (lower-cased) the outcome count, ok count, total runtime and total
-    accepted steps, plus campaign-wide totals.
-    """
-
-    def __init__(self):
-        self.total = 0
-        self.ok = 0
-        self.runtime_seconds = 0.0
-        self.per_method: Dict[str, Dict[str, object]] = {}
-
-    def update(self, outcome: ScenarioOutcome) -> None:
-        self.total += 1
-        self.ok += 1 if outcome.ok else 0
-        self.runtime_seconds += outcome.runtime_seconds
-        method = outcome.scenario.method.strip().lower()
-        bucket = self.per_method.setdefault(method, {
-            "count": 0, "ok": 0, "runtime_seconds": 0.0, "steps": 0,
-        })
-        bucket["count"] += 1
-        bucket["ok"] += 1 if outcome.ok else 0
-        bucket["runtime_seconds"] += outcome.runtime_seconds
-        bucket["steps"] += int(outcome.summary.get("#step") or 0)
-
-    def snapshot(self) -> Dict[str, object]:
-        return {
-            "total": self.total,
-            "ok": self.ok,
-            "runtime_seconds": self.runtime_seconds,
-            "per_method": {m: dict(b) for m, b in self.per_method.items()},
-        }
-
-
 #: static (reference-independent) columns of one scenario's table row
 def _base_row(outcome: ScenarioOutcome) -> Dict[str, object]:
     scenario = outcome.scenario
@@ -230,7 +191,6 @@ class CampaignResult:
         self._base_rows: List[Dict[str, object]] = []
         #: cached variant key per outcome (the canonical JSON is not free)
         self._variant_keys: List[str] = []
-        self._aggregates = IncrementalAggregates()
         for outcome in (outcomes or []):
             self.add(outcome)
 
@@ -246,28 +206,6 @@ class CampaignResult:
         self._by_variant_method.setdefault((variant, method), outcome)
         self._base_rows.append(_base_row(outcome))
         self._variant_keys.append(variant)
-        self._aggregates.update(outcome)
-
-    def merge(self, other: "CampaignResult",
-              replace: bool = False) -> "CampaignResult":
-        """Fold another campaign's outcomes in (the re-plan primitive).
-
-        Outcomes for scenario names this campaign already has are skipped
-        unless ``replace`` (then the incoming outcome wins and the
-        indices are rebuilt).  Returns ``self``.
-        """
-        if replace:
-            incoming = {o.scenario.name: o for o in other.outcomes}
-            merged = [incoming.pop(o.scenario.name, o) for o in self.outcomes]
-            merged.extend(o for o in other.outcomes
-                          if o.scenario.name in incoming)
-            fresh = CampaignResult(merged, metadata=self.metadata)
-            self.__dict__.update(fresh.__dict__)
-            return self
-        for outcome in other.outcomes:
-            if outcome.scenario.name not in self._by_name:
-                self.add(outcome)
-        return self
 
     def __len__(self) -> int:
         return len(self.outcomes)
@@ -283,7 +221,7 @@ class CampaignResult:
 
     @property
     def num_ok(self) -> int:
-        return self._aggregates.ok
+        return sum(1 for o in self.outcomes if o.ok)
 
     @property
     def failures(self) -> List[ScenarioOutcome]:
@@ -292,8 +230,21 @@ class CampaignResult:
     # -- aggregation -----------------------------------------------------------------
 
     def aggregates(self) -> Dict[str, object]:
-        """Snapshot of the running per-method totals (streaming-safe)."""
-        return self._aggregates.snapshot()
+        """Per-method totals (lower-cased method: outcome count, ok count,
+        total runtime, total accepted steps) plus campaign-wide totals."""
+        per_method: Dict[str, Dict[str, object]] = {}
+        runtime = 0.0
+        for outcome in self.outcomes:
+            runtime += outcome.runtime_seconds
+            bucket = per_method.setdefault(
+                outcome.scenario.method.strip().lower(),
+                {"count": 0, "ok": 0, "runtime_seconds": 0.0, "steps": 0})
+            bucket["count"] += 1
+            bucket["ok"] += 1 if outcome.ok else 0
+            bucket["runtime_seconds"] += outcome.runtime_seconds
+            bucket["steps"] += int(outcome.summary.get("#step") or 0)
+        return {"total": len(self.outcomes), "ok": self.num_ok,
+                "runtime_seconds": runtime, "per_method": per_method}
 
     def by_variant(self) -> Dict[str, List[ScenarioOutcome]]:
         """Group outcomes by circuit+options identity (method varies within)."""

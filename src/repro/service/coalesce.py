@@ -29,11 +29,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.campaign.backends.base import ExecutionContext
-from repro.campaign.backends.queue import job_id_for, wire_context
+from repro.campaign.backends.queue import job_id_for
 from repro.campaign.cache import ResultCache
 from repro.service.broker import JobBroker
 from repro.telemetry import metrics as telemetry
+from repro.wire import JobContext, encode
 
 __all__ = ["Admission", "Coalescer"]
 
@@ -78,7 +78,7 @@ class Coalescer:
         self.broker = broker
         self.cache = cache
 
-    def admit(self, payload: Dict[str, object], context: ExecutionContext,
+    def admit(self, payload: Dict[str, object], context: JobContext,
               priority: int = 0) -> Admission:
         """Admit one scenario submission (dedup by content + context)."""
         key = job_id_for(payload, context)
@@ -88,7 +88,7 @@ class Coalescer:
                 self.broker.incr("cache_answers")
                 _TM_ADMISSIONS.labels("cache").inc()
                 return Admission(key, "done", "cache", result=entry)
-        job = self.broker.enqueue(payload, context=wire_context(context),
+        job = self.broker.enqueue(payload, context=encode(context),
                                   priority=priority, job_id=key)
         if job.fresh:
             self.broker.incr("admitted")

@@ -1,11 +1,12 @@
 """The service front end: a stdlib-only threaded HTTP JSON API.
 
-The server is deliberately thin: it validates submissions against the
-:mod:`repro.campaign.scenario` specs, runs them through the
-:class:`~repro.service.coalesce.Coalescer`, and reads state back out of
-the broker and the shared result cache.  All simulation happens in queue
-workers; the front end can be restarted at any time without losing a
-job (the broker file is the durable state).
+The server is deliberately thin: it validates each submission once --
+its flat context fields as one :class:`repro.wire.JobContext`, its
+scenarios against the :mod:`repro.campaign.scenario` specs -- runs them
+through the :class:`~repro.service.coalesce.Coalescer`, and reads state
+back out of the broker and the shared result cache.  All simulation
+happens in queue workers; the front end can be restarted at any time
+without losing a job (the broker file is the durable state).
 
 API
 ---
@@ -45,6 +46,7 @@ client learns to back off instead of timing out.
 
 from __future__ import annotations
 
+import dataclasses
 import hmac
 import json
 import threading
@@ -55,7 +57,6 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro import wire
-from repro.campaign.backends.base import ExecutionContext
 from repro.campaign.cache import ResultCache
 from repro.campaign.scenario import Scenario
 from repro.campaign.schedule import history_path_for, load_history
@@ -128,17 +129,25 @@ def _decode_submission(body: Dict[str, object],
         raise ApiError(400, f"invalid submission: {exc}") from exc
 
 
-def _validate_context(submission: wire.WireMessage) -> ExecutionContext:
-    """Parse a submission's campaign-context fields (400 on failure)."""
-    base_options = submission.base_options
-    if base_options is not None:
-        try:
-            base_options = SimOptions.from_dict(base_options).to_dict()
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise ApiError(400, f"invalid base_options: {exc}") from exc
-    return ExecutionContext(base_options=base_options,
-                            timeout=submission.timeout,
-                            sample_points=submission.sample_points)
+#: the job-context fields that sit flat beside the scenario(s) in a body
+_CONTEXT_FIELDS = tuple(spec.name
+                        for spec in dataclasses.fields(wire.JobContext)
+                        if spec.name != "extra")
+
+
+def _job_context(body: Dict[str, object]) -> wire.JobContext:
+    """The submission's job context, validated once (400 on failure).
+
+    ``base_options`` is then spelled out to the full ``SimOptions.to_dict()``
+    that ``run_campaign`` sends, so one setting gets one job id whichever
+    front door it came through.
+    """
+    context = _decode_submission({name: body[name] for name in _CONTEXT_FIELDS
+                                  if name in body}, wire.JobContext)
+    if context.base_options is None:
+        return context
+    return dataclasses.replace(context, base_options=SimOptions.from_dict(
+        context.base_options).to_dict())
 
 
 class ServiceServer:
@@ -246,8 +255,8 @@ class ServiceServer:
     def submit_scenario(self, body: Dict[str, object]) -> Tuple[int, Dict[str, object]]:
         self._check_backpressure()
         submission = _decode_submission(body, wire.ScenarioSubmission)
+        context = _job_context(body)
         payload = _validate_scenario(submission.scenario)
-        context = _validate_context(submission)
         priority = int(submission.priority or 0)
         admission = self.coalescer.admit(payload, context, priority=priority)
         document = admission.to_dict()
@@ -258,13 +267,13 @@ class ServiceServer:
     def submit_campaign(self, body: Dict[str, object]) -> Tuple[int, Dict[str, object]]:
         self._check_backpressure()
         submission = _decode_submission(body, wire.CampaignSubmission)
+        context = _job_context(body)
         if not submission.scenarios:
             raise ApiError(400, "campaign needs a non-empty 'scenarios' list")
         payloads = [_validate_scenario(s) for s in submission.scenarios]
         names = [str(p["name"]) for p in payloads]
         if len(set(names)) != len(names):
             raise ApiError(400, "scenario names within a campaign must be unique")
-        context = _validate_context(submission)
         priority = int(submission.priority or 0)
         admissions = [self.coalescer.admit(p, context, priority=priority)
                       for p in payloads]

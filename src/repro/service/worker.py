@@ -107,11 +107,11 @@ class QueueWorker:
                              f"invalid job context: {exc}", requeue=False)
             _TM_JOBS.labels("rejected").inc()
             return False
-        base_options = context.base_options
-        timeout = context.timeout
-        sample_points = context.sample_points
+        scenario = Scenario.from_dict(job.payload)
+        key = context_hash(context)
 
-        outcome = self._cached_outcome(job.payload, base_options, sample_points)
+        outcome = self.cache.get(scenario, key) if self.cache is not None \
+            else None
         if outcome is not None:
             self.num_cache_hits += 1
             self.broker.incr("worker_cache_hits")
@@ -125,8 +125,7 @@ class QueueWorker:
         stop_extending = self._keep_lease_alive(job.id)
         started = time.monotonic()
         try:
-            outcome = execute_scenario(job.payload, base_options,
-                                       timeout, sample_points)
+            outcome = execute_scenario(job.payload, context)
         finally:
             stop_extending()
             self.current_job_id = None
@@ -135,9 +134,7 @@ class QueueWorker:
         self.num_executed += 1
         self.broker.incr("simulations")
         if self.cache is not None:
-            self.cache.put(Scenario.from_dict(job.payload),
-                           self._context_key(base_options, sample_points),
-                           outcome)
+            self.cache.put(scenario, key, outcome)
         if self.record_history:
             # canonical history location: inside the shared cache
             # directory, where adaptive campaigns load it; broker-
@@ -186,17 +183,6 @@ class QueueWorker:
         self._last_publish = now
         self.broker.publish_worker_metrics(
             self.worker_id, self.metrics_snapshot())
-
-    @staticmethod
-    def _context_key(base_options, sample_points: int) -> str:
-        return context_hash(base_options, sample_points)
-
-    def _cached_outcome(self, payload, base_options, sample_points):
-        if self.cache is None:
-            return None
-        scenario = Scenario.from_dict(payload)
-        return self.cache.get(
-            scenario, self._context_key(base_options, sample_points))
 
     def _keep_lease_alive(self, job_id: str):
         """Extend the lease on a timer while a simulation runs."""

@@ -12,7 +12,9 @@ is checked against the incoming value (``str``, ``int``, ``float``,
 ``bool``, ``dict``, ``list`` and ``Optional`` combinations thereof --
 ints pass where floats are declared, matching JSON's single number
 type).  Semantic checks belong in an optional ``validate()`` method on
-the message class, called after construction on both encode and decode.
+the message class.  Both run at construction, and messages are frozen,
+so a message that exists is valid: ``decode`` is construction from a
+dict, and ``encode`` has nothing left to check.
 """
 
 from __future__ import annotations
@@ -72,7 +74,8 @@ def _type_checker(annotation: object) -> Optional[Tuple[tuple, bool]]:
     return types, allow_none
 
 
-def _check_fields(message: object) -> None:
+def _validate(message: object) -> None:
+    """The decorator's ``__post_init__``: field types, then ``validate()``."""
     cls = type(message)
     for name, checker in cls._WIRE_CHECKS.items():  # type: ignore[attr-defined]
         value = getattr(message, name)
@@ -91,6 +94,7 @@ def _check_fields(message: object) -> None:
             raise WireError(
                 f"{cls.TYPE}: field '{name}' has wrong type "
                 f"{type(value).__name__}")
+    message.validate()
 
 
 def wire_message(type_name: str, version: int = 1):
@@ -109,7 +113,8 @@ def wire_message(type_name: str, version: int = 1):
         annotations["extra"] = Dict[str, object]
         cls.__annotations__ = annotations
         setattr(cls, "extra", field(default_factory=dict, repr=False))
-        datacls = dataclass(cls)
+        cls.__post_init__ = _validate
+        datacls = dataclass(cls, frozen=True)
         datacls.TYPE = type_name
         datacls.VERSION = int(version)
         checks: Dict[str, Tuple[tuple, bool]] = {}
@@ -141,8 +146,6 @@ def encode(message: WireMessage) -> Dict[str, object]:
     cls = type(message)
     if not hasattr(cls, "TYPE"):
         raise WireError(f"{cls.__name__} is not a @wire_message class")
-    _check_fields(message)
-    message.validate()
     data: Dict[str, object] = {"type": cls.TYPE, "version": cls.VERSION}
     for spec in fields(message):
         if spec.name == "extra":
@@ -194,7 +197,4 @@ def decode(data: object, expect: Optional[type] = None) -> WireMessage:
     if missing:
         raise WireError(
             f"{cls.TYPE}: missing required field(s) {', '.join(missing)}")
-    message = cls(**kwargs, extra=extra)
-    _check_fields(message)
-    message.validate()
-    return message
+    return cls(**kwargs, extra=extra)

@@ -12,9 +12,11 @@ peer reading ``msg["sample_points"]`` and a new peer reading
 ``JobContext.sample_points`` interoperate byte-for-byte.
 """
 
+import math
 from dataclasses import field
 from typing import Dict, List, Optional
 
+from repro.core.options import SimOptions
 from repro.wire.base import WireError, WireMessage, decode, wire_message
 
 __all__ = [
@@ -27,24 +29,46 @@ __all__ = [
 
 @wire_message("job_context")
 class JobContext(WireMessage):
-    """Execution context attached to every enqueued job."""
+    """Everything a scenario runs under besides its own spec.
 
+    The one context type from submission to worker: ``run_campaign`` and
+    the HTTP front end build it once per campaign or submission, every
+    backend and the queue worker take it, and the queue attaches its
+    wire form to every job.  Construction validates it, so a context
+    that exists is valid -- a bad one never reaches a cache, a queue or
+    a worker.  ``base_options`` and ``sample_points`` set the job id and
+    the cache key (:func:`repro.campaign.cache.context_hash`);
+    ``timeout`` is execution policy and does not.
+    """
+
+    #: ``SimOptions.to_dict()`` every scenario's overrides sit on top of
     base_options: Optional[Dict[str, object]] = None
+    #: per-scenario wall-clock budget in seconds (worker-enforced)
     timeout: Optional[float] = None
+    #: uniform sample-grid size for observed waveforms
     sample_points: int = 101
 
     def validate(self) -> None:
         if self.sample_points < 2:
             raise WireError("job_context: sample_points must be >= 2")
+        if self.timeout is not None and not 0 < self.timeout < math.inf:
+            raise WireError("job_context: timeout must be a positive, "
+                            "finite number of seconds")
+        if self.base_options is not None:
+            try:
+                SimOptions.from_dict(self.base_options)
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise WireError(
+                    f"job_context: invalid base_options: {exc}") from exc
 
 
 def decode_job_context(data: object) -> JobContext:
     """Decode a job's stored context, tolerating pre-wire legacy dicts.
 
-    Jobs enqueued before the schema existed carry a plain
-    ``ExecutionContext.to_dict()`` payload with no ``type`` envelope;
-    pinning ``expect=JobContext`` lets those decode unchanged.  ``None``
-    / empty contexts (direct broker users) become the default context.
+    Jobs enqueued before the schema existed carry a plain field dict
+    with no ``type`` envelope; pinning ``expect=JobContext`` lets those
+    decode unchanged.  ``None`` / empty contexts (direct broker users)
+    become the default context.
     """
     if not data:
         return JobContext()
@@ -129,16 +153,30 @@ class SupervisorState(WireMessage):
 
 
 # -- HTTP submission bodies ------------------------------------------------------------
+#
+# The job-context fields (``base_options``, ``timeout``, ``sample_points``)
+# sit flat beside the scenario(s) in a submission body.  They are not
+# declared here: they land in ``extra``, and the front end decodes them
+# from the body through :class:`JobContext`.
+
+#: SQLite's INTEGER range, the broker's priority column
+_PRIORITY_RANGE = range(-2 ** 63, 2 ** 63)
+
+
+def _check_priority(type_name: str, priority: Optional[int]) -> None:
+    if priority is not None and priority not in _PRIORITY_RANGE:
+        raise WireError(f"{type_name}: priority is out of range")
+
 
 @wire_message("scenario_submission")
 class ScenarioSubmission(WireMessage):
     """``POST /scenarios`` body (the ``type`` envelope is optional)."""
 
     scenario: Dict[str, object]
-    base_options: Optional[Dict[str, object]] = None
-    timeout: Optional[float] = None
-    sample_points: int = 101
     priority: Optional[int] = 0
+
+    def validate(self) -> None:
+        _check_priority(self.TYPE, self.priority)
 
 
 @wire_message("campaign_submission")
@@ -146,7 +184,7 @@ class CampaignSubmission(WireMessage):
     """``POST /campaigns`` body (the ``type`` envelope is optional)."""
 
     scenarios: List[object]
-    base_options: Optional[Dict[str, object]] = None
-    timeout: Optional[float] = None
-    sample_points: int = 101
     priority: Optional[int] = 0
+
+    def validate(self) -> None:
+        _check_priority(self.TYPE, self.priority)

@@ -26,8 +26,10 @@ from repro.campaign.sweep import sample_distribution
 from repro.core.options import RETIRED_SIM_FIELDS, SimOptions
 from repro.core.rng import as_generator
 from repro.reporting import render_campaign_table, render_method_matrix
+from repro.wire import JobContext
 
 FAST_OPTIONS = SimOptions(t_stop=0.1e-9, h_init=2e-12, store_states=False)
+FAST_CONTEXT = JobContext(base_options=FAST_OPTIONS.to_dict())
 
 
 def small_scenarios(methods=("benr", "er"), budgets=(1e-3, 1e-4)):
@@ -453,7 +455,7 @@ class TestAggregation:
 class TestExecuteScenario:
     def test_returns_plain_dict(self):
         scenario = small_scenarios(methods=("er",), budgets=(1e-3,))[0]
-        data = execute_scenario(scenario.to_dict(), FAST_OPTIONS.to_dict())
+        data = execute_scenario(scenario.to_dict(), FAST_CONTEXT)
         outcome = ScenarioOutcome.from_dict(data)
         assert outcome.ok
         assert outcome.worker is not None
@@ -465,23 +467,20 @@ class TestExecuteScenario:
         runs as if they were absent."""
         scenario = small_scenarios(methods=("er",), budgets=(1e-3,))[0]
         legacy = dict(FAST_OPTIONS.to_dict(), **RETIRED_SIM_FIELDS)
-        data = execute_scenario(scenario.to_dict(), legacy)
+        data = execute_scenario(scenario.to_dict(),
+                                JobContext(base_options=legacy))
         outcome = ScenarioOutcome.from_dict(data)
         assert outcome.ok, outcome.error
         fresh = ScenarioOutcome.from_dict(
-            execute_scenario(scenario.to_dict(), FAST_OPTIONS.to_dict()))
+            execute_scenario(scenario.to_dict(), FAST_CONTEXT))
         for key in ("#steps", "#LU", "#LUhit", "t_end_reached", "observables"):
             assert outcome.summary.get(key) == fresh.summary.get(key), key
 
     def test_refuses_changed_retired_base_option(self):
-        scenario = small_scenarios(methods=("er",), budgets=(1e-3,))[0]
-        legacy = dict(FAST_OPTIONS.to_dict(), cache_linearization=False)
-        outcome = ScenarioOutcome.from_dict(
-            execute_scenario(scenario.to_dict(), legacy))
-        assert not outcome.ok
-        assert "cache_linearization" in outcome.error
-        legacy = dict(FAST_OPTIONS.to_dict(), dc={"newton": {"max_iterations": 9}})
-        outcome = ScenarioOutcome.from_dict(
-            execute_scenario(scenario.to_dict(), legacy))
-        assert not outcome.ok
-        assert "dc.newton.max_iterations" in outcome.error
+        # refused where the job context is built, before any execution
+        with pytest.raises(ValueError, match="cache_linearization"):
+            JobContext(base_options=dict(FAST_OPTIONS.to_dict(),
+                                         cache_linearization=False))
+        with pytest.raises(ValueError, match="dc.newton.max_iterations"):
+            JobContext(base_options=dict(
+                FAST_OPTIONS.to_dict(), dc={"newton": {"max_iterations": 9}}))

@@ -12,7 +12,6 @@ import pytest
 from repro.campaign import (
     CircuitSpec,
     ExecutionBackend,
-    ExecutionContext,
     ProcessPoolBackend,
     QueueBackend,
     Scenario,
@@ -100,6 +99,22 @@ class TestBackendContract:
         assert "timeout" in outcome.error
         assert campaign.outcome_for("fast").status == "ok"
 
+    @pytest.mark.parametrize("name", BACKEND_NAMES)
+    @pytest.mark.parametrize("bad, message", [
+        ({"sample_points": 1}, "sample_points"),
+        ({"timeout": -1.0}, "timeout"),
+        ({"timeout": 0.0}, "timeout"),
+    ])
+    def test_invalid_context_rejected_before_dispatch(self, name, bad,
+                                                      message):
+        backend = make_backend(name)
+        dispatched = []
+        backend.execute = lambda *args: dispatched.append(args)
+        with pytest.raises(ValueError, match=message):
+            run_campaign(small_scenarios(), base_options=FAST_OPTIONS,
+                         backend=backend, **bad)
+        assert dispatched == []
+
 
 class TestResolveBackend:
     def test_names(self):
@@ -129,10 +144,3 @@ class TestResolveBackend:
         with pytest.raises(ValueError, match="unknown backend"):
             run_campaign(small_scenarios(), backend="warp")
 
-
-class TestExecutionContext:
-    def test_round_trip(self):
-        context = ExecutionContext(base_options=FAST_OPTIONS.to_dict(),
-                                   timeout=1.5, sample_points=42)
-        restored = ExecutionContext.from_dict(context.to_dict())
-        assert restored == context

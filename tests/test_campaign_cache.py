@@ -15,6 +15,7 @@ from repro.campaign import (
 )
 from repro.core.options import SimOptions
 from repro.reporting import DETERMINISTIC_COLUMNS, render_campaign_table
+from repro.wire import JobContext
 
 FAST_OPTIONS = SimOptions(t_stop=0.1e-9, h_init=2e-12, store_states=False)
 
@@ -118,7 +119,7 @@ class TestResultCache:
         cache = ResultCache(tmp_path / "cache")
         run_campaign(scenarios, base_options=FAST_OPTIONS, backend="serial",
                      cache=cache)
-        ctx = context_hash(FAST_OPTIONS.to_dict(), 101)
+        ctx = context_hash(JobContext(base_options=FAST_OPTIONS.to_dict()))
         path = cache.path(scenarios[0], ctx)
         assert path.exists()
         path.write_text("{not json")

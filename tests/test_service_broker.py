@@ -274,6 +274,18 @@ class TestQueueWorker:
         assert broker.counters()["worker_cache_hits"] == 1
         assert broker.counters()["simulations"] == 1  # only the warmup
 
+    def test_invalid_stored_context_fails_the_job(self, broker):
+        # a direct broker user may store a context no front door accepts;
+        # the worker refuses it as a classified job failure, not a crash
+        broker.enqueue(scenario_payload(), job_id="bad",
+                       context={"sample_points": 1})
+        worker = QueueWorker(broker)
+        assert worker.run_once()
+        job = broker.get("bad")
+        assert job.status == "failed"
+        assert "invalid job context" in job.error
+        assert worker.num_executed == 0
+
     def test_run_exits_when_idle(self, broker):
         broker.enqueue(scenario_payload(), job_id="only")
         worker = QueueWorker(broker)

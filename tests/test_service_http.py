@@ -17,7 +17,11 @@ from repro.campaign.backends._spawn import (
     spawn_module_worker,
     terminate_workers,
 )
+from repro.campaign import CircuitSpec, ResultCache, Scenario, context_hash
+from repro.campaign.backends.queue import job_id_for
+from repro.core.options import SimOptions
 from repro.service.server import ApiError, ServiceServer
+from repro.wire import JobContext
 
 FAST_BASE_OPTIONS = {"t_stop": 0.1e-9, "h_init": 2e-12, "store_states": False}
 
@@ -131,6 +135,27 @@ class TestSubmitAndCoalesce:
         assert warm["decision"] == "cache"
         assert warm["result"]["status"] == "ok"
 
+    def test_job_id_is_pinned(self, service, tmp_path):
+        """Job ids and cache keys of one fixed scenario and context, as
+        the releases before them computed: existing cache directories and
+        broker rows keep hitting."""
+        pinned = ("4b605eb0235cb679d8ee675d038e02b6a60917af46ed0f410799dbcf"
+                  "49ec0f9d-4f906a7ae612106a")
+        scenario = Scenario(name="pin", method="er", circuit=CircuitSpec(
+            "rc_ladder", {"num_segments": 4}))
+        options = SimOptions(**FAST_BASE_OPTIONS).to_dict()
+        context = JobContext(base_options=options, timeout=5.0,
+                             sample_points=11)
+        assert job_id_for(scenario.to_dict(), context) == pinned
+        assert ResultCache(tmp_path).key(
+            scenario, context_hash(context)) == pinned
+        # partial base options over HTTP are spelled out to the same key
+        status, document = http(f"{service.url}/scenarios", {
+            "scenario": scenario.to_dict(), "base_options": FAST_BASE_OPTIONS,
+            "sample_points": 11})
+        assert status == 202
+        assert document["job_id"] == pinned
+
     def test_stream_emits_one_event_per_scenario_then_summary(
             self, service, fleet):
         url = service.url
@@ -225,6 +250,21 @@ class TestValidationAndErrors:
         })
         assert status == 400
         assert "priority" in document["error"]
+
+    @pytest.mark.parametrize("route", ["scenarios", "campaigns"])
+    @pytest.mark.parametrize("bad, message", [
+        ({"sample_points": 1}, "sample_points"),
+        ({"timeout": -1.0}, "timeout"),
+        ({"timeout": 0}, "timeout"),
+    ])
+    def test_invalid_context_is_400_and_enqueues_nothing(
+            self, service, route, bad, message):
+        body = {"scenario": scenario_body()} if route == "scenarios" \
+            else {"scenarios": [scenario_body("a"), scenario_body("b", 5)]}
+        status, document = http(f"{service.url}/{route}", dict(body, **bad))
+        assert status == 400
+        assert message in document["error"]
+        assert set(service.broker.depth().values()) == {0}
 
     def test_duplicate_names_in_campaign_is_400(self, service):
         status, document = http(f"{service.url}/campaigns", {

@@ -1,0 +1,78 @@
+"""Property-based test of the HTTP submission boundary.
+
+Requires ``hypothesis`` (skipped when absent).  Whatever JSON a client
+puts into the job-context fields (``base_options``, ``timeout``,
+``sample_points``) or ``priority`` of ``POST /scenarios``, the front end
+answers with a classified status -- 200 (cache), 202 (admitted or
+coalesced) or 400 (rejected) -- and never with a 5xx.
+"""
+
+import json
+import urllib.error
+import urllib.request
+from dataclasses import fields
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+
+from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from repro.core.options import SimOptions  # noqa: E402
+from repro.service.server import ServiceServer  # noqa: E402
+
+SCENARIO = {
+    "name": "fuzz",
+    "circuit": {"factory": "rc_ladder", "params": {"num_segments": 3}},
+    "method": "er",
+}
+
+#: any JSON value: null, bool, numbers (NaN and infinities included),
+#: strings, and nested arrays / objects of those
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6)
+
+#: option dicts whose keys are mostly real SimOptions fields, so values
+#: reach SimOptions' own checks rather than the unknown-field refusal
+OPTION_DICTS = st.dictionaries(
+    st.sampled_from([f.name for f in fields(SimOptions)]) | st.text(max_size=8),
+    JSON, max_size=4)
+
+#: each field: a value of its declared type (out-of-range ones included)
+#: or any JSON value at all
+BODIES = st.fixed_dictionaries({"scenario": st.just(SCENARIO)}, optional={
+    "base_options": st.none() | OPTION_DICTS | JSON,
+    "timeout": st.none() | st.floats() | st.integers() | JSON,
+    "sample_points": st.integers() | JSON,
+    "priority": st.none() | st.integers() | JSON,
+})
+
+
+def post(url, body):
+    request = urllib.request.Request(
+        url, data=json.dumps(body).encode("utf-8"),
+        headers={"Content-Type": "application/json"})
+    try:
+        with urllib.request.urlopen(request, timeout=30.0) as response:
+            return response.status, json.loads(response.read())
+    except urllib.error.HTTPError as exc:
+        return exc.code, json.loads(exc.read())
+
+
+def test_arbitrary_context_values_never_answer_5xx(tmp_path):
+    server = ServiceServer(data_dir=tmp_path / "svc").start()
+    try:
+        @settings(max_examples=150, deadline=None,
+                  suppress_health_check=[HealthCheck.too_slow])
+        @given(body=BODIES)
+        def check(body):
+            status, document = post(f"{server.url}/scenarios", body)
+            assert status in (200, 202, 400), (status, document)
+
+        check()
+    finally:
+        server.shutdown()

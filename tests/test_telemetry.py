@@ -186,8 +186,8 @@ class TestBackendDispatchCounter:
 
         backend = local_backends.SerialBackend()
         delivered = {}
-        from repro.campaign.backends.base import ExecutionContext
-        context = ExecutionContext(base_options=None, sample_points=11)
+        from repro.wire import JobContext
+        context = JobContext(sample_points=11)
         backend.execute([(0, {"name": "a"}), (1, {"name": "b"})], context,
                         lambda index, data: delivered.__setitem__(index, data))
         assert set(delivered) == {0, 1}

@@ -35,8 +35,7 @@ class TestRoundTripIdentity:
         wire.SupervisorState(supervisor_id="host:1", live_workers=2,
                              spawns=5, retires=3, breaker_open=True),
         wire.ScenarioSubmission(scenario={"name": "x"}, priority=2),
-        wire.CampaignSubmission(scenarios=[{"name": "x"}],
-                                base_options={"t_stop": 1e-9}),
+        wire.CampaignSubmission(scenarios=[{"name": "x"}], priority=-1),
     ]
 
     @pytest.mark.parametrize(
@@ -107,6 +106,24 @@ class TestValidation:
         with pytest.raises(wire.WireError, match="sample_points"):
             wire.decode({"type": "job_context", "sample_points": 1})
 
+    def test_construction_validates(self):
+        # a message that exists is valid: no unchecked instance to encode
+        with pytest.raises(wire.WireError, match="sample_points"):
+            wire.JobContext(sample_points=1)
+        with pytest.raises(wire.WireError, match="timeout"):
+            wire.JobContext(timeout=-1.0)
+        with pytest.raises(wire.WireError, match="base_options"):
+            wire.JobContext(base_options={"no_such_option": 1})
+        with pytest.raises(wire.WireError, match="pid"):
+            wire.WorkerSnapshot(worker_id="w", pid="three")
+        with pytest.raises(wire.WireError, match="priority"):
+            wire.ScenarioSubmission(scenario={}, priority=2 ** 63)
+
+    def test_messages_are_frozen(self):
+        context = wire.JobContext(sample_points=11)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            context.sample_points = 1
+
     def test_campaign_record_rejects_ragged_lists(self):
         with pytest.raises(wire.WireError):
             wire.CampaignRecord(campaign_id="c", names=["a", "b"],
@@ -120,7 +137,7 @@ class TestJobContext:
         assert wire.decode_job_context({}) == wire.JobContext()
 
     def test_decode_job_context_accepts_legacy_plain_dict(self):
-        # what ExecutionContext.to_dict() produced before repro.wire
+        # a plain field dict, as producers wrote it before repro.wire
         legacy = {"base_options": {"t_stop": 1e-9}, "timeout": None,
                   "sample_points": 51}
         context = wire.decode_job_context(legacy)

@@ -5,10 +5,12 @@ submit the method-shootout campaign, stream progress as results land,
 prove request coalescing by resubmitting the identical campaign (zero
 additional simulations), and render the `/stats` operations table.
 
-Start the service first (two shell commands)::
+Start the service first (two shell commands: the front end, and the
+fleet supervisor holding two local workers; SIGTERM to the supervisor
+stops its workers)::
 
-    python -m repro.service serve  --data ./service-data --port 8080
-    python -m repro.service worker --data ./service-data   # one per core
+    python -m repro.service serve --data ./service-data --port 8080
+    python -m repro.fleet --data ./service-data --min-workers 2 --max-workers 2
 
 then::
 

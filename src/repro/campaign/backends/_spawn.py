@@ -1,8 +1,8 @@
 """Local worker-process spawning for queue workers.
 
-The queue backend, ``python -m repro.service serve --workers`` and the
-fleet supervisor all launch ``python -m repro.service.worker`` as local
-subprocesses, so a single-machine deployment needs no orchestration.
+The queue backend and the fleet supervisor both launch
+``python -m repro.service.worker`` as local subprocesses, so a
+single-machine deployment needs no orchestration.
 The helpers here keep that path uniform: the child re-uses the parent's
 import roots (``src/``, test helper directories), and its stderr lands
 in an anonymous temp file kept on the ``Popen`` object so a fleet that

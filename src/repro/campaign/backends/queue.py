@@ -19,11 +19,11 @@ Fault model
 -----------
 * A worker that crashes mid-job stops extending its lease; the job's
   visibility timeout expires and the broker **redelivers** it to the
-  next worker that asks, at most ``max_attempts`` times in total -- a
+  next worker that asks, at most ``MAX_ATTEMPTS`` times in total -- a
   poison job is failed by the broker, and the backend converts it into
   an error outcome for its scenario.
 * If the spawned fleet has exited (or, with ``spawn=False``, no external
-  worker has made progress for ``idle_timeout`` seconds), the remaining
+  worker has made progress for ``IDLE_TIMEOUT`` seconds), the remaining
   scenarios are delivered as error outcomes: the campaign finishes,
   degraded, rather than hanging on an empty queue.
 """
@@ -71,25 +71,28 @@ class QueueBackend(ExecutionBackend):
 
     name = "queue"
 
+    #: visibility timeout the spawned workers lease each job for
+    LEASE_SECONDS = 30.0
+    #: deliveries of one job before the broker fails it
+    MAX_ATTEMPTS = 3
+    #: seconds between result polls here and lease polls in the spawned
+    #: workers
+    POLL_INTERVAL = 0.05
+    #: with ``spawn=False``: seconds without progress before the remaining
+    #: scenarios come back as error outcomes
+    IDLE_TIMEOUT = 60.0
+
     def __init__(
         self,
         broker: Union[str, Path, "JobBroker", None] = None,
         data_dir: Union[str, Path, None] = None,
         workers: Optional[int] = None,
         spawn: bool = True,
-        lease_seconds: float = 30.0,
-        max_attempts: int = 3,
-        poll_interval: float = 0.05,
-        idle_timeout: float = 60.0,
     ):
         self.broker = broker
         self.data_dir = data_dir
         self.workers = workers
         self.spawn = spawn
-        self.lease_seconds = float(lease_seconds)
-        self.max_attempts = int(max_attempts)
-        self.poll_interval = float(poll_interval)
-        self.idle_timeout = float(idle_timeout)
         self._resolved_workers = workers
         self._broker_path: Optional[str] = None
         # data-dir workers consult the shared cache AND append runtime
@@ -104,10 +107,10 @@ class QueueBackend(ExecutionBackend):
         if isinstance(self.broker, JobBroker):
             return self.broker
         if self.broker is not None:
-            return JobBroker(self.broker, max_attempts=self.max_attempts)
+            return JobBroker(self.broker, max_attempts=self.MAX_ATTEMPTS)
         root = Path(self.data_dir) if self.data_dir is not None else tmp_root
         return JobBroker(layout.broker_path(root),
-                         max_attempts=self.max_attempts)
+                         max_attempts=self.MAX_ATTEMPTS)
 
     def execute(self, items: Sequence[WorkItem], context: JobContext,
                 deliver: DeliverFn) -> None:
@@ -140,7 +143,7 @@ class QueueBackend(ExecutionBackend):
                 job = broker.enqueue(payload, context=context_data,
                                      priority=len(items) - position,
                                      job_id=job_id,
-                                     max_attempts=self.max_attempts)
+                                     max_attempts=self.MAX_ATTEMPTS)
                 if not job.fresh:
                     adopted_jobs.add(job_id)
 
@@ -149,8 +152,8 @@ class QueueBackend(ExecutionBackend):
             count = self.workers if self.workers else default_workers(len(items))
             self._resolved_workers = count
             worker_args = ["--broker", str(broker.path), "--exit-when-idle",
-                           "--lease", str(self.lease_seconds),
-                           "--poll", "0.05"]
+                           "--lease", str(self.LEASE_SECONDS),
+                           "--poll", str(self.POLL_INTERVAL)]
             if self.data_dir is not None:
                 from repro.service import layout
                 worker_args += ["--cache",
@@ -221,16 +224,16 @@ class QueueBackend(ExecutionBackend):
                                 "unfinished" + diagnosis))
                     continue
                 if not self.spawn and \
-                        time.monotonic() - last_progress > self.idle_timeout:
+                        time.monotonic() - last_progress > self.IDLE_TIMEOUT:
                     for job_id in list(unfinished):
                         unfinished.discard(job_id)
                         for index in indices_by_job[job_id]:
                             deliver(index, self.failure_outcome(
                                 payload_by_index[index],
                                 f"no queue worker made progress for "
-                                f"{self.idle_timeout:g}s"))
+                                f"{self.IDLE_TIMEOUT:g}s"))
                     break
-                time.sleep(self.poll_interval)
+                time.sleep(self.POLL_INTERVAL)
         finally:
             terminate_workers(processes)
             if tmp_root is not None:

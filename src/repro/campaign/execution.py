@@ -81,6 +81,10 @@ class _ScenarioTimeout(Exception):
     """Raised inside a worker when the per-scenario timer fires."""
 
 
+def _no_guard() -> None:
+    pass
+
+
 def _timeout_guard(seconds: Optional[float]):
     """Arm a SIGALRM-based timeout if the platform allows it.
 
@@ -94,13 +98,17 @@ def _timeout_guard(seconds: Optional[float]):
         or not hasattr(signal, "setitimer")
         or threading.current_thread() is not threading.main_thread()
     ):
-        return lambda: None
+        return _no_guard
 
     def _on_alarm(signum, frame):
         raise _ScenarioTimeout(f"scenario exceeded its {seconds:g}s timeout")
 
     previous = signal.signal(signal.SIGALRM, _on_alarm)
-    signal.setitimer(signal.ITIMER_REAL, float(seconds))
+    try:
+        signal.setitimer(signal.ITIMER_REAL, float(seconds))
+    except BaseException:
+        signal.signal(signal.SIGALRM, previous)
+        raise
 
     def _disarm():
         signal.setitimer(signal.ITIMER_REAL, 0.0)
@@ -133,16 +141,20 @@ def execute_scenario(
 ) -> Dict[str, object]:
     """Run one scenario under a job context; return the outcome as a dict.
 
-    This function is the unit shipped to workers over every transport; it
-    never raises -- every failure mode is folded into the outcome's
-    status/traceback.  ``None`` is the default context.
+    This function is the unit shipped to workers over every transport.
+    Once ``scenario_data`` parses as a :class:`Scenario` it never raises --
+    every failure mode is folded into the outcome's status/traceback; a
+    dict that :meth:`Scenario.from_dict` refuses raises its error (callers
+    pass ``Scenario.to_dict()`` output, and the queue worker checks stored
+    payloads first).  ``None`` is the default context.
     """
     context = context or JobContext()
     scenario = Scenario.from_dict(scenario_data)
     outcome = ScenarioOutcome(scenario=scenario, worker=os.getpid())
     wall_start = time.perf_counter()
-    disarm = _timeout_guard(context.timeout)
+    disarm = _no_guard
     try:
+        disarm = _timeout_guard(context.timeout)
         base = SimOptions.from_dict(context.base_options) \
             if context.base_options else None
         options = scenario.sim_options(base)

@@ -113,9 +113,9 @@ def run_campaign(
     ValueError
         When ``base_options``, ``timeout`` and ``sample_points`` do not
         make a valid :class:`~repro.wire.JobContext` (``sample_points``
-        below 2, a ``timeout`` that is not a positive finite number of
-        seconds): raised before any cache lookup or dispatch, on every
-        backend alike.
+        below 2, a ``timeout`` that is not a positive number of seconds
+        up to ``repro.wire.messages.MAX_TIMEOUT_SECONDS``): raised before
+        any cache lookup or dispatch, on every backend alike.
     """
     # the campaign's one job context, validated here -- before any cache
     # lookup or dispatch -- so every backend sees the same valid context

@@ -13,12 +13,14 @@ from __future__ import annotations
 import hashlib
 import importlib
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.benchcircuits.registry import build_circuit
 from repro.circuit.netlist import Circuit
 from repro.core.options import SimOptions
+from repro.integrators import INTEGRATOR_REGISTRY
 
 __all__ = [
     "CircuitSpec",
@@ -31,6 +33,20 @@ __all__ = [
 #: bumped whenever the canonical serialization (and therefore every stored
 #: scenario hash) changes meaning; baked into :func:`scenario_hash`
 SCENARIO_HASH_VERSION = 1
+
+
+def _require_string(what: str, value: object) -> None:
+    if not isinstance(value, str):
+        raise TypeError(f"{what} must be a string, "
+                        f"not {type(value).__name__}")
+
+
+def _mapping(what: str, value: object) -> Dict[str, object]:
+    """A copy of ``value``, which must be a mapping (a JSON object)."""
+    if not isinstance(value, Mapping):
+        raise TypeError(f"{what} must be a mapping, "
+                        f"not {type(value).__name__}")
+    return dict(value)
 
 
 @dataclass(frozen=True)
@@ -46,6 +62,11 @@ class CircuitSpec:
     factory: str
     params: Dict[str, object] = field(default_factory=dict)
     module: Optional[str] = None
+
+    def __post_init__(self):
+        _require_string("circuit factory", self.factory)
+        if self.module is not None:
+            _require_string("circuit module", self.module)
 
     def build(self) -> Circuit:
         if self.module:
@@ -68,8 +89,8 @@ class CircuitSpec:
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "CircuitSpec":
         return cls(
-            factory=str(data["factory"]),
-            params=dict(data.get("params", {})),
+            factory=data["factory"],
+            params=_mapping("circuit params", data.get("params", {})),
             module=data.get("module"),
         )
 
@@ -127,7 +148,8 @@ class Scenario:
     circuit:
         The :class:`CircuitSpec` the workers rebuild.
     method:
-        Integration method key (``"benr"``, ``"tr"``, ``"er"``, ``"er-c"``...).
+        Integration method key (``"benr"``, ``"trap"``, ``"er"``, ``"er-c"``...),
+        a key of :data:`repro.integrators.INTEGRATOR_REGISTRY` (any case).
     options:
         :class:`SimOptions` overrides as a flat dict, applied on top of
         the campaign's base options.
@@ -150,6 +172,16 @@ class Scenario:
     seed: Optional[int] = None
     observe: List[str] = field(default_factory=list)
     tags: Dict[str, object] = field(default_factory=dict)
+
+    def __post_init__(self):
+        # a scenario that exists names a method the simulator accepts, so
+        # a bad one is refused where it is built, not in a worker
+        _require_string("scenario name", self.name)
+        _require_string("method", self.method)
+        if self.method.strip().lower() not in INTEGRATOR_REGISTRY:
+            known = ", ".join(sorted(INTEGRATOR_REGISTRY))
+            raise ValueError(f"unknown integration method {self.method!r}; "
+                             f"known methods: {known}")
 
     def sim_options(self, base: Optional[SimOptions] = None) -> SimOptions:
         """Resolve the concrete :class:`SimOptions` for this scenario."""
@@ -191,11 +223,11 @@ class Scenario:
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "Scenario":
         return cls(
-            name=str(data["name"]),
+            name=data["name"],
             circuit=CircuitSpec.from_dict(data["circuit"]),
-            method=str(data.get("method", "er")),
-            options=dict(data.get("options", {})),
+            method=data.get("method", "er"),
+            options=_mapping("options", data.get("options", {})),
             seed=data.get("seed"),
             observe=list(data.get("observe", [])),
-            tags=dict(data.get("tags", {})),
+            tags=_mapping("tags", data.get("tags", {})),
         )

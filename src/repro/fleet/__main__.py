@@ -6,22 +6,25 @@ fleet end to end: no workers need to be started by hand, ever::
     python -m repro.service serve --data runs/state --port 8035 &
     python -m repro.fleet --data runs/state --max-workers 8
 
-The supervisor scales workers up when the ready queue grows
-(one worker per ``--scale-threshold`` queued jobs, at most
+A fixed pool of N local workers is ``--min-workers N --max-workers N``.
+The supervisor scales workers up when the ready queue grows (one worker
+per ``FleetPolicy.SCALE_THRESHOLD`` queued jobs, at most
 ``--max-workers``), lets surge workers retire themselves once the queue
 drains (they carry ``--exit-when-idle``), restarts crashes with
 exponential backoff behind a crash-loop circuit breaker, and kills
-zombie processes whose broker heartbeats went stale.  Its own state is
-published through the broker: the front end shows it under
-``/stats["fleet"]``, as ``repro_fleet_supervisor_*`` metric families on
-``/metrics``, and in ``repro.watch``.
+zombie processes whose broker heartbeats went stale.  The timings are
+class constants of :class:`~repro.fleet.supervisor.FleetSupervisor`.
+SIGTERM and Ctrl-C both stop the supervisor and terminate its workers.
+Its own state is published through the broker: the front end shows it
+under ``/stats["fleet"]``, as ``repro_fleet_supervisor_*`` metric
+families on ``/metrics``, and in ``repro.watch``.
 """
 
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
-import threading
 
 from repro.fleet.policy import FleetPolicy
 from repro.fleet.supervisor import FleetSupervisor
@@ -44,67 +47,27 @@ def main(argv=None) -> int:
     parser.add_argument("--min-workers", type=int, default=0,
                         help="floor kept alive even with an empty queue "
                              "(default 0: fully scale-to-zero)")
-    parser.add_argument("--scale-threshold", type=float, default=2.0,
-                        help="ready jobs one worker absorbs before a "
-                             "sibling is added (default 2)")
-    parser.add_argument("--interval", type=float, default=1.0,
-                        help="seconds between control-loop ticks")
-    parser.add_argument("--lease", type=float, default=60.0,
-                        help="lease seconds passed to spawned workers")
-    parser.add_argument("--worker-poll", type=float, default=0.2,
-                        help="queue poll interval passed to spawned workers")
-    parser.add_argument("--stale-heartbeat", type=float, default=60.0,
-                        help="seconds without a broker heartbeat before a "
-                             "live supervised process is reaped as a zombie")
-    parser.add_argument("--min-uptime", type=float, default=5.0,
-                        help="a worker living this long resets the "
-                             "consecutive-crash count")
-    parser.add_argument("--backoff-base", type=float, default=0.5,
-                        help="first-crash respawn delay; doubles per "
-                             "consecutive crash")
-    parser.add_argument("--backoff-cap", type=float, default=30.0,
-                        help="upper bound on the respawn backoff")
-    parser.add_argument("--breaker-threshold", type=int, default=5,
-                        help="consecutive crashes that open the crash-loop "
-                             "circuit breaker")
-    parser.add_argument("--breaker-cooldown", type=float, default=60.0,
-                        help="seconds the breaker stays open before a "
-                             "half-open retry")
-    parser.add_argument("--ticks", type=int, default=None, metavar="N",
-                        help="run exactly N control-loop ticks, then exit "
-                             "(default: run until interrupted)")
     parser.add_argument("--once", action="store_true",
-                        help="shorthand for --ticks 1")
+                        help="run one control-loop tick, then exit")
     args = parser.parse_args(argv)
 
     policy = FleetPolicy(max_workers=args.max_workers,
-                         min_workers=args.min_workers,
-                         scale_threshold=args.scale_threshold)
+                         min_workers=args.min_workers)
     supervisor = FleetSupervisor(
         broker=JobBroker(args.broker) if args.broker else None,
         data_dir=args.data,
         policy=policy,
-        interval=args.interval,
-        lease_seconds=args.lease,
-        worker_poll=args.worker_poll,
-        stale_heartbeat=args.stale_heartbeat,
-        min_uptime=args.min_uptime,
-        backoff_base=args.backoff_base,
-        backoff_cap=args.backoff_cap,
-        breaker_threshold=args.breaker_threshold,
-        breaker_cooldown=args.breaker_cooldown,
     )
-    max_ticks = 1 if args.once else args.ticks
     print(f"fleet supervisor {supervisor.supervisor_id}: "
           f"workers {policy.min_workers}..{policy.max_workers}, "
-          f"threshold {policy.scale_threshold:g} jobs/worker, "
-          f"tick every {supervisor.interval:g}s", file=sys.stderr)
-    stop = threading.Event()
+          f"threshold {policy.SCALE_THRESHOLD:g} jobs/worker, "
+          f"tick every {supervisor.INTERVAL:g}s", file=sys.stderr)
+    # SIGTERM takes Ctrl-C's path: run() terminates the workers on the way out
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
-        supervisor.run(stop=stop, max_ticks=max_ticks)
+        supervisor.run(max_ticks=1 if args.once else None)
     except KeyboardInterrupt:
-        stop.set()
-        supervisor.shutdown()
+        pass
     return 0
 
 

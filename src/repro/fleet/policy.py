@@ -6,8 +6,8 @@ workers, breaker/backoff flags) and returns one :class:`Decision`.
 That makes the entire scaling behavior table-testable with canned
 snapshots -- no subprocesses, no clocks.
 
-The core rule: the fleet should hold ``ceil(queued / scale_threshold)``
-workers (one worker per ``scale_threshold`` ready jobs), clamped to
+The core rule: the fleet should hold ``ceil(queued / SCALE_THRESHOLD)``
+workers (one worker per ``SCALE_THRESHOLD`` ready jobs), clamped to
 ``[min_workers, max_workers]``.  A drained queue (nothing queued or
 leased) retires everything above the floor; a crash-looping worker
 command defers all spawning (``backoff``) until the breaker closes.
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 __all__ = ["FleetPolicy", "FleetObservation", "Decision"]
 
@@ -52,29 +53,28 @@ class Decision:
 
 @dataclass(frozen=True)
 class FleetPolicy:
-    """The knobs of the scaling rule (immutable; safe to share)."""
+    """The worker bounds of the scaling rule (immutable; safe to share)."""
+
+    #: ready jobs one worker is expected to absorb before a sibling
+    #: is added (queue depth per live worker that triggers scale-up)
+    SCALE_THRESHOLD: ClassVar[float] = 2.0
 
     #: hard ceiling on supervised + external live workers
     max_workers: int = 4
     #: floor kept alive even when the queue is empty
     min_workers: int = 0
-    #: ready jobs one worker is expected to absorb before a sibling
-    #: is added (queue depth per live worker that triggers scale-up)
-    scale_threshold: float = 2.0
 
     def __post_init__(self):
         if self.max_workers < 1:
             raise ValueError("max_workers must be >= 1")
         if not 0 <= self.min_workers <= self.max_workers:
             raise ValueError("need 0 <= min_workers <= max_workers")
-        if self.scale_threshold <= 0:
-            raise ValueError("scale_threshold must be > 0")
 
     def desired_workers(self, queued: int) -> int:
         """How many workers the current backlog warrants."""
         if queued <= 0:
             return self.min_workers
-        wanted = max(1, math.ceil(queued / self.scale_threshold))
+        wanted = max(1, math.ceil(queued / self.SCALE_THRESHOLD))
         return min(self.max_workers, max(self.min_workers, wanted))
 
     def decide(self, obs: FleetObservation) -> Decision:

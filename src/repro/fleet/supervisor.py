@@ -18,11 +18,12 @@ Each :meth:`FleetSupervisor.tick`:
    and the ``repro_fleet_supervisor_*`` metric families.
 
 Crash handling: consecutive short-lived crashes grow an exponential
-backoff (``backoff_base * 2**(n-1)``, capped); at ``breaker_threshold``
-consecutive crashes the circuit breaker opens for ``breaker_cooldown``
-seconds -- a worker command that cannot start does not spin the host.
-A worker that survives ``min_uptime`` seconds (or retires cleanly)
-resets the crash count.
+backoff (``BACKOFF_BASE * 2**(n-1)``, capped at ``BACKOFF_CAP``); at
+``BREAKER_THRESHOLD`` consecutive crashes the circuit breaker opens for
+``BREAKER_COOLDOWN`` seconds -- a worker command that cannot start does
+not spin the host.  A worker that survives ``MIN_UPTIME`` seconds (or
+retires cleanly) resets the crash count.  These timings are class
+constants of :class:`FleetSupervisor`; tests patch them.
 """
 
 from __future__ import annotations
@@ -90,20 +91,27 @@ class ManagedWorker:
 class FleetSupervisor:
     """Scale, restart and reap queue workers against one broker."""
 
+    #: seconds between control-loop ticks
+    INTERVAL = 1.0
+    #: a supervised process whose published heartbeat is older than
+    #: this (after a startup grace of the same length) is a zombie
+    STALE_HEARTBEAT = 60.0
+    #: a worker living this long resets the consecutive-crash count
+    MIN_UPTIME = 5.0
+    #: first-crash respawn delay; doubles per consecutive crash
+    BACKOFF_BASE = 0.5
+    #: upper bound on the respawn delay
+    BACKOFF_CAP = 30.0
+    #: consecutive crashes that open the crash-loop circuit breaker
+    BREAKER_THRESHOLD = 5
+    #: seconds the breaker stays open before a half-open retry
+    BREAKER_COOLDOWN = 60.0
+
     def __init__(
         self,
         broker: Optional[JobBroker] = None,
         data_dir: Union[str, Path, None] = None,
         policy: Optional[FleetPolicy] = None,
-        interval: float = 1.0,
-        lease_seconds: float = 60.0,
-        worker_poll: float = 0.2,
-        stale_heartbeat: float = 60.0,
-        min_uptime: float = 5.0,
-        backoff_base: float = 0.5,
-        backoff_cap: float = 30.0,
-        breaker_threshold: int = 5,
-        breaker_cooldown: float = 60.0,
         spawn_fn: Optional[Callable[[str, str], object]] = None,
     ):
         if broker is None:
@@ -113,17 +121,6 @@ class FleetSupervisor:
         self.broker = broker
         self.data_dir = Path(data_dir) if data_dir is not None else None
         self.policy = policy or FleetPolicy()
-        self.interval = float(interval)
-        self.lease_seconds = float(lease_seconds)
-        self.worker_poll = float(worker_poll)
-        #: a supervised process whose published heartbeat is older than
-        #: this (after a startup grace of the same length) is a zombie
-        self.stale_heartbeat = float(stale_heartbeat)
-        self.min_uptime = float(min_uptime)
-        self.backoff_base = float(backoff_base)
-        self.backoff_cap = float(backoff_cap)
-        self.breaker_threshold = int(breaker_threshold)
-        self.breaker_cooldown = float(breaker_cooldown)
         #: injectable for tests: ``(worker_id, kind) -> Popen-like``
         self._spawn_fn = spawn_fn
 
@@ -147,9 +144,7 @@ class FleetSupervisor:
     # -- spawning ----------------------------------------------------------------------
 
     def _default_spawn(self, worker_id: str, kind: str):
-        args = ["--worker-id", worker_id,
-                "--lease", str(self.lease_seconds),
-                "--poll", str(self.worker_poll)]
+        args = ["--worker-id", worker_id]
         if self.data_dir is not None:
             args = ["--data", str(self.data_dir)] + args
         else:
@@ -175,15 +170,15 @@ class FleetSupervisor:
         self.crashes += 1
         _TM_CRASHES.inc()
         self.last_crash_detail = detail
-        if uptime < self.min_uptime:
+        if uptime < self.MIN_UPTIME:
             self.consecutive_crashes += 1
         else:
             # a crash after healthy uptime starts a fresh streak
             self.consecutive_crashes = 1
-        delay = min(self.backoff_cap,
-                    self.backoff_base * 2 ** (self.consecutive_crashes - 1))
+        delay = min(self.BACKOFF_CAP,
+                    self.BACKOFF_BASE * 2 ** (self.consecutive_crashes - 1))
         self._backoff_until = max(self._backoff_until, now_mono + delay)
-        if self.consecutive_crashes >= self.breaker_threshold \
+        if self.consecutive_crashes >= self.BREAKER_THRESHOLD \
                 and self._breaker_opened_at is None:
             self._breaker_opened_at = now_mono
             self.breaker_trips += 1
@@ -192,9 +187,9 @@ class FleetSupervisor:
     def _breaker_open(self, now_mono: float) -> bool:
         if self._breaker_opened_at is None:
             return False
-        if now_mono - self._breaker_opened_at >= self.breaker_cooldown:
+        if now_mono - self._breaker_opened_at >= self.BREAKER_COOLDOWN:
             # half-open: allow a fresh attempt; a further crash loop
-            # re-opens the breaker after breaker_threshold crashes
+            # re-opens the breaker after BREAKER_THRESHOLD crashes
             self._breaker_opened_at = None
             self.consecutive_crashes = 0
             return False
@@ -213,7 +208,7 @@ class FleetSupervisor:
             if worker.kind == "surge" and code == 0:
                 self.retires += 1
                 _TM_RETIRES.inc()
-                if uptime >= self.min_uptime:
+                if uptime >= self.MIN_UPTIME:
                     self.consecutive_crashes = 0
                 close_worker_logs([worker.process])
                 continue
@@ -235,12 +230,12 @@ class FleetSupervisor:
             # startup grace: a fresh spawn has not published yet
             reference = last_beat if last_beat is not None \
                 else worker.spawned_wall
-            if now_wall - reference <= self.stale_heartbeat:
+            if now_wall - reference <= self.STALE_HEARTBEAT:
                 if last_beat is not None and worker.process.poll() is None:
-                    # a worker that lived past min_uptime proves the
+                    # a worker that lived past MIN_UPTIME proves the
                     # command itself is viable
                     uptime = now_mono - worker.spawned_mono
-                    if uptime >= self.min_uptime and self.consecutive_crashes:
+                    if uptime >= self.MIN_UPTIME and self.consecutive_crashes:
                         self.consecutive_crashes = 0
                 continue
             terminate_workers([worker.process])
@@ -261,7 +256,7 @@ class FleetSupervisor:
         known = {worker.worker_id for worker in self.workers} | \
             self._former_ids
         external = [worker_id for worker_id in self.broker.worker_metrics(
-            max_age=self.stale_heartbeat) if worker_id not in known]
+            max_age=self.STALE_HEARTBEAT) if worker_id not in known]
         return FleetObservation(
             queued=depth["queued"],
             leased=depth["leased"],
@@ -320,7 +315,7 @@ class FleetSupervisor:
             last_action=decision.action if decision else "",
             last_reason=decision.reason if decision else "",
             ticks=self.ticks,
-            interval=self.interval,
+            interval=self.INTERVAL,
         )
 
     def publish(self, now_mono: Optional[float] = None,
@@ -330,25 +325,21 @@ class FleetSupervisor:
         doc["updated_at"] = time.time() if now_wall is None else now_wall
         self.broker.put_supervisor_state(doc)
 
-    def run(self, stop=None, max_ticks: Optional[int] = None) -> int:
-        """Tick until ``stop`` (a ``threading.Event``) is set.
+    def run(self, max_ticks: Optional[int] = None) -> int:
+        """Tick every ``INTERVAL`` seconds, ``max_ticks`` times or forever.
 
-        Returns the number of ticks run.  On exit every supervised
-        worker is terminated -- the supervisor owns its processes.
+        Returns the number of ticks run.  On exit, KeyboardInterrupt
+        included, every supervised worker is terminated -- the
+        supervisor owns its processes.
         """
         ran = 0
         try:
-            while (stop is None or not stop.is_set()) and \
-                    (max_ticks is None or ran < max_ticks):
+            while max_ticks is None or ran < max_ticks:
                 self.tick()
                 ran += 1
-                if max_ticks is not None and ran >= max_ticks:
+                if ran == max_ticks:
                     break
-                if stop is not None:
-                    if stop.wait(self.interval):
-                        break
-                else:
-                    time.sleep(self.interval)
+                time.sleep(self.INTERVAL)
         finally:
             self.shutdown()
         return ran

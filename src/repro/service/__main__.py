@@ -2,8 +2,11 @@
 
 A laptop fleet is two shell commands::
 
-    python -m repro.service serve  --data ./svc --port 8080
-    python -m repro.service worker --data ./svc        # one per core
+    python -m repro.service serve --data ./svc --port 8080
+    python -m repro.fleet --data ./svc --min-workers 2 --max-workers 2
+
+(``python -m repro.service worker --data ./svc`` attaches one more worker
+by hand, e.g. on another host that shares the directory)
 
 then submit work over HTTP from anywhere::
 
@@ -68,13 +71,11 @@ def _http_json(url: str, body: Optional[Dict[str, object]] = None,
 def cmd_serve(argv) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.service serve",
-        description="Run the HTTP front end (and optionally local workers).")
+        description="Run the HTTP front end (workers: python -m repro.fleet).")
     parser.add_argument("--data", metavar="DIR", required=True,
                         help="service data directory (created if missing)")
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8080)
-    parser.add_argument("--workers", type=int, default=0,
-                        help="also spawn this many local queue workers")
     parser.add_argument("--max-queue-depth", type=int, default=None,
                         help="reject submissions with 429 + Retry-After "
                              "while this many jobs are already queued")
@@ -86,10 +87,6 @@ def cmd_serve(argv) -> int:
                         help="log every request to stderr")
     args = parser.parse_args(argv)
 
-    from repro.campaign.backends._spawn import (
-        spawn_module_worker,
-        terminate_workers,
-    )
     from repro.service.server import ServiceServer
 
     token = _resolve_token(args.auth_token)
@@ -97,19 +94,13 @@ def cmd_serve(argv) -> int:
                            max_queue_depth=args.max_queue_depth,
                            auth_token=token)
     server.httpd.RequestHandlerClass.verbose = args.verbose
-    processes = [
-        spawn_module_worker("repro.service.worker", ["--data", args.data])
-        for _ in range(max(0, args.workers))
-    ]
-    print(f"repro.service listening on {server.url} (data: {args.data}, "
-          f"{len(processes)} local workers"
+    print(f"repro.service listening on {server.url} (data: {args.data}"
           f"{', bearer auth on' if token else ''})", file=sys.stderr)
     try:
         server.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:
-        terminate_workers(processes)
         server.shutdown()
     return 0
 

@@ -200,14 +200,17 @@ class JobBroker:
     file at ``path``.
     """
 
+    #: seconds a connection waits on another process's write lock
+    BUSY_TIMEOUT = 30.0
+    #: :meth:`gc` drops worker snapshots with no heartbeat for this long
+    WORKER_METRICS_MAX_AGE = 3600.0
+
     def __init__(self, path: Union[str, Path],
                  lease_seconds: float = 60.0,
-                 max_attempts: int = 3,
-                 busy_timeout: float = 30.0):
+                 max_attempts: int = 3):
         self.path = Path(path)
         self.lease_seconds = float(lease_seconds)
         self.max_attempts = int(max_attempts)
-        self.busy_timeout = float(busy_timeout)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with self._conn() as conn:
             conn.executescript(_SCHEMA)
@@ -223,7 +226,7 @@ class JobBroker:
         connection must be closed deterministically, not left to the
         garbage collector's mercy.
         """
-        conn = sqlite3.connect(self.path, timeout=self.busy_timeout,
+        conn = sqlite3.connect(self.path, timeout=self.BUSY_TIMEOUT,
                                isolation_level=None)
         try:
             conn.row_factory = sqlite3.Row
@@ -610,7 +613,6 @@ class JobBroker:
     def gc(self, max_age: Optional[float] = None,
            keep: Optional[int] = None,
            vacuum: bool = True,
-           worker_metrics_max_age: float = 3600.0,
            dry_run: bool = False) -> Dict[str, object]:
         """Apply retention to terminal jobs and compact the database.
 
@@ -618,7 +620,7 @@ class JobBroker:
         older than that many seconds; ``keep`` then bounds the number of
         terminal jobs retained (newest first).  Queued and leased jobs
         are never touched.  Stale ``worker_metrics`` rows (no heartbeat
-        for ``worker_metrics_max_age`` seconds) are dropped in the same
+        for ``WORKER_METRICS_MAX_AGE`` seconds) are dropped in the same
         sweep.  Deleting a done job does not lose its outcome when a
         shared result cache is in use -- the cache entry under the same
         key keeps answering -- so retention is safe to run aggressively
@@ -658,7 +660,7 @@ class JobBroker:
                     deleted_by_count = conn.execute(
                         f"DELETE FROM jobs WHERE {clause}", args).rowcount
             snap_clause = "updated_at < ?"
-            snap_args = (now - float(worker_metrics_max_age),)
+            snap_args = (now - self.WORKER_METRICS_MAX_AGE,)
             if dry_run:
                 deleted_snapshots = conn.execute(
                     f"SELECT COUNT(*) AS n FROM worker_metrics"

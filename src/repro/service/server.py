@@ -57,6 +57,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro import wire
+from repro.benchcircuits.registry import get_circuit_factory
 from repro.campaign.cache import ResultCache
 from repro.campaign.scenario import Scenario
 from repro.campaign.schedule import history_path_for, load_history
@@ -108,16 +109,23 @@ class ApiError(Exception):
 
 
 def _validate_scenario(data: object) -> Dict[str, object]:
-    """Parse one scenario dict through the campaign spec (400 on failure)."""
+    """Parse one scenario dict through the campaign spec (400 on failure).
+
+    A factory is looked up here unless the scenario names a ``module`` to
+    import first: the front end imports no client-named modules.
+    """
     if not isinstance(data, dict):
         raise ApiError(400, "scenario must be a JSON object")
     try:
         scenario = Scenario.from_dict(data)
-    except (KeyError, TypeError, ValueError) as exc:
+        if not scenario.circuit.module:
+            get_circuit_factory(scenario.circuit.factory)
+        payload = scenario.to_dict()
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ApiError(400, f"invalid scenario: {exc}") from exc
     if not scenario.name:
         raise ApiError(400, "scenario needs a non-empty name")
-    return scenario.to_dict()
+    return payload
 
 
 def _decode_submission(body: Dict[str, object],
@@ -159,6 +167,9 @@ class ServiceServer:
     CLI).
     """
 
+    #: seconds between result checks of a campaign stream
+    POLL_INTERVAL = 0.1
+
     def __init__(
         self,
         data_dir: Union[str, Path, None] = None,
@@ -166,7 +177,6 @@ class ServiceServer:
         cache: Optional[ResultCache] = None,
         host: str = "127.0.0.1",
         port: int = 0,
-        poll_interval: float = 0.1,
         max_queue_depth: Optional[int] = None,
         auth_token: Optional[str] = None,
     ):
@@ -179,7 +189,6 @@ class ServiceServer:
         self.broker = broker
         self.cache = cache
         self.coalescer = Coalescer(broker, cache)
-        self.poll_interval = float(poll_interval)
         #: queue-depth backpressure: submissions are 429-rejected while
         #: the ready (queued) depth exceeds this bound -- a queue exactly
         #: at the limit still admits (the limit is a capacity, not a fence)
@@ -746,7 +755,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                 for name in finished:
                     remaining.pop(name)
                 if remaining:
-                    time.sleep(service.poll_interval)
+                    time.sleep(service.POLL_INTERVAL)
             summary = service.campaign_progress(campaign_id)
             summary["event"] = "end"
             self._write_chunk(

@@ -4,7 +4,8 @@ A queue worker belongs to the **broker**, not to any one campaign: it
 attaches to the service data directory, drains whatever jobs appear --
 from the HTTP front end, from ``run_campaign(backend="queue")``, from
 another laptop sharing the directory -- and survives across campaigns.
-Run one per core::
+Local workers are best left to the fleet supervisor
+(``python -m repro.fleet``); one started by hand is::
 
     python -m repro.service worker --data ./service-data
 
@@ -63,6 +64,11 @@ _TM_IDLE_POLLS = telemetry.counter(
 class QueueWorker:
     """One lease-execute-ack loop around a :class:`JobBroker`."""
 
+    #: seconds between idle heartbeats: this process's metrics registry
+    #: published into the broker, where the front end aggregates it
+    #: (/stats, /metrics); every job publishes at once as well
+    PUBLISH_INTERVAL = 5.0
+
     def __init__(
         self,
         broker: JobBroker,
@@ -70,23 +76,15 @@ class QueueWorker:
         worker_id: Optional[str] = None,
         lease_seconds: float = 60.0,
         poll_interval: float = 0.2,
-        record_history: bool = True,
-        publish_metrics: bool = True,
-        publish_interval: float = 5.0,
     ):
         self.broker = broker
         self.cache = cache
         self.worker_id = worker_id or f"{socket.gethostname()}:{os.getpid()}"
         self.lease_seconds = float(lease_seconds)
         self.poll_interval = float(poll_interval)
-        self.record_history = record_history
         #: jobs this worker actually simulated / answered from cache
         self.num_executed = 0
         self.num_cache_hits = 0
-        #: fleet telemetry: publish this process's metrics registry into
-        #: the broker so the front end can aggregate it (/stats, /metrics)
-        self.publish_metrics = publish_metrics
-        self.publish_interval = float(publish_interval)
         self.started_at = time.time()
         self.current_job_id: Optional[str] = None
         self._last_publish = 0.0
@@ -102,12 +100,11 @@ class QueueWorker:
         try:
             context = wire.decode_job_context(job.context)
         except wire.WireError as exc:
-            # a malformed context is a permanently bad job, not a crash
-            self.broker.nack(job.id, self.worker_id,
-                             f"invalid job context: {exc}", requeue=False)
-            _TM_JOBS.labels("rejected").inc()
-            return False
-        scenario = Scenario.from_dict(job.payload)
+            return self._reject(job, f"invalid job context: {exc}")
+        try:
+            scenario = Scenario.from_dict(job.payload)
+        except (KeyError, TypeError, ValueError) as exc:
+            return self._reject(job, f"invalid scenario: {exc}")
         key = context_hash(context)
 
         outcome = self.cache.get(scenario, key) if self.cache is not None \
@@ -135,19 +132,24 @@ class QueueWorker:
         self.broker.incr("simulations")
         if self.cache is not None:
             self.cache.put(scenario, key, outcome)
-        if self.record_history:
-            # canonical history location: inside the shared cache
-            # directory, where adaptive campaigns load it; broker-
-            # adjacent fallback for cache-less fleets
-            self.broker.record_runtime(
-                outcome,
-                history_path_for(self.cache.root)
-                if self.cache is not None else None)
+        # canonical history location: inside the shared cache directory,
+        # where adaptive campaigns load it; broker-adjacent fallback for
+        # cache-less fleets
+        self.broker.record_runtime(
+            outcome,
+            history_path_for(self.cache.root)
+            if self.cache is not None else None)
         acked = self.broker.ack(job.id, self.worker_id, outcome)
         if not acked:
             self.broker.incr("late_acks")
         self.publish(force=True)
         return acked
+
+    def _reject(self, job: Job, error: str) -> bool:
+        """Fail a malformed job for good: it is a bad job, not a crash."""
+        self.broker.nack(job.id, self.worker_id, error, requeue=False)
+        _TM_JOBS.labels("rejected").inc()
+        return False
 
     # -- fleet telemetry ---------------------------------------------------------------
 
@@ -175,10 +177,8 @@ class QueueWorker:
 
     def publish(self, force: bool = False) -> None:
         """Publish the metrics snapshot into the broker (rate-limited)."""
-        if not self.publish_metrics:
-            return
         now = time.monotonic()
-        if not force and now - self._last_publish < self.publish_interval:
+        if not force and now - self._last_publish < self.PUBLISH_INTERVAL:
             return
         self._last_publish = now
         self.broker.publish_worker_metrics(
@@ -213,32 +213,23 @@ class QueueWorker:
         self.process(job)
         return True
 
-    def run(self, exit_when_idle: bool = False,
-            max_idle: Optional[float] = None) -> int:
+    def run(self, exit_when_idle: bool = False) -> int:
         """Drain the queue until stopped.
 
         ``exit_when_idle`` returns once nothing is queued *and* nothing
         is leased -- a leased job might still come back via lease expiry,
         so a fleet of spawned workers only disbands when the campaign is
-        truly finished.  ``max_idle`` (seconds without work) is the
-        belt-and-braces exit for detached fleets.  Returns the number of
-        jobs this worker handled.
+        truly finished.  Returns the number of jobs this worker handled.
         """
         handled = 0
-        idle_since = time.monotonic()
         self.publish(force=True)
         while True:
             if self.run_once():
                 handled += 1
-                idle_since = time.monotonic()
                 continue
             _TM_IDLE_POLLS.inc()
             self.publish()  # idle heartbeat, rate-limited
             if exit_when_idle and self.broker.pending() == 0:
-                self.publish(force=True)
-                return handled
-            if max_idle is not None and \
-                    time.monotonic() - idle_since > max_idle:
                 self.publish(force=True)
                 return handled
             time.sleep(self.poll_interval)
@@ -262,16 +253,8 @@ def main(argv=None) -> int:
                         help="seconds between lease attempts when idle")
     parser.add_argument("--exit-when-idle", action="store_true",
                         help="exit once nothing is queued or leased")
-    parser.add_argument("--max-idle", type=float, default=None,
-                        help="exit after this many idle seconds")
     parser.add_argument("--worker-id", default=None,
                         help="override the worker identity (host:pid)")
-    parser.add_argument("--no-history", action="store_true",
-                        help="do not append runtime records to the shared "
-                             "cost-model history")
-    parser.add_argument("--no-publish", action="store_true",
-                        help="do not publish telemetry snapshots into the "
-                             "broker (/stats and /metrics lose this worker)")
     args = parser.parse_args(argv)
 
     if args.data is None and args.broker is None:
@@ -285,14 +268,11 @@ def main(argv=None) -> int:
         cache = layout.open_cache(args.data)
 
     worker = QueueWorker(broker, cache=cache, worker_id=args.worker_id,
-                         lease_seconds=args.lease, poll_interval=args.poll,
-                         record_history=not args.no_history,
-                         publish_metrics=not args.no_publish)
+                         lease_seconds=args.lease, poll_interval=args.poll)
     print(f"worker {worker.worker_id} attached to {broker.path}",
           file=sys.stderr)
     try:
-        handled = worker.run(exit_when_idle=args.exit_when_idle,
-                             max_idle=args.max_idle)
+        handled = worker.run(exit_when_idle=args.exit_when_idle)
     except KeyboardInterrupt:
         return 0
     print(f"worker {worker.worker_id} idle, exiting "

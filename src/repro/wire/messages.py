@@ -12,7 +12,6 @@ peer reading ``msg["sample_points"]`` and a new peer reading
 ``JobContext.sample_points`` interoperate byte-for-byte.
 """
 
-import math
 from dataclasses import field
 from typing import Dict, List, Optional
 
@@ -23,6 +22,12 @@ __all__ = [
     "JobContext", "WorkerSnapshot", "CampaignRecord", "SupervisorState",
     "ScenarioSubmission", "CampaignSubmission", "decode_job_context",
 ]
+
+
+#: the longest per-scenario timeout: ``signal.setitimer`` cannot arm a
+#: timer much past 2**63 ns (about 9.2e9 s), nor past 2**31 s where
+#: ``time_t`` is 32 bits; 1e9 s is about 32 years
+MAX_TIMEOUT_SECONDS = 1e9
 
 
 # -- broker-mediated service payloads --------------------------------------------------
@@ -51,9 +56,11 @@ class JobContext(WireMessage):
     def validate(self) -> None:
         if self.sample_points < 2:
             raise WireError("job_context: sample_points must be >= 2")
-        if self.timeout is not None and not 0 < self.timeout < math.inf:
-            raise WireError("job_context: timeout must be a positive, "
-                            "finite number of seconds")
+        if self.timeout is not None and \
+                not 0 < self.timeout <= MAX_TIMEOUT_SECONDS:
+            raise WireError(f"job_context: timeout must be a positive "
+                            f"number of seconds, at most "
+                            f"{MAX_TIMEOUT_SECONDS:g}")
         if self.base_options is not None:
             try:
                 SimOptions.from_dict(self.base_options)

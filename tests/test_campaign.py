@@ -162,7 +162,7 @@ class TestSweepPlanners:
 
     def test_corner_sweep(self):
         scenarios = corner_sweep(
-            ["rc_ladder"], ["er", "tr"],
+            ["rc_ladder"], ["er", "trap"],
             corners={
                 "slow": {"params": {"r_per_segment": 200.0}},
                 "fast": {"params": {"r_per_segment": 50.0}, "options": {"err_budget": 1e-5}},
@@ -300,13 +300,24 @@ class TestSerialExecution:
         assert campaign.outcomes[1].dc_cache_hit is False
 
     def test_error_capture(self):
-        bad = Scenario(name="bad", circuit=CircuitSpec("rc_ladder", {"num_segments": 3}),
-                       method="no_such_method")
+        bad = Scenario(name="bad", circuit=CircuitSpec("no_such_factory"))
         campaign = run_campaign([bad], base_options=FAST_OPTIONS, backend="serial")
         outcome = campaign.outcome_for("bad")
         assert outcome.status == "error"
-        assert "no_such_method" in outcome.error
+        assert "no_such_factory" in outcome.error
         assert outcome.traceback
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"method": "no_such_method"}, "unknown integration method"),
+        ({"method": 3}, "method must be a string"),
+        ({"name": ["d"]}, "name must be a string"),
+        ({"circuit": {"factory": 7}}, "factory must be a string"),
+    ])
+    def test_unrunnable_scenario_is_refused_when_built(self, fields, message):
+        data = dict({"name": "bad", "circuit": {"factory": "rc_ladder"}},
+                    **fields)
+        with pytest.raises((TypeError, ValueError), match=message):
+            Scenario.from_dict(data)
 
     def test_failure_does_not_stop_campaign(self):
         scenarios = [

@@ -32,7 +32,7 @@ def make_backend(name: str) -> ExecutionBackend:
         return SerialBackend()
     if name == "process":
         return ProcessPoolBackend(workers=2)
-    return QueueBackend(workers=2, lease_seconds=30.0)
+    return QueueBackend(workers=2)
 
 
 def small_scenarios(methods=("benr", "er"), budgets=(1e-3, 1e-4)):
@@ -104,6 +104,7 @@ class TestBackendContract:
         ({"sample_points": 1}, "sample_points"),
         ({"timeout": -1.0}, "timeout"),
         ({"timeout": 0.0}, "timeout"),
+        ({"timeout": 1e12}, "timeout"),
     ])
     def test_invalid_context_rejected_before_dispatch(self, name, bad,
                                                       message):

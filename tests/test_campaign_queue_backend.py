@@ -65,7 +65,7 @@ class TestResolveQueueBackend:
 
 
 class TestFaultTolerance:
-    def test_worker_death_redelivers_job(self, tmp_path):
+    def test_worker_death_redelivers_job(self, tmp_path, monkeypatch):
         """A queue worker that dies mid-scenario stops extending its
         lease; the visibility timeout expires and a sibling picks the
         job up (the flag file makes the crash one-shot)."""
@@ -83,13 +83,14 @@ class TestFaultTolerance:
                 method="er", options={"t_stop": 0.05e-9},
             ),
         ]
-        backend = QueueBackend(workers=2, lease_seconds=2.0, max_attempts=3)
+        monkeypatch.setattr(QueueBackend, "LEASE_SECONDS", 2.0)
+        backend = QueueBackend(workers=2)
         campaign = run_campaign(scenarios, backend=backend)
         assert flag.exists(), "the crash factory never fired"
         assert campaign.outcome_for("killer").status == "ok"
         assert campaign.outcome_for("bystander").status == "ok"
 
-    def test_poison_scenario_fails_bounded(self, tmp_path):
+    def test_poison_scenario_fails_bounded(self, tmp_path, monkeypatch):
         """A scenario that kills every worker it touches exhausts its
         attempt budget and comes back as an error outcome instead of
         cycling through the fleet forever."""
@@ -103,7 +104,9 @@ class TestFaultTolerance:
                 method="er", options={"t_stop": 0.05e-9},
             ),
         ]
-        backend = QueueBackend(workers=2, lease_seconds=1.0, max_attempts=2)
+        monkeypatch.setattr(QueueBackend, "LEASE_SECONDS", 1.0)
+        monkeypatch.setattr(QueueBackend, "MAX_ATTEMPTS", 2)
+        backend = QueueBackend(workers=2)
         campaign = run_campaign(scenarios, backend=backend)
         outcome = campaign.outcome_for("fatal")
         assert outcome.status == "error"
@@ -120,12 +123,10 @@ class TestExternalWorkers:
         JobBroker(broker_path)  # the worker attaches to an existing file
         worker = spawn_module_worker(
             "repro.service.worker",
-            ["--broker", str(broker_path), "--poll", "0.05",
-             "--max-idle", "60"])
+            ["--broker", str(broker_path), "--poll", "0.05"])
         try:
             scenarios = small_scenarios(methods=("er", "benr"))
-            backend = QueueBackend(broker=broker_path, spawn=False,
-                                   idle_timeout=60.0)
+            backend = QueueBackend(broker=broker_path, spawn=False)
             campaign = run_campaign(scenarios, base_options=FAST_OPTIONS,
                                     backend=backend)
             assert campaign.num_ok == len(scenarios)
@@ -138,13 +139,14 @@ class TestExternalWorkers:
         finally:
             terminate_workers([worker])
 
-    def test_no_worker_idle_timeout_delivers_errors(self, tmp_path):
+    def test_no_worker_idle_timeout_delivers_errors(self, tmp_path,
+                                                    monkeypatch):
         """With ``spawn=False`` and nobody attached, the campaign does not
-        hang: after ``idle_timeout`` seconds without progress every
+        hang: after ``IDLE_TIMEOUT`` seconds without progress every
         remaining scenario comes back as an error outcome."""
+        monkeypatch.setattr(QueueBackend, "IDLE_TIMEOUT", 1.0)
         scenarios = small_scenarios(methods=("er", "benr"))
-        backend = QueueBackend(broker=tmp_path / "q.sqlite3", spawn=False,
-                               idle_timeout=1.0)
+        backend = QueueBackend(broker=tmp_path / "q.sqlite3", spawn=False)
         start = time.monotonic()
         campaign = run_campaign(scenarios, base_options=FAST_OPTIONS,
                                 backend=backend)

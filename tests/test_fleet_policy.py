@@ -26,7 +26,7 @@ class TestDesiredWorkers:
         (1, 1), (2, 1), (3, 2), (4, 2), (7, 4), (8, 4), (9, 5),
     ])
     def test_one_worker_per_threshold_of_backlog(self, queued, expected):
-        policy = FleetPolicy(max_workers=100, scale_threshold=2.0)
+        policy = FleetPolicy(max_workers=100)
         assert policy.desired_workers(queued) == expected
 
     def test_ceiling_clamps(self):
@@ -92,5 +92,3 @@ class TestPolicyValidation:
             FleetPolicy(max_workers=0)
         with pytest.raises(ValueError):
             FleetPolicy(max_workers=2, min_workers=3)
-        with pytest.raises(ValueError):
-            FleetPolicy(scale_threshold=0)

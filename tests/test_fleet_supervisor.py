@@ -9,6 +9,10 @@ supervisor scaling from zero pre-started workers, the queue draining,
 and the fleet retiring back to the floor.
 """
 
+import os
+import signal
+import subprocess
+import sys
 import time
 
 import pytest
@@ -51,12 +55,17 @@ def broker(tmp_path):
     return layout.open_broker(tmp_path / "svc")
 
 
+@pytest.fixture(autouse=True)
+def fast_timings(monkeypatch):
+    """Millisecond ticks and backoffs; a long uptime bar for streaks."""
+    monkeypatch.setattr(FleetSupervisor, "INTERVAL", 0.01)
+    monkeypatch.setattr(FleetSupervisor, "BACKOFF_BASE", 0.01)
+    monkeypatch.setattr(FleetSupervisor, "BACKOFF_CAP", 0.05)
+    monkeypatch.setattr(FleetSupervisor, "MIN_UPTIME", 10.0)
+
+
 def make_supervisor(broker, spawn_fn, **kwargs):
     kwargs.setdefault("policy", FleetPolicy(max_workers=4))
-    kwargs.setdefault("interval", 0.01)
-    kwargs.setdefault("backoff_base", 0.01)
-    kwargs.setdefault("backoff_cap", 0.05)
-    kwargs.setdefault("min_uptime", 10.0)
     return FleetSupervisor(broker=broker, spawn_fn=spawn_fn, **kwargs)
 
 
@@ -125,12 +134,12 @@ class TestScaling:
 
 
 class TestCrashLoop:
-    def test_consecutive_crashes_trip_the_breaker(self, broker):
+    def test_consecutive_crashes_trip_the_breaker(self, broker, monkeypatch):
+        monkeypatch.setattr(FleetSupervisor, "BREAKER_THRESHOLD", 3)
         fill_queue(broker, 8)
         supervisor = make_supervisor(
             broker, lambda *_: FakeProcess(exit_code=1),
-            policy=FleetPolicy(max_workers=1),
-            breaker_threshold=3, breaker_cooldown=60.0)
+            policy=FleetPolicy(max_workers=1))
         deadline = time.monotonic() + 10.0
         while supervisor.breaker_trips == 0 and time.monotonic() < deadline:
             supervisor.tick()
@@ -144,12 +153,13 @@ class TestCrashLoop:
         assert supervisor.spawns == 3
         assert "crash-loop" in supervisor.tick().reason
 
-    def test_breaker_state_reaches_the_published_document(self, broker):
+    def test_breaker_state_reaches_the_published_document(self, broker,
+                                                         monkeypatch):
+        monkeypatch.setattr(FleetSupervisor, "BREAKER_THRESHOLD", 2)
         fill_queue(broker, 4)
         supervisor = make_supervisor(
             broker, lambda *_: FakeProcess(exit_code=1),
-            policy=FleetPolicy(max_workers=1),
-            breaker_threshold=2, breaker_cooldown=60.0)
+            policy=FleetPolicy(max_workers=1))
         deadline = time.monotonic() + 10.0
         while supervisor.breaker_trips == 0 and time.monotonic() < deadline:
             supervisor.tick()
@@ -160,12 +170,13 @@ class TestCrashLoop:
         assert state["crashes"] >= 2
         assert state["supervisor_id"] == supervisor.supervisor_id
 
-    def test_breaker_half_opens_after_cooldown(self, broker):
+    def test_breaker_half_opens_after_cooldown(self, broker, monkeypatch):
+        monkeypatch.setattr(FleetSupervisor, "BREAKER_THRESHOLD", 2)
+        monkeypatch.setattr(FleetSupervisor, "BREAKER_COOLDOWN", 0.05)
         fill_queue(broker, 4)
         supervisor = make_supervisor(
             broker, lambda *_: FakeProcess(exit_code=1),
-            policy=FleetPolicy(max_workers=1),
-            breaker_threshold=2, breaker_cooldown=0.05)
+            policy=FleetPolicy(max_workers=1))
         deadline = time.monotonic() + 10.0
         while supervisor.breaker_trips == 0 and time.monotonic() < deadline:
             supervisor.tick()
@@ -179,10 +190,13 @@ class TestCrashLoop:
             time.sleep(0.02)
         assert supervisor.spawns > spawns_at_trip
 
-    def test_exponential_backoff_grows_between_crashes(self, broker):
+    def test_exponential_backoff_grows_between_crashes(self, broker,
+                                                       monkeypatch):
+        monkeypatch.setattr(FleetSupervisor, "BACKOFF_BASE", 0.5)
+        monkeypatch.setattr(FleetSupervisor, "BACKOFF_CAP", 30.0)
+        monkeypatch.setattr(FleetSupervisor, "BREAKER_THRESHOLD", 99)
         supervisor = make_supervisor(
-            broker, lambda *_: FakeProcess(exit_code=1),
-            backoff_base=0.5, backoff_cap=30.0, breaker_threshold=99)
+            broker, lambda *_: FakeProcess(exit_code=1))
         now = time.monotonic()
         supervisor._record_crash(now, uptime=0.0, detail="x")
         first = supervisor._backoff_until - now
@@ -194,10 +208,11 @@ class TestCrashLoop:
         assert second == pytest.approx(1.0)
         assert third == pytest.approx(2.0)
 
-    def test_healthy_uptime_resets_the_streak(self, broker):
+    def test_healthy_uptime_resets_the_streak(self, broker, monkeypatch):
+        monkeypatch.setattr(FleetSupervisor, "MIN_UPTIME", 1.0)
+        monkeypatch.setattr(FleetSupervisor, "BREAKER_THRESHOLD", 99)
         supervisor = make_supervisor(
-            broker, lambda *_: FakeProcess(exit_code=1),
-            min_uptime=1.0, breaker_threshold=99)
+            broker, lambda *_: FakeProcess(exit_code=1))
         now = time.monotonic()
         supervisor._record_crash(now, uptime=0.0, detail="x")
         supervisor._record_crash(now, uptime=0.0, detail="x")
@@ -208,11 +223,11 @@ class TestCrashLoop:
 
 
 class TestZombies:
-    def test_stale_heartbeat_reaps_a_live_process(self, broker):
+    def test_stale_heartbeat_reaps_a_live_process(self, broker, monkeypatch):
+        monkeypatch.setattr(FleetSupervisor, "STALE_HEARTBEAT", 0.5)
         fill_queue(broker, 2)
         process = FakeProcess()
-        supervisor = make_supervisor(
-            broker, lambda *_: process, stale_heartbeat=0.5)
+        supervisor = make_supervisor(broker, lambda *_: process)
         supervisor.tick()
         assert len(supervisor.workers) == 1
         # simulate a hung worker: alive, but spawned long ago and its
@@ -226,8 +241,7 @@ class TestZombies:
 
     def test_fresh_spawn_gets_startup_grace(self, broker):
         fill_queue(broker, 2)
-        supervisor = make_supervisor(
-            broker, lambda *_: FakeProcess(), stale_heartbeat=60.0)
+        supervisor = make_supervisor(broker, lambda *_: FakeProcess())
         supervisor.tick()
         supervisor.tick()
         assert supervisor.zombies_reaped == 0
@@ -266,22 +280,71 @@ class TestPublication:
         assert not supervisor.workers
 
 
+def _alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+class TestCommandLine:
+    def test_sigterm_stops_the_workers(self, tmp_path):
+        """``kill -TERM`` of ``python -m repro.fleet`` takes Ctrl-C's path:
+        the supervisor terminates its floor worker before it exits."""
+        data = tmp_path / "svc"
+        broker = layout.open_broker(data)
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        supervisor = subprocess.Popen(
+            [sys.executable, "-m", "repro.fleet", "--data", str(data),
+             "--min-workers", "1", "--max-workers", "1"],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        worker_pid = None
+        try:
+            deadline = time.monotonic() + 60.0
+            snapshots = {}
+            while not snapshots and time.monotonic() < deadline:
+                assert supervisor.poll() is None, "the supervisor exited"
+                time.sleep(0.1)
+                snapshots = broker.worker_metrics(max_age=None)
+            assert snapshots, "the floor worker never published"
+            (record,) = snapshots.values()
+            worker_pid = record["snapshot"]["pid"]
+
+            supervisor.send_signal(signal.SIGTERM)
+            code = supervisor.wait(timeout=30.0)
+            # terminate_workers grants the worker 5 s before killing it
+            deadline = time.monotonic() + 5.0
+            while _alive(worker_pid) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not _alive(worker_pid), "the worker outlived its supervisor"
+            assert code == 0
+        finally:
+            if supervisor.poll() is None:
+                supervisor.kill()
+                supervisor.wait()
+            if worker_pid is not None and _alive(worker_pid):
+                os.kill(worker_pid, signal.SIGKILL)
+
+
 @pytest.mark.tier2
 class TestEndToEnd:
-    def test_burst_scales_from_zero_then_retires_to_the_floor(self, tmp_path):
+    def test_burst_scales_from_zero_then_retires_to_the_floor(self, tmp_path,
+                                                              monkeypatch):
         """Supervisor-alone: no manually started workers anywhere."""
         import json
         import urllib.request
 
         from repro.service.server import ServiceServer
 
-        server = ServiceServer(data_dir=tmp_path / "svc", poll_interval=0.05)
+        server = ServiceServer(data_dir=tmp_path / "svc")
         server.start()
+        monkeypatch.setattr(FleetSupervisor, "INTERVAL", 0.2)
+        monkeypatch.setattr(FleetSupervisor, "MIN_UPTIME", 1.0)
         supervisor = FleetSupervisor(
             data_dir=tmp_path / "svc",
-            policy=FleetPolicy(max_workers=3, min_workers=0,
-                               scale_threshold=2.0),
-            interval=0.2, worker_poll=0.05, min_uptime=1.0)
+            policy=FleetPolicy(max_workers=3, min_workers=0))
         try:
             body = json.dumps({
                 "scenarios": [

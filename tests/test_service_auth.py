@@ -19,6 +19,11 @@ from repro.service.server import ServiceServer
 TOKEN = "s3cret-fleet-token"
 
 
+@pytest.fixture(autouse=True)
+def fast_stream_poll(monkeypatch):
+    monkeypatch.setattr(ServiceServer, "POLL_INTERVAL", 0.05)
+
+
 def http(url, body=None, token=None, timeout=30.0):
     """(status, document) with optional bearer token."""
     data = json.dumps(body).encode("utf-8") if body is not None else None
@@ -36,8 +41,7 @@ def http(url, body=None, token=None, timeout=30.0):
 
 @pytest.fixture
 def secured(tmp_path):
-    server = ServiceServer(data_dir=tmp_path / "svc", poll_interval=0.05,
-                           auth_token=TOKEN)
+    server = ServiceServer(data_dir=tmp_path / "svc", auth_token=TOKEN)
     server.start()
     yield server
     server.shutdown()
@@ -89,8 +93,7 @@ class TestBearerAuth:
             raise AssertionError("auth-failure counter not exported")
 
     def test_open_server_ignores_authorization_header(self, tmp_path):
-        server = ServiceServer(data_dir=tmp_path / "open",
-                               poll_interval=0.05)
+        server = ServiceServer(data_dir=tmp_path / "open")
         server.start()
         try:
             status, _ = http(f"{server.url}/stats", token="anything")
@@ -117,7 +120,7 @@ class TestCampaignPersistence:
         )
 
         data = tmp_path / "svc"
-        first = ServiceServer(data_dir=data, poll_interval=0.05)
+        first = ServiceServer(data_dir=data)
         first.start()
         workers = [spawn_module_worker(
             "repro.service.worker",
@@ -147,7 +150,7 @@ class TestCampaignPersistence:
             terminate_workers(workers)
 
         # a brand-new front end process on the same data directory
-        second = ServiceServer(data_dir=data, poll_interval=0.05)
+        second = ServiceServer(data_dir=data)
         second.start()
         try:
             status, after = http(f"{second.url}/campaigns/{campaign_id}")
@@ -166,11 +169,11 @@ class TestCampaignPersistence:
 
     def test_unknown_campaign_is_404_after_restart(self, tmp_path):
         data = tmp_path / "svc"
-        first = ServiceServer(data_dir=data, poll_interval=0.05)
+        first = ServiceServer(data_dir=data)
         first.start()
         first.shutdown()
 
-        second = ServiceServer(data_dir=data, poll_interval=0.05)
+        second = ServiceServer(data_dir=data)
         second.start()
         try:
             status, document = http(

@@ -286,6 +286,17 @@ class TestQueueWorker:
         assert "invalid job context" in job.error
         assert worker.num_executed == 0
 
+    def test_invalid_stored_scenario_fails_the_job(self, broker):
+        # a job stored before scenarios were validated may name a method
+        # no integrator implements; the worker fails it instead of dying
+        broker.enqueue(dict(scenario_payload(), method="foo"), job_id="bad")
+        worker = QueueWorker(broker)
+        assert worker.run_once()
+        job = broker.get("bad")
+        assert job.status == "failed"
+        assert "invalid scenario" in job.error
+        assert worker.num_executed == 0
+
     def test_run_exits_when_idle(self, broker):
         broker.enqueue(scenario_payload(), job_id="only")
         worker = QueueWorker(broker)

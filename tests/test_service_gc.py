@@ -78,7 +78,7 @@ class TestBrokerGc:
             conn.execute(
                 "UPDATE worker_metrics SET updated_at=? WHERE worker_id=?",
                 (time.time() - 7200, "stale"))
-        report = broker.gc(worker_metrics_max_age=3600.0)
+        report = broker.gc()
         assert report["deleted_worker_snapshots"] == 1
         assert list(broker.worker_metrics(max_age=None)) == ["fresh"]
 

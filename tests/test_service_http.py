@@ -37,8 +37,9 @@ def scenario_body(name="web", segments=4, method="er"):
 
 
 @pytest.fixture
-def service(tmp_path):
-    server = ServiceServer(data_dir=tmp_path / "svc", poll_interval=0.05)
+def service(tmp_path, monkeypatch):
+    monkeypatch.setattr(ServiceServer, "POLL_INTERVAL", 0.05)
+    server = ServiceServer(data_dir=tmp_path / "svc")
     server.start()
     yield server
     server.shutdown()
@@ -256,12 +257,36 @@ class TestValidationAndErrors:
         ({"sample_points": 1}, "sample_points"),
         ({"timeout": -1.0}, "timeout"),
         ({"timeout": 0}, "timeout"),
+        ({"timeout": 1e12}, "timeout"),
     ])
     def test_invalid_context_is_400_and_enqueues_nothing(
             self, service, route, bad, message):
         body = {"scenario": scenario_body()} if route == "scenarios" \
             else {"scenarios": [scenario_body("a"), scenario_body("b", 5)]}
         status, document = http(f"{service.url}/{route}", dict(body, **bad))
+        assert status == 400
+        assert message in document["error"]
+        assert set(service.broker.depth().values()) == {0}
+
+    @pytest.mark.parametrize("route", ["scenarios", "campaigns"])
+    @pytest.mark.parametrize("fields, message", [
+        ({"method": "foo"}, "unknown integration method"),
+        ({"method": 3}, "method must be a string"),
+        ({"circuit": {"factory": "nope"}}, "unknown circuit factory"),
+        ({"name": ["d"]}, "name must be a string"),
+        ({"circuit": {"factory": "rc_ladder", "module": 5}},
+         "module must be a string"),
+        # pairs with mixed key types cannot be hashed into a job id
+        ({"options": [["t_stop", 1e-10], [1, 2]]}, "options must be a mapping"),
+        ({"circuit": {"factory": "rc_ladder", "params": [[1, 2], ["a", 3]]}},
+         "params must be a mapping"),
+    ])
+    def test_scenario_that_can_only_fail_is_400_and_enqueues_nothing(
+            self, service, route, fields, message):
+        scenario = dict(scenario_body("a"), **fields)
+        body = {"scenario": scenario} if route == "scenarios" \
+            else {"scenarios": [scenario, scenario_body("b", 5)]}
+        status, document = http(f"{service.url}/{route}", body)
         assert status == 400
         assert message in document["error"]
         assert set(service.broker.depth().values()) == {0}

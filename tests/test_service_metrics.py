@@ -68,7 +68,7 @@ def wait_for_result(url, job_id, deadline=120.0):
 
 @pytest.fixture
 def service(tmp_path):
-    server = ServiceServer(data_dir=tmp_path / "svc", poll_interval=0.05)
+    server = ServiceServer(data_dir=tmp_path / "svc")
     server.start()
     yield server
     server.shutdown()
@@ -140,7 +140,7 @@ class TestMetricsEndpoint:
 
 class TestBackpressure:
     def test_submissions_bounce_with_retry_after(self, tmp_path):
-        server = ServiceServer(data_dir=tmp_path / "bp", poll_interval=0.05,
+        server = ServiceServer(data_dir=tmp_path / "bp",
                                max_queue_depth=0)
         server.start()
         try:
@@ -179,7 +179,7 @@ class TestBackpressure:
             server.shutdown()
 
     def test_depth_below_limit_admits(self, tmp_path):
-        server = ServiceServer(data_dir=tmp_path / "ok", poll_interval=0.05,
+        server = ServiceServer(data_dir=tmp_path / "ok",
                                max_queue_depth=10)
         server.start()
         try:
@@ -201,7 +201,7 @@ class TestBackpressure:
         must bounce.  The scenarios differ in ``segments`` (not just name)
         so the coalescer cannot fold them into one queued job.
         """
-        server = ServiceServer(data_dir=tmp_path / "edge", poll_interval=0.05,
+        server = ServiceServer(data_dir=tmp_path / "edge",
                                max_queue_depth=2)
         server.start()
         try:

@@ -2,9 +2,11 @@
 
 Requires ``hypothesis`` (skipped when absent).  Whatever JSON a client
 puts into the job-context fields (``base_options``, ``timeout``,
-``sample_points``) or ``priority`` of ``POST /scenarios``, the front end
-answers with a classified status -- 200 (cache), 202 (admitted or
-coalesced) or 400 (rejected) -- and never with a 5xx.
+``sample_points``) or ``priority`` of ``POST /scenarios``, or into the
+scenario items of ``POST /campaigns``, the front end answers with a
+classified status -- 200 (cache), 202 (admitted or coalesced) or 400
+(rejected) -- and never with a 5xx; and every scenario it enqueues names
+a registered integration method.
 """
 
 import json
@@ -20,6 +22,7 @@ from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from repro.core.options import SimOptions  # noqa: E402
+from repro.integrators import INTEGRATOR_REGISTRY  # noqa: E402
 from repro.service.server import ServiceServer  # noqa: E402
 
 SCENARIO = {
@@ -52,6 +55,54 @@ BODIES = st.fixed_dictionaries({"scenario": st.just(SCENARIO)}, optional={
 })
 
 
+#: key/value pairs: what ``dict()`` would turn into a mapping with keys of
+#: mixed types
+PAIRS = st.lists(st.lists(st.none() | st.integers() | st.text(max_size=4),
+                          min_size=2, max_size=2), max_size=3)
+
+#: per scenario field: a valid value, a near miss, or any JSON value at all
+SCENARIO_FIELDS = {
+    "name": st.text(max_size=8) | JSON,
+    "circuit": st.fixed_dictionaries(
+        {"factory": st.sampled_from(["rc_ladder", "RC_Ladder", "nope"]) | JSON},
+        optional={"params": PAIRS | JSON, "module": JSON}) | JSON,
+    "method": st.sampled_from(sorted(INTEGRATOR_REGISTRY) + ["ER", "foo"])
+    | JSON,
+    "options": OPTION_DICTS | PAIRS | JSON,
+    "seed": st.integers() | JSON,
+    "observe": JSON,
+    "tags": PAIRS | JSON,
+}
+
+
+@st.composite
+def scenario_items(draw):
+    """Valid scenarios with up to two fields replaced or dropped."""
+    items = []
+    for index in range(draw(st.integers(0, 3))):
+        item = dict(SCENARIO, name=f"s{index}")
+        for key in draw(st.sets(st.sampled_from(sorted(SCENARIO_FIELDS)),
+                                max_size=2)):
+            if draw(st.booleans()):
+                item[key] = draw(SCENARIO_FIELDS[key])
+            else:
+                item.pop(key, None)
+        items.append(item)
+    return items
+
+
+#: scenario items, alone or beside arbitrary job-context fields
+CAMPAIGN_BODIES = st.fixed_dictionaries({"scenarios": scenario_items()}) | \
+    st.fixed_dictionaries(
+        {"scenarios": scenario_items() | st.lists(JSON, max_size=2) | JSON},
+        optional={
+            "base_options": st.none() | OPTION_DICTS | JSON,
+            "timeout": st.none() | st.floats() | JSON,
+            "sample_points": st.integers() | JSON,
+            "priority": st.none() | st.integers() | JSON,
+        })
+
+
 def post(url, body):
     request = urllib.request.Request(
         url, data=json.dumps(body).encode("utf-8"),
@@ -72,6 +123,27 @@ def test_arbitrary_context_values_never_answer_5xx(tmp_path):
         def check(body):
             status, document = post(f"{server.url}/scenarios", body)
             assert status in (200, 202, 400), (status, document)
+
+        check()
+    finally:
+        server.shutdown()
+
+
+def test_arbitrary_campaign_items_never_answer_5xx(tmp_path):
+    server = ServiceServer(data_dir=tmp_path / "svc").start()
+    try:
+        @settings(max_examples=150, deadline=None,
+                  suppress_health_check=[HealthCheck.too_slow])
+        @given(body=CAMPAIGN_BODIES)
+        def check(body):
+            status, document = post(f"{server.url}/campaigns", body)
+            assert status in (200, 202, 400), (status, document)
+            if status == 400:
+                return
+            jobs = server.broker.fetch(list(document["jobs"].values()))
+            for job in jobs.values():
+                method = job.payload["method"]
+                assert method.strip().lower() in INTEGRATOR_REGISTRY, job.payload
 
         check()
     finally:

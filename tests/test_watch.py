@@ -255,7 +255,7 @@ class TestCliAgainstRealServer:
             capture_output=True, text=True, timeout=120, env=env)
 
     def test_once_json_snapshot_is_complete(self, tmp_path):
-        server = ServiceServer(data_dir=tmp_path / "svc", poll_interval=0.05)
+        server = ServiceServer(data_dir=tmp_path / "svc")
         server.start()
         try:
             proc = self.run_watch("--once", "--json", "--url", server.url)
@@ -301,7 +301,7 @@ class TestCliAgainstRealServer:
 
     def test_token_is_sent_as_bearer_auth(self, tmp_path):
         server = ServiceServer(data_dir=tmp_path / "svc",
-                               poll_interval=0.05, auth_token="hunter2")
+                               auth_token="hunter2")
         server.start()
         try:
             denied = self.run_watch("--once", "--url", server.url)

@@ -3,7 +3,8 @@
 The queue backend talks to its workers only through the broker: it
 enqueues each scenario as a durable job on a
 :class:`~repro.service.broker.JobBroker` (a SQLite file any process can
-attach to), then simply polls for results.  Workers -- spawned locally
+attach to), then reads the results each time a commit to the broker
+wakes its :meth:`~repro.service.broker.JobBroker.watch`.  Workers -- spawned locally
 by default, or long-lived ``python -m repro.service worker`` processes
 attached to a shared broker file or service data directory
 (``QueueBackend(broker=PATH, spawn=False)``) -- lease jobs, execute
@@ -75,8 +76,8 @@ class QueueBackend(ExecutionBackend):
     LEASE_SECONDS = 30.0
     #: deliveries of one job before the broker fails it
     MAX_ATTEMPTS = 3
-    #: seconds between result polls here and lease polls in the spawned
-    #: workers
+    #: seconds between result polls when no commit wakes the poll
+    #: earlier (the fleet and idle-timeout checks run at this cadence)
     POLL_INTERVAL = 0.05
     #: with ``spawn=False``: seconds without progress before the remaining
     #: scenarios come back as error outcomes
@@ -152,8 +153,7 @@ class QueueBackend(ExecutionBackend):
             count = self.workers if self.workers else default_workers(len(items))
             self._resolved_workers = count
             worker_args = ["--broker", str(broker.path), "--exit-when-idle",
-                           "--lease", str(self.LEASE_SECONDS),
-                           "--poll", str(self.POLL_INTERVAL)]
+                           "--lease", str(self.LEASE_SECONDS)]
             if self.data_dir is not None:
                 from repro.service import layout
                 worker_args += ["--cache",
@@ -165,14 +165,21 @@ class QueueBackend(ExecutionBackend):
 
         unfinished = set(indices_by_job)
         last_progress = time.monotonic()
+        watch = broker.watch()
         try:
             while unfinished:
-                jobs = broker.fetch(list(unfinished))
-                progressed = False
-                for job_id in list(unfinished):
-                    job = jobs.get(job_id)
-                    if job is None:
-                        continue
+                # read before the statuses: an ack committed after it
+                # wakes the wait below at once
+                version = watch.version()
+                # every commit wakes the loop, so it reads statuses and
+                # decodes only the rows that finished
+                statuses = broker.statuses(unfinished)
+                # a live lease (worker heartbeating) is progress
+                progressed = "leased" in statuses.values()
+                jobs = broker.fetch([job_id for job_id, status in
+                                     statuses.items()
+                                     if status in ("done", "failed")])
+                for job_id, job in jobs.items():
                     if job.status == "done":
                         unfinished.discard(job_id)
                         progressed = True
@@ -198,10 +205,6 @@ class QueueBackend(ExecutionBackend):
                             deliver(index, self.failure_outcome(
                                 payload_by_index[index],
                                 job.error or "job failed in the broker"))
-                    elif job.status == "leased" and job.lease_deadline and \
-                            job.lease_deadline > time.time():
-                        # a live lease (worker heartbeating) is progress
-                        progressed = True
                 if not unfinished:
                     break
                 if progressed:
@@ -233,8 +236,9 @@ class QueueBackend(ExecutionBackend):
                                 f"no queue worker made progress for "
                                 f"{self.IDLE_TIMEOUT:g}s"))
                     break
-                time.sleep(self.POLL_INTERVAL)
+                watch.wait(version, self.POLL_INTERVAL)
         finally:
+            watch.close()
             terminate_workers(processes)
             if tmp_root is not None:
                 shutil.rmtree(tmp_root, ignore_errors=True)

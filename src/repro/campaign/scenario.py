@@ -15,6 +15,7 @@ import importlib
 import json
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.benchcircuits.registry import build_circuit
@@ -182,6 +183,16 @@ class Scenario:
             known = ", ".join(sorted(INTEGRATOR_REGISTRY))
             raise ValueError(f"unknown integration method {self.method!r}; "
                              f"known methods: {known}")
+        if self.seed is not None and (isinstance(self.seed, bool) or
+                                      not isinstance(self.seed, Integral)):
+            raise TypeError(f"seed must be an integer or absent, "
+                            f"not {type(self.seed).__name__}")
+        if not isinstance(self.observe, (list, tuple)):
+            raise TypeError(f"observe must be a list of node names, "
+                            f"not {type(self.observe).__name__}")
+        for node in self.observe:
+            _require_string("observed node name", node)
+        self.observe = list(self.observe)
 
     def sim_options(self, base: Optional[SimOptions] = None) -> SimOptions:
         """Resolve the concrete :class:`SimOptions` for this scenario."""
@@ -228,6 +239,6 @@ class Scenario:
             method=data.get("method", "er"),
             options=_mapping("options", data.get("options", {})),
             seed=data.get("seed"),
-            observe=list(data.get("observe", [])),
+            observe=data.get("observe", []),
             tags=_mapping("tags", data.get("tags", {})),
         )

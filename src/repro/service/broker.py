@@ -31,6 +31,19 @@ Every mutation opens a short-lived connection and runs inside one
 ``BEGIN IMMEDIATE`` transaction, so any number of threads and processes
 can share a broker without coordination beyond the file itself.
 
+Waiting for work is a :meth:`JobBroker.watch`: one persistent read
+connection whose ``PRAGMA data_version`` moves whenever any other
+connection -- in this process or another -- commits to the file.  A
+waiter reads the version *before* it looks (asks whether a job is
+runnable, fetches results), and after an empty look it waits for the
+version to move, reading it every ``WATCH_INTERVAL`` seconds, up to a
+timeout.  A commit that lands before the version read is seen by the
+look; one that lands after it moves the version, so no wakeup is lost.
+Every commit wakes a watch (acks, counters, metrics publishes), so an
+idle worker looks with :meth:`CommitWatch.runnable` -- a read -- and
+opens a write transaction to lease only when a row is runnable.  No
+commit announces an expired lease, so the worker's wait also times out.
+
 The broker also keeps a tiny named-counter table (simulations executed,
 worker-side cache hits, coalesced admissions...) that the service's
 ``/stats`` endpoint surfaces, and records per-``(circuit, method)``
@@ -51,7 +64,7 @@ from typing import Dict, Optional, Sequence, Union
 
 from repro.telemetry import metrics as telemetry
 
-__all__ = ["Job", "JobBroker", "JOB_STATUSES"]
+__all__ = ["CommitWatch", "Job", "JobBroker", "JOB_STATUSES"]
 
 # queue-lifecycle telemetry (process-local: the front end counts the
 # enqueues it performs, each worker counts the leases/acks it performs;
@@ -86,6 +99,12 @@ JOB_STATUSES = ("queued", "leased", "done", "failed")
 
 #: bumped when the schema changes incompatibly
 SCHEMA_VERSION = 1
+
+#: a job a lease may hand out: queued, or leased with an expired deadline
+_RUNNABLE = "status = 'queued' OR (status = 'leased' AND lease_deadline < ?)"
+#: a job's status with an expired lease read as ``queued``
+_BUCKET = ("CASE WHEN status='leased' AND lease_deadline < ?"
+           " THEN 'queued' ELSE status END")
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
@@ -192,6 +211,60 @@ def _row_to_job(row: sqlite3.Row) -> Job:
     )
 
 
+class CommitWatch:
+    """Wait for commits to a broker file: see :meth:`JobBroker.watch`.
+
+    Holds one read connection, opened on first use and closed by
+    :meth:`close` (or the ``with`` block).  The connection never writes,
+    so every commit moves its ``PRAGMA data_version``; a version is only
+    comparable with another read by the same watch.
+    """
+
+    def __init__(self, broker: "JobBroker"):
+        self._broker = broker
+        self._conn: Optional[sqlite3.Connection] = None
+
+    def _connection(self) -> sqlite3.Connection:
+        if self._conn is None:
+            self._conn = sqlite3.connect(
+                self._broker.path, timeout=self._broker.BUSY_TIMEOUT,
+                isolation_level=None)
+        return self._conn
+
+    def version(self) -> int:
+        """The file's commit version as this watch sees it now."""
+        return self._connection().execute(
+            "PRAGMA data_version").fetchall()[0][0]
+
+    def wait(self, since: int, timeout: float) -> bool:
+        """Block until a commit moves the version past ``since``, or
+        ``timeout`` seconds pass; returns whether a commit landed."""
+        deadline = time.monotonic() + timeout
+        while self.version() == since:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                return False
+            time.sleep(min(self._broker.WATCH_INTERVAL, remaining))
+        return True
+
+    def runnable(self) -> bool:
+        """Whether a lease would find a job, read without a write lock."""
+        return bool(self._connection().execute(
+            f"SELECT 1 FROM jobs WHERE {_RUNNABLE} LIMIT 1",
+            (time.time(),)).fetchall())
+
+    def close(self) -> None:
+        if self._conn is not None:
+            self._conn.close()
+            self._conn = None
+
+    def __enter__(self) -> "CommitWatch":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
 class JobBroker:
     """File-backed durable job queue (enqueue / lease / ack / nack).
 
@@ -204,6 +277,8 @@ class JobBroker:
     BUSY_TIMEOUT = 30.0
     #: :meth:`gc` drops worker snapshots with no heartbeat for this long
     WORKER_METRICS_MAX_AGE = 3600.0
+    #: seconds between version reads while a :meth:`watch` waits
+    WATCH_INTERVAL = 0.005
 
     def __init__(self, path: Union[str, Path],
                  lease_seconds: float = 60.0,
@@ -252,6 +327,11 @@ class JobBroker:
                 raise
             else:
                 conn.execute("COMMIT")
+
+    def watch(self) -> CommitWatch:
+        """A :class:`CommitWatch` on this broker's file; use it in a
+        ``with`` block so its connection is closed on the way out."""
+        return CommitWatch(self)
 
     # -- producing ---------------------------------------------------------------------
 
@@ -323,8 +403,7 @@ class JobBroker:
         with self._txn() as conn:
             while True:
                 row = conn.execute(
-                    "SELECT * FROM jobs WHERE status = 'queued'"
-                    " OR (status = 'leased' AND lease_deadline < ?)"
+                    f"SELECT * FROM jobs WHERE {_RUNNABLE}"
                     " ORDER BY priority DESC, created_at, rowid LIMIT 1",
                     (now,)).fetchone()
                 if row is None:
@@ -424,19 +503,34 @@ class JobBroker:
                 "SELECT * FROM jobs WHERE id = ?", (job_id,)).fetchone()
             return _row_to_job(row) if row is not None else None
 
-    def fetch(self, job_ids: Sequence[str]) -> Dict[str, Job]:
-        """Bulk :meth:`get` (one query) -- the campaign poll loop's read."""
-        out: Dict[str, Job] = {}
+    def _rows_by_id(self, select: str, job_ids: Sequence[str],
+                    params: Sequence[object] = ()) -> list:
+        """The rows of ``select ... WHERE id IN (job_ids)``, queried in
+        chunks that stay under SQLite's bound-parameter limit."""
+        rows: list = []
         ids = list(job_ids)
+        if not ids:
+            return rows
         with self._conn() as conn:
             for start in range(0, len(ids), 500):
                 chunk = ids[start:start + 500]
                 marks = ",".join("?" * len(chunk))
-                for row in conn.execute(
-                        f"SELECT * FROM jobs WHERE id IN ({marks})", chunk):
-                    job = _row_to_job(row)
-                    out[job.id] = job
-        return out
+                rows += conn.execute(f"{select} WHERE id IN ({marks})",
+                                     [*params, *chunk]).fetchall()
+        return rows
+
+    def fetch(self, job_ids: Sequence[str]) -> Dict[str, Job]:
+        """Bulk :meth:`get` (one query per 500 ids)."""
+        return {row["id"]: _row_to_job(row) for row in
+                self._rows_by_id("SELECT * FROM jobs", job_ids)}
+
+    def statuses(self, job_ids: Sequence[str]) -> Dict[str, str]:
+        """Status per job id, without decoding rows: the campaign result
+        loop's read.  An expired lease reads ``queued``, as in
+        :meth:`depth`."""
+        return {row["id"]: row["bucket"] for row in self._rows_by_id(
+            f"SELECT id, {_BUCKET} AS bucket FROM jobs",
+            job_ids, (time.time(),))}
 
     def depth(self) -> Dict[str, int]:
         """Job count per status (expired leases count as queued)."""
@@ -444,8 +538,7 @@ class JobBroker:
         counts = {status: 0 for status in JOB_STATUSES}
         with self._conn() as conn:
             for row in conn.execute(
-                    "SELECT CASE WHEN status='leased' AND lease_deadline < ?"
-                    " THEN 'queued' ELSE status END AS bucket,"
+                    f"SELECT {_BUCKET} AS bucket,"
                     " COUNT(*) AS n FROM jobs GROUP BY bucket", (now,)):
                 counts[row["bucket"]] = counts.get(row["bucket"], 0) + row["n"]
         return counts

@@ -58,7 +58,7 @@ _TM_JOB_SECONDS = telemetry.histogram(
     "Wall-clock seconds per executed job (lease to ack, cache hits excluded).")
 _TM_IDLE_POLLS = telemetry.counter(
     "repro_worker_idle_polls_total",
-    "Lease attempts that found the queue empty.")
+    "Idle checks (on a broker commit or every IDLE_POLL) that found no job.")
 
 
 class QueueWorker:
@@ -68,6 +68,10 @@ class QueueWorker:
     #: published into the broker, where the front end aggregates it
     #: (/stats, /metrics); every job publishes at once as well
     PUBLISH_INTERVAL = 5.0
+    #: longest idle wait: a commit (such as the one that queues a job)
+    #: ends it sooner; the timer is the fallback that finds expired
+    #: leases, which no commit announces
+    IDLE_POLL = 0.2
 
     def __init__(
         self,
@@ -75,13 +79,11 @@ class QueueWorker:
         cache: Optional[ResultCache] = None,
         worker_id: Optional[str] = None,
         lease_seconds: float = 60.0,
-        poll_interval: float = 0.2,
     ):
         self.broker = broker
         self.cache = cache
         self.worker_id = worker_id or f"{socket.gethostname()}:{os.getpid()}"
         self.lease_seconds = float(lease_seconds)
-        self.poll_interval = float(poll_interval)
         #: jobs this worker actually simulated / answered from cache
         self.num_executed = 0
         self.num_cache_hits = 0
@@ -223,16 +225,22 @@ class QueueWorker:
         """
         handled = 0
         self.publish(force=True)
-        while True:
-            if self.run_once():
-                handled += 1
-                continue
-            _TM_IDLE_POLLS.inc()
-            self.publish()  # idle heartbeat, rate-limited
-            if exit_when_idle and self.broker.pending() == 0:
-                self.publish(force=True)
-                return handled
-            time.sleep(self.poll_interval)
+        with self.broker.watch() as watch:
+            while True:
+                # read the version before looking: a job committed after
+                # this read moves it, and the wait below returns at once
+                version = watch.version()
+                # a read first: every commit wakes the wait, and only a
+                # runnable row is worth a write-locked lease
+                if watch.runnable() and self.run_once():
+                    handled += 1
+                    continue
+                _TM_IDLE_POLLS.inc()
+                self.publish()  # idle heartbeat, rate-limited
+                if exit_when_idle and self.broker.pending() == 0:
+                    self.publish(force=True)
+                    return handled
+                watch.wait(version, self.IDLE_POLL)
 
 
 def main(argv=None) -> int:
@@ -249,8 +257,6 @@ def main(argv=None) -> int:
                              "(default: DATA/cache; empty string disables)")
     parser.add_argument("--lease", type=float, default=60.0,
                         help="visibility timeout granted per leased job")
-    parser.add_argument("--poll", type=float, default=0.2,
-                        help="seconds between lease attempts when idle")
     parser.add_argument("--exit-when-idle", action="store_true",
                         help="exit once nothing is queued or leased")
     parser.add_argument("--worker-id", default=None,
@@ -268,7 +274,7 @@ def main(argv=None) -> int:
         cache = layout.open_cache(args.data)
 
     worker = QueueWorker(broker, cache=cache, worker_id=args.worker_id,
-                         lease_seconds=args.lease, poll_interval=args.poll)
+                         lease_seconds=args.lease)
     print(f"worker {worker.worker_id} attached to {broker.path}",
           file=sys.stderr)
     try:

@@ -312,6 +312,10 @@ class TestSerialExecution:
         ({"method": 3}, "method must be a string"),
         ({"name": ["d"]}, "name must be a string"),
         ({"circuit": {"factory": 7}}, "factory must be a string"),
+        ({"observe": "abc"}, "observe must be a list"),
+        ({"observe": [None]}, "node name must be a string"),
+        ({"seed": 1.5}, "seed must be an integer"),
+        ({"seed": False}, "seed must be an integer"),
     ])
     def test_unrunnable_scenario_is_refused_when_built(self, fields, message):
         data = dict({"name": "bad", "circuit": {"factory": "rc_ladder"}},

@@ -10,6 +10,7 @@ sharing one broker, and the scheduler's cost-model persistence through
 the cache directory.
 """
 
+import threading
 import time
 
 import pytest
@@ -31,6 +32,7 @@ from repro.campaign.backends._spawn import (
 )
 from repro.core.options import SimOptions
 from repro.service.broker import JobBroker
+from repro.service.worker import QueueWorker
 
 FAST_OPTIONS = SimOptions(t_stop=0.1e-9, h_init=2e-12, store_states=False)
 
@@ -123,7 +125,7 @@ class TestExternalWorkers:
         JobBroker(broker_path)  # the worker attaches to an existing file
         worker = spawn_module_worker(
             "repro.service.worker",
-            ["--broker", str(broker_path), "--poll", "0.05"])
+            ["--broker", str(broker_path)])
         try:
             scenarios = small_scenarios(methods=("er", "benr"))
             backend = QueueBackend(broker=broker_path, spawn=False)
@@ -138,6 +140,36 @@ class TestExternalWorkers:
                 "an attached worker persists across campaigns"
         finally:
             terminate_workers([worker])
+
+    def test_results_are_read_when_acked_not_on_the_poll_timer(
+            self, tmp_path, monkeypatch):
+        """Each ack's commit wakes the campaign's result loop, so a long
+        ``POLL_INTERVAL`` does not delay the campaign."""
+        monkeypatch.setattr(QueueBackend, "POLL_INTERVAL", 30.0)
+        broker_path = tmp_path / "q.sqlite3"
+        worker = QueueWorker(JobBroker(broker_path))
+        stop = threading.Event()
+
+        def drain():
+            while not stop.is_set():
+                if not worker.run_once():
+                    time.sleep(0.01)
+
+        thread = threading.Thread(target=drain, daemon=True)
+        thread.start()
+        try:
+            started = time.monotonic()
+            campaign = run_campaign(
+                small_scenarios(methods=("er", "benr")),
+                base_options=FAST_OPTIONS,
+                backend=QueueBackend(broker=broker_path, spawn=False))
+            elapsed = time.monotonic() - started
+        finally:
+            stop.set()
+            thread.join(10.0)
+        assert not thread.is_alive()
+        assert campaign.num_ok == len(campaign) == 2
+        assert elapsed < 15.0
 
     def test_no_worker_idle_timeout_delivers_errors(self, tmp_path,
                                                     monkeypatch):

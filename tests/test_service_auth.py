@@ -124,7 +124,7 @@ class TestCampaignPersistence:
         first.start()
         workers = [spawn_module_worker(
             "repro.service.worker",
-            ["--data", str(data), "--poll", "0.05", "--exit-when-idle"])]
+            ["--data", str(data), "--exit-when-idle"])]
         try:
             status, submitted = http(f"{first.url}/campaigns", {
                 "scenarios": [SCENARIO,

@@ -14,7 +14,7 @@ import time
 import pytest
 
 from repro.campaign.cache import ResultCache
-from repro.service.broker import JobBroker
+from repro.service.broker import CommitWatch, JobBroker
 from repro.service.worker import QueueWorker
 
 
@@ -222,6 +222,24 @@ class TestCountersAndStats:
         assert broker.pending() == 1
 
 
+class TestStatuses:
+    def test_statuses_bucket_expired_leases_and_skip_unknown_ids(
+            self, tmp_path):
+        broker = JobBroker(tmp_path / "q.sqlite3", lease_seconds=30.0)
+        for job_id in ("done", "live", "expired", "queued"):
+            broker.enqueue({"n": job_id}, job_id=job_id)
+        broker.lease("w")
+        broker.ack("done", "w", {"status": "ok"})
+        broker.lease("w")
+        broker.lease("w", lease_seconds=0.05)
+        time.sleep(0.1)
+        assert broker.statuses(["done", "live", "expired", "queued",
+                                "nope"]) == {
+            "done": "done", "live": "leased", "expired": "queued",
+            "queued": "queued"}
+        assert broker.statuses([]) == {}
+
+
 class TestQueueWorker:
     """The in-process worker loop (the subprocess CLI wraps exactly this)."""
 
@@ -303,3 +321,157 @@ class TestQueueWorker:
         handled = worker.run(exit_when_idle=True)
         assert handled == 1
         assert broker.pending() == 0
+
+
+class _Stop(Exception):
+    """Raised by a test's job hook to end a worker's ``run`` loop."""
+
+
+def start_worker(worker):
+    """Run ``worker`` in a thread until it leases one job; returns the
+    thread and a list that receives ``(job id, monotonic time)``."""
+    leased = []
+
+    def process(job):
+        leased.append((job.id, time.monotonic()))
+        raise _Stop
+
+    def target():
+        try:
+            worker.run()
+        except _Stop:
+            pass
+
+    worker.process = process
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    return thread, leased
+
+
+@pytest.fixture
+def waiting(monkeypatch):
+    """Set once a worker (or anything else) starts a commit wait."""
+    event = threading.Event()
+    original = CommitWatch.wait
+
+    def wait(self, since, timeout):
+        event.set()
+        return original(self, since, timeout)
+
+    monkeypatch.setattr(CommitWatch, "wait", wait)
+    return event
+
+
+class TestCommitWatch:
+    def test_wait_returns_on_a_commit_and_times_out_without_one(self, broker):
+        with broker.watch() as watch:
+            version = watch.version()
+            started = time.monotonic()
+            assert not watch.wait(version, 0.05)
+            assert time.monotonic() - started >= 0.05
+            broker.incr("anything")
+            assert watch.wait(version, 30.0)
+
+    def test_empty_lease_commits_nothing(self, broker):
+        with broker.watch() as watch:
+            version = watch.version()
+            assert broker.lease("w") is None
+            assert watch.version() == version
+
+    def test_runnable_sees_queued_and_expired_leases_only(self, tmp_path):
+        broker = JobBroker(tmp_path / "q.sqlite3", lease_seconds=0.2)
+        with broker.watch() as watch:
+            assert not watch.runnable()
+            broker.enqueue({"n": 1}, job_id="j")
+            assert watch.runnable()
+            broker.lease("w")
+            assert not watch.runnable()
+            time.sleep(0.3)
+            assert watch.runnable()
+
+    def test_connection_is_lazy_and_closed_on_exit(self, broker):
+        with broker.watch() as watch:
+            assert watch._conn is None
+            watch.version()
+            assert watch._conn is not None
+        assert watch._conn is None
+
+
+class TestIdleWake:
+    """An idle worker leases on the commit that queues a job; the
+    ``IDLE_POLL`` timer stays as the fallback that finds expired leases."""
+
+    def test_job_enqueued_while_waiting_is_leased_at_once(
+            self, broker, monkeypatch, waiting):
+        monkeypatch.setattr(QueueWorker, "IDLE_POLL", 30.0)
+        thread, leased = start_worker(QueueWorker(broker))
+        assert waiting.wait(10.0)
+        enqueued = time.monotonic()
+        broker.enqueue(scenario_payload(), job_id="fresh")
+        thread.join(5.0)
+        assert not thread.is_alive()
+        assert [job_id for job_id, _ in leased] == ["fresh"]
+        assert leased[0][1] - enqueued < 0.5
+
+    def test_commit_between_snapshot_and_wait_is_not_lost(
+            self, broker, monkeypatch):
+        """The job lands after the worker found nothing runnable and
+        before its wait starts: the version read before the check has
+        moved, so the wait returns at once."""
+        monkeypatch.setattr(QueueWorker, "IDLE_POLL", 30.0)
+        runnable = CommitWatch.runnable
+
+        def runnable_then_enqueue(self):
+            found = runnable(self)
+            if not found and broker.get("late") is None:
+                broker.enqueue(scenario_payload(), job_id="late")
+            return found
+
+        monkeypatch.setattr(CommitWatch, "runnable", runnable_then_enqueue)
+        started = time.monotonic()
+        thread, leased = start_worker(QueueWorker(broker))
+        thread.join(5.0)
+        assert not thread.is_alive()
+        assert [job_id for job_id, _ in leased] == ["late"]
+        assert leased[0][1] - started < 0.5
+
+    def test_expired_lease_is_redelivered_without_a_commit(self, tmp_path):
+        broker = JobBroker(tmp_path / "q.sqlite3")
+        broker.enqueue(scenario_payload(), job_id="crashy")
+        assert broker.lease("doomed-worker", lease_seconds=0.3).id == "crashy"
+        thread, leased = start_worker(QueueWorker(broker))
+        thread.join(10.0)
+        assert not thread.is_alive()
+        assert [job_id for job_id, _ in leased] == ["crashy"]
+        assert broker.get("crashy").attempts == 2
+
+    def test_other_workers_publish_wakes_without_a_lease(
+            self, broker, monkeypatch, waiting):
+        monkeypatch.setattr(QueueWorker, "IDLE_POLL", 30.0)
+        leases, checks = [], []
+        lease, runnable = broker.lease, CommitWatch.runnable
+
+        def counted_lease(*args, **kwargs):
+            leases.append(1)
+            return lease(*args, **kwargs)
+
+        def counted_runnable(self):
+            checks.append(1)
+            return runnable(self)
+
+        monkeypatch.setattr(broker, "lease", counted_lease)
+        monkeypatch.setattr(CommitWatch, "runnable", counted_runnable)
+        thread, leased = start_worker(QueueWorker(broker))
+        assert waiting.wait(10.0)
+        assert (len(checks), len(leases)) == (1, 0)
+        QueueWorker(broker, worker_id="other").publish(force=True)
+        deadline = time.monotonic() + 5.0
+        while len(checks) < 2 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert len(checks) == 2, "the publish did not wake the idle worker"
+        assert not leases, "a wake with nothing runnable leased"
+        broker.enqueue(scenario_payload(), job_id="stop")
+        thread.join(5.0)
+        assert not thread.is_alive()
+        assert [job_id for job_id, _ in leased] == ["stop"]
+        assert len(leases) == 1

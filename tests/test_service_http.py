@@ -51,7 +51,7 @@ def fleet(tmp_path):
     workers = [
         spawn_module_worker(
             "repro.service.worker",
-            ["--data", str(tmp_path / "svc"), "--poll", "0.05"])
+            ["--data", str(tmp_path / "svc")])
         for _ in range(2)
     ]
     yield workers
@@ -280,6 +280,12 @@ class TestValidationAndErrors:
         ({"options": [["t_stop", 1e-10], [1, 2]]}, "options must be a mapping"),
         ({"circuit": {"factory": "rc_ladder", "params": [[1, 2], ["a", 3]]}},
          "params must be a mapping"),
+        # neither is coerced: a string is not three node names, and a
+        # fractional or boolean seed is not an integer seed
+        ({"observe": "abc"}, "observe must be a list"),
+        ({"observe": ["n1", 2]}, "node name must be a string"),
+        ({"seed": 1.5}, "seed must be an integer"),
+        ({"seed": True}, "seed must be an integer"),
     ])
     def test_scenario_that_can_only_fail_is_400_and_enqueues_nothing(
             self, service, route, fields, message):

@@ -78,7 +78,7 @@ def service(tmp_path):
 def fleet(tmp_path):
     workers = [spawn_module_worker(
         "repro.service.worker",
-        ["--data", str(tmp_path / "svc"), "--poll", "0.05"])]
+        ["--data", str(tmp_path / "svc")])]
     yield workers
     terminate_workers(workers)
 

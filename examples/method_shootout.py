@@ -61,10 +61,6 @@ def main() -> int:
     parser.add_argument("--workers", type=int, default=None,
                         help="worker count for the pool/queue backends "
                              "(default: one per core)")
-    parser.add_argument("--schedule", choices=("plan", "adaptive"),
-                        default="plan",
-                        help="dispatch order: plan order or predicted-"
-                             "longest-first")
     parser.add_argument("--cache", type=Path, default=None,
                         help="scenario-hash result cache directory")
     args = parser.parse_args()
@@ -78,7 +74,7 @@ def main() -> int:
     campaign = run_campaign(
         scenarios, base_options=base, backend=backend, workers=args.workers,
         timeout=300.0,
-        cache=args.cache, schedule=args.schedule,
+        cache=args.cache,
         progress=lambda outcome, done, total: print(
             f"  [{done:2d}/{total}] {outcome.scenario.name}: {outcome.status} "
             + (f"(reused from {outcome.reused_from})" if outcome.reused

@@ -17,11 +17,10 @@ embarrassingly parallel sweep.  This subpackage turns the one-shot
   ``execute_scenario(dict) -> dict`` contract every backend ships, with
   per-worker assembly/DC caching, timeouts and failure capture;
 * :mod:`repro.campaign.runner` -- campaign policy over the backend seam:
-  result-cache adoption, adaptive scheduling, streaming collection;
+  result-cache adoption, plan-order dispatch, streaming collection;
 * :mod:`repro.campaign.cache` -- scenario-hash result cache (a re-planned
   campaign only simulates scenarios whose canonical spec changed, and an
   interrupted one resumes by re-running against the same directory);
-* :mod:`repro.campaign.schedule` -- predicted-runtime (LPT) scheduling;
 * :mod:`repro.campaign.store` -- outcome collection,
   aggregation and JSON persistence (rendered by
   :mod:`repro.reporting.campaign_tables`).
@@ -65,14 +64,6 @@ from repro.campaign.backends import (
 )
 from repro.campaign.cache import ResultCache, context_hash
 from repro.campaign.runner import default_workers, execute_scenario, run_campaign
-from repro.campaign.schedule import (
-    RuntimeModel,
-    append_history,
-    history_path_for,
-    load_history,
-    plan_schedule,
-    save_history,
-)
 from repro.campaign.store import (
     DETERMINISTIC_SUMMARY_KEYS,
     CampaignResult,
@@ -88,12 +79,6 @@ __all__ = [
     "resolve_backend",
     "ResultCache",
     "context_hash",
-    "RuntimeModel",
-    "plan_schedule",
-    "append_history",
-    "history_path_for",
-    "load_history",
-    "save_history",
     "CircuitSpec",
     "Scenario",
     "apply_option_overrides",

@@ -52,12 +52,6 @@ class ExecutionBackend(ABC):
     #: short name recorded in ``CampaignResult.metadata["mode"]``
     name: str = "abstract"
 
-    #: True when this backend's workers append the per-(circuit, method)
-    #: runtime records themselves (see :mod:`repro.campaign.schedule`);
-    #: the runner then skips its own append so each executed scenario
-    #: lands in the shared history exactly once
-    records_history: bool = False
-
     @abstractmethod
     def execute(self, items: Sequence[WorkItem], context: JobContext,
                 deliver: DeliverFn) -> None:

@@ -96,10 +96,6 @@ class QueueBackend(ExecutionBackend):
         self.spawn = spawn
         self._resolved_workers = workers
         self._broker_path: Optional[str] = None
-        # data-dir workers consult the shared cache AND append runtime
-        # records to its history file themselves; the runner must not
-        # append a second record per scenario
-        self.records_history = data_dir is not None
 
     def _resolve_broker(self, tmp_root: Optional[Path]):
         from repro.service import layout
@@ -138,8 +134,8 @@ class QueueBackend(ExecutionBackend):
             first_occurrence = job_id not in indices_by_job
             indices_by_job.setdefault(job_id, []).append(index)
             if first_occurrence:
-                # earlier dispatch position -> higher priority, so the
-                # scheduler's order survives the queue
+                # earlier plan position -> higher priority, so workers
+                # lease in plan order, as the other backends dispatch
                 _TM_DISPATCHES.labels(self.name).inc()
                 job = broker.enqueue(payload, context=context_data,
                                      priority=len(items) - position,

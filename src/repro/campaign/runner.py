@@ -9,21 +9,16 @@ policy layered on top of it:
 1. **Adoption** -- outcomes stored in the scenario-hash result cache
    (``cache=...``) are adopted without re-simulating; only scenarios
    whose canonical spec (or campaign context) changed are executed.
-2. **Scheduling** -- ``schedule="adaptive"`` dispatches the pending
-   scenarios predicted-longest-first (LPT, from the structure stats and
-   runtimes of adopted outcomes and the cache directory's persisted
-   runtime history) to cut pool tail latency; the dispatch order is
-   recorded in the metadata so runs stay reproducible.
-3. **Execution** -- the chosen backend ships each pending scenario
-   through the transport-agnostic ``execute_scenario(dict) -> dict``
-   contract and delivers outcomes as they complete.
-4. **Streaming collection** -- every delivery durably stores an ``ok``
-   outcome in the result cache, appends its runtime record to the
-   history and fires the progress callback.  An interrupted campaign is
-   resumed by re-running it with the same ``cache=`` directory: the
-   re-run adopts every outcome stored before the interruption, executes
-   the rest, and ends up with the same aggregate tables as an
-   uninterrupted run.
+2. **Execution** -- the chosen backend ships each pending scenario, in
+   plan order, through the transport-agnostic
+   ``execute_scenario(dict) -> dict`` contract and delivers outcomes as
+   they complete.
+3. **Streaming collection** -- every delivery durably stores an ``ok``
+   outcome in the result cache and fires the progress callback.  An
+   interrupted campaign is resumed by re-running it with the same
+   ``cache=`` directory: the re-run adopts every outcome stored before
+   the interruption, executes the rest, and ends up with the same
+   aggregate tables as an uninterrupted run.
 
 Outcomes are returned in scenario order regardless of completion order,
 and per-scenario statistics are identical across every backend (the
@@ -46,14 +41,6 @@ from repro.campaign.backends import (
 from repro.campaign.cache import ResultCache, context_hash
 from repro.campaign.execution import execute_scenario  # noqa: F401  (public API)
 from repro.campaign.scenario import Scenario
-from repro.campaign.schedule import (
-    SCHEDULE_POLICIES,
-    append_history,
-    history_path_for,
-    load_history,
-    plan_schedule,
-    record_from_outcome,
-)
 from repro.campaign.store import CampaignResult, ScenarioOutcome
 from repro.core.options import SimOptions
 from repro.wire import JobContext
@@ -71,7 +58,6 @@ def run_campaign(
     *,
     backend: Union[str, ExecutionBackend, None] = None,
     cache: Union[str, Path, ResultCache, None] = None,
-    schedule: str = "plan",
 ) -> CampaignResult:
     """Execute ``scenarios`` and collect a :class:`CampaignResult`.
 
@@ -102,11 +88,6 @@ def run_campaign(
         outcomes are stored back durably as they arrive, so re-running
         an interrupted campaign against the same directory resumes it.
         Timeouts and errors are never stored and always re-run.
-    schedule:
-        ``"plan"`` dispatches in scenario order; ``"adaptive"`` goes
-        predicted-longest-first using the adopted outcomes and the
-        cache directory's persisted runtime history.  The dispatch order
-        lands in ``metadata["schedule"]`` either way.
 
     Raises
     ------
@@ -127,10 +108,6 @@ def run_campaign(
     names = [s.name for s in scenarios]
     if len(set(names)) != len(names):
         raise ValueError("scenario names within a campaign must be unique")
-    if schedule not in SCHEDULE_POLICIES:
-        raise ValueError(
-            f"unknown schedule {schedule!r}; expected "
-            + "|".join(SCHEDULE_POLICIES))
 
     ctx_key = context_hash(context)
     wall_start = time.perf_counter()
@@ -150,33 +127,6 @@ def run_campaign(
     pending = [(i, scenarios[i]) for i in range(len(scenarios))
                if i not in adopted_dicts]
 
-    # -- scheduling ------------------------------------------------------------------
-    #: runtime-history file shared through the result-cache directory;
-    #: adaptive runs load it (cost-model persistence: real first-run LPT
-    #: predictions) and every executed outcome appends its record back
-    history_file: Optional[Path] = None
-    if the_cache is not None:
-        history_file = history_path_for(the_cache.root)
-    persisted_records = 0
-    if schedule == "adaptive":
-        known_outcomes = [ScenarioOutcome.from_dict(d)
-                          for d in adopted_dicts.values()]
-        model = load_history(history_file) if history_file is not None else None
-        if model is not None:
-            persisted_records = model.num_records
-        order, predictions = plan_schedule(pending, known_outcomes, model=model)
-        by_index = dict(pending)
-        pending = [(i, by_index[i]) for i in order]
-    else:
-        predictions = None
-    schedule_record: Dict[str, object] = {
-        "policy": schedule,
-        "dispatch_order": [scenarios[i].name for i, _ in pending],
-    }
-    if predictions is not None:
-        schedule_record["predicted_seconds"] = predictions
-        schedule_record["history_records"] = persisted_records
-
     # -- execution -------------------------------------------------------------------
     the_backend = resolve_backend(backend, workers=workers,
                                   num_scenarios=len(pending))
@@ -195,15 +145,6 @@ def run_campaign(
             # consumer has seen finish survives an interruption
             if the_cache is not None and outcome.reused_from != "cache":
                 the_cache.put(scenarios[index], ctx_key, data)
-            # executed outcomes feed the persistent cost model next to
-            # the cache; adopted ones already have a record there, and a
-            # backend whose workers record for themselves (the queue
-            # backend in data-dir mode) owns the append -- either way,
-            # one record per executed scenario
-            if history_file is not None and not outcome.reused \
-                    and not the_backend.records_history:
-                append_history(history_file,
-                               [record_from_outcome(outcome)])
             done_now = done
         if progress is not None:
             progress(outcome, done_now, len(scenarios))
@@ -234,7 +175,6 @@ def run_campaign(
         "wall_seconds": time.perf_counter() - wall_start,
         "base_options": context.base_options,
         "context": ctx_key,
-        "schedule": schedule_record,
     }
     metadata.update(the_backend.metadata())
     return CampaignResult(outcomes=outcomes, metadata=metadata)

@@ -58,13 +58,16 @@ def main(argv=None) -> int:
         data_dir=args.data,
         policy=policy,
     )
-    print(f"fleet supervisor {supervisor.supervisor_id}: "
-          f"workers {policy.min_workers}..{policy.max_workers}, "
-          f"threshold {policy.SCALE_THRESHOLD:g} jobs/worker, "
-          f"tick every {supervisor.INTERVAL:g}s", file=sys.stderr)
-    # SIGTERM takes Ctrl-C's path: run() terminates the workers on the way out
-    signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
+        # SIGTERM takes Ctrl-C's path: run() terminates the workers on the
+        # way out; SIGINT is installed too, because a process started in
+        # the background (`&`) starts with it ignored
+        signal.signal(signal.SIGINT, signal.default_int_handler)
+        signal.signal(signal.SIGTERM, signal.default_int_handler)
+        print(f"fleet supervisor {supervisor.supervisor_id}: "
+              f"workers {policy.min_workers}..{policy.max_workers}, "
+              f"threshold {policy.SCALE_THRESHOLD:g} jobs/worker, "
+              f"tick every {supervisor.INTERVAL:g}s", file=sys.stderr)
         supervisor.run(max_ticks=1 if args.once else None)
     except KeyboardInterrupt:
         pass

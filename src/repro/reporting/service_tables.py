@@ -2,9 +2,9 @@
 
 Renders the ``GET /stats`` document of :mod:`repro.service.server` as an
 aligned plain-text operations view: queue depth, admission-control
-counters (with the coalescing save rate), shared-cache size and the
-persisted cost-model coverage.  ``python -m repro.service status`` is
-the CLI wrapper.
+counters (with the coalescing save rate), per-worker digests,
+shared-cache size, campaign count and uptime.  ``python -m
+repro.service status`` is the CLI wrapper.
 """
 
 from __future__ import annotations
@@ -66,11 +66,6 @@ def service_stats_rows(stats: Dict[str, object]) -> List[List[object]]:
 
     cache = stats.get("cache") or {}
     rows.append(["cache", "entries", cache.get("entries", 0)])
-    model = stats.get("runtime_model") or {}
-    rows += [
-        ["cost model", "records", model.get("records", 0)],
-        ["cost model", "(circuit, method) pairs", model.get("pairs", 0)],
-    ]
     rows.append(["service", "campaigns", stats.get("campaigns", 0)])
     uptime = stats.get("uptime_seconds")
     if uptime is not None:

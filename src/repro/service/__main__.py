@@ -24,7 +24,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
+import signal
 import sys
 import urllib.error
 import urllib.request
@@ -94,9 +96,13 @@ def cmd_serve(argv) -> int:
                            max_queue_depth=args.max_queue_depth,
                            auth_token=token)
     server.httpd.RequestHandlerClass.verbose = args.verbose
-    print(f"repro.service listening on {server.url} (data: {args.data}"
-          f"{', bearer auth on' if token else ''})", file=sys.stderr)
     try:
+        # Ctrl-C, kill -INT and SIGTERM all stop the server, also when it
+        # was started in the background (`&` starts it with SIGINT ignored)
+        signal.signal(signal.SIGINT, signal.default_int_handler)
+        signal.signal(signal.SIGTERM, signal.default_int_handler)
+        print(f"repro.service listening on {server.url} (data: {args.data}"
+              f"{', bearer auth on' if token else ''})", file=sys.stderr)
         server.serve_forever()
     except KeyboardInterrupt:
         pass
@@ -194,12 +200,22 @@ def cmd_submit(argv) -> int:
 
 
 def _parse_age(text: str) -> float:
-    """Seconds from ``"3600"``, ``"90m"``, ``"24h"``, or ``"7d"``."""
+    """Seconds from ``"3600"``, ``"90m"``, ``"24h"``, or ``"7d"``.
+
+    Raises ``ValueError`` for a malformed, negative or non-finite age:
+    retention must never read one as "delete everything".
+    """
     text = text.strip().lower()
     scale = {"s": 1.0, "m": 60.0, "h": 3600.0, "d": 86400.0}.get(text[-1:])
-    if scale is not None:
-        return float(text[:-1]) * scale
-    return float(text)
+    try:
+        seconds = float(text[:-1]) * scale if scale is not None \
+            else float(text)
+    except ValueError:
+        raise ValueError(f"not an age: {text!r} "
+                         "(seconds, or suffixed: 90m, 24h, 7d)") from None
+    if not (math.isfinite(seconds) and seconds >= 0.0):
+        raise ValueError(f"age must be finite and not negative: {text!r}")
+    return seconds
 
 
 def cmd_gc(argv) -> int:
@@ -229,6 +245,13 @@ def cmd_gc(argv) -> int:
     if args.max_age is None and args.keep is None and not args.dry_run:
         parser.error("nothing to do: give --max-age and/or --keep "
                      "(or --dry-run to preview a pure VACUUM)")
+    try:
+        max_age = _parse_age(args.max_age) if args.max_age is not None \
+            else None
+    except ValueError as exc:
+        parser.error(f"--max-age: {exc}")
+    if args.keep is not None and args.keep < 0:
+        parser.error(f"--keep must be >= 0, not {args.keep}")
 
     from repro.service import layout
     from repro.service.broker import JobBroker
@@ -236,7 +259,7 @@ def cmd_gc(argv) -> int:
     broker = JobBroker(args.broker) if args.broker else \
         layout.open_broker(args.data)
     report = broker.gc(
-        max_age=_parse_age(args.max_age) if args.max_age else None,
+        max_age=max_age,
         keep=args.keep,
         vacuum=not args.no_vacuum,
         dry_run=args.dry_run,

@@ -46,14 +46,13 @@ commit announces an expired lease, so the worker's wait also times out.
 
 The broker also keeps a tiny named-counter table (simulations executed,
 worker-side cache hits, coalesced admissions...) that the service's
-``/stats`` endpoint surfaces, and records per-``(circuit, method)``
-runtime statistics into the shared history file consumed by
-:mod:`repro.campaign.schedule` -- see :meth:`JobBroker.record_runtime`.
+``/stats`` endpoint surfaces.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import sqlite3
 import time
 import uuid
@@ -721,8 +720,19 @@ class JobBroker:
 
         ``dry_run`` reports what *would* be deleted without changing
         anything.  Returns a report dict (the ``python -m repro.service
-        gc`` output).
+        gc`` output).  A negative or non-finite ``max_age`` and a
+        negative ``keep`` raise ``ValueError``: neither may read as
+        "delete every terminal job".
         """
+        if max_age is not None:
+            max_age = float(max_age)
+            if not (math.isfinite(max_age) and max_age >= 0.0):
+                raise ValueError(
+                    f"max_age must be finite and >= 0, not {max_age!r}")
+        if keep is not None:
+            keep = int(keep)
+            if keep < 0:
+                raise ValueError(f"keep must be >= 0, not {keep!r}")
         now = time.time()
         bytes_before = self.path.stat().st_size if self.path.exists() else 0
         terminal = "status IN ('done', 'failed')"
@@ -732,7 +742,7 @@ class JobBroker:
             if max_age is not None:
                 clause = (f"{terminal} AND finished_at IS NOT NULL"
                           " AND finished_at < ?")
-                args = (now - float(max_age),)
+                args = (now - max_age,)
                 if dry_run:
                     deleted_by_age = conn.execute(
                         f"SELECT COUNT(*) AS n FROM jobs WHERE {clause}",
@@ -744,7 +754,7 @@ class JobBroker:
                 clause = (f"{terminal} AND id NOT IN (SELECT id FROM jobs"
                           f" WHERE {terminal} ORDER BY finished_at DESC,"
                           " rowid DESC LIMIT ?)")
-                args = (max(0, int(keep)),)
+                args = (keep,)
                 if dry_run:
                     deleted_by_count = conn.execute(
                         f"SELECT COUNT(*) AS n FROM jobs WHERE {clause}",
@@ -764,7 +774,7 @@ class JobBroker:
                     snap_args).rowcount
             if max_age is not None:
                 # campaign records age out with the jobs they referenced
-                camp_args = (now - float(max_age),)
+                camp_args = (now - max_age,)
                 if dry_run:
                     deleted_campaigns = conn.execute(
                         "SELECT COUNT(*) AS n FROM campaigns"
@@ -798,30 +808,13 @@ class JobBroker:
             "bytes_after": bytes_after,
         }
 
-    # -- runtime statistics ------------------------------------------------------------
+    # -- executed simulations ----------------------------------------------------------
 
-    @property
-    def history_path(self) -> Path:
-        """Fallback runtime-history file next to the broker database.
+    def record_runtime(self) -> None:
+        """Count one simulation a worker executed (``simulations``).
 
-        The *canonical* location is inside the shared result-cache
-        directory (:func:`repro.campaign.schedule.history_path_for`), so
-        that service workers and ``run_campaign(cache=...,
-        schedule="adaptive")`` read and write one file; this broker-side
-        path only serves fleets running without any cache directory.
+        The one call a worker makes per executed job; it stays a method
+        of its own because ``perfbench/tracer.py`` wraps it by name (the
+        ``worker.history`` span).
         """
-        return self.path.parent / "runtime_history.jsonl"
-
-    def record_runtime(self, outcome_data: Dict[str, object],
-                       history_path: Union[str, Path, None] = None) -> None:
-        """Append one executed outcome's runtime record to the history.
-
-        Cache-aware workers pass ``history_path_for(cache.root)`` so the
-        record lands where adaptive campaigns look for it; without a
-        path the broker-adjacent fallback file is used.
-        """
-        from repro.campaign.schedule import append_history, record_from_outcome_dict
-
-        record = record_from_outcome_dict(outcome_data)
-        if record is not None:
-            append_history(history_path or self.history_path, [record])
+        self.incr("simulations")

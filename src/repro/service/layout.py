@@ -7,10 +7,6 @@ to the service" is a single ``--data DIR`` flag everywhere::
     DIR/
       broker.sqlite3                # the durable job queue (JobBroker)
       cache/                        # the shared ResultCache directory
-      cache/runtime_history.jsonl   # per-(circuit, method) runtime
-                                    # records, appended by workers and
-                                    # adaptive campaigns alike
-                                    # (schedule.history_path_for)
 """
 
 from __future__ import annotations

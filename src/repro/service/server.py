@@ -29,8 +29,8 @@ GET     ``/campaigns/<id>/stream``  chunked JSONL: one line per scenario as its
                                     result lands, then a summary line
 GET     ``/healthz``                liveness + queue depth
 GET     ``/stats``                  broker depth, coalescing counters, cache
-                                    size, per-worker snapshots, cost-model
-                                    coverage
+                                    size, campaign count, per-worker
+                                    snapshots, fleet state, backpressure
 GET     ``/metrics``                Prometheus text exposition: server
                                     telemetry, derived fleet state, and every
                                     live worker's published metrics relabeled
@@ -60,7 +60,6 @@ from repro import wire
 from repro.benchcircuits.registry import get_circuit_factory
 from repro.campaign.cache import ResultCache
 from repro.campaign.scenario import Scenario
-from repro.campaign.schedule import history_path_for, load_history
 from repro.core.options import SimOptions
 from repro.service import layout
 from repro.service.broker import JobBroker
@@ -228,10 +227,13 @@ class ServiceServer:
         self.httpd.serve_forever()
 
     def shutdown(self) -> None:
-        self.httpd.shutdown()
-        self.httpd.server_close()
+        # httpd.shutdown() waits for a serve loop running on another
+        # thread; with none (never started, or serve_forever() already
+        # returned in this thread) it would wait forever
         if self._thread is not None:
+            self.httpd.shutdown()
             self._thread.join(timeout=5.0)
+        self.httpd.server_close()
 
     # -- request logic (transport-free, so tests can call it directly) ----------------
 
@@ -405,12 +407,6 @@ class ServiceServer:
         return workers
 
     def stats(self) -> Dict[str, object]:
-        # the canonical history file sits in the cache directory (shared
-        # with adaptive campaigns); broker-adjacent file is the fallback
-        # for cache-less deployments
-        history = history_path_for(self.cache.root) if self.cache is not None \
-            else self.broker.history_path
-        model = load_history(history)
         return {
             "uptime_seconds": time.time() - self.started_at,
             "broker": {"path": str(self.broker.path),
@@ -419,10 +415,6 @@ class ServiceServer:
             "cache": {
                 "root": str(self.cache.root) if self.cache else None,
                 "entries": len(self.cache) if self.cache else 0,
-            },
-            "runtime_model": {
-                "records": model.num_records,
-                "pairs": model.num_pairs,
             },
             "campaigns": self.broker.count_campaigns(),
             "workers": self._worker_view(),

@@ -9,17 +9,11 @@ Local workers are best left to the fleet supervisor
 
     python -m repro.service worker --data ./service-data
 
-The worker is where two ROADMAP follow-ups close:
-
-* **Worker-side result cache** -- before simulating, the worker consults
-  the shared :class:`~repro.campaign.cache.ResultCache` under the data
-  directory; a warm job is acked straight from disk (counted in the
-  broker's ``worker_cache_hits`` counter, surfaced by ``/stats``) and a
-  fresh ``ok`` outcome is stored back for every later request.
-* **Cost-model persistence** -- every executed outcome appends its
-  per-``(circuit, method)`` runtime record to the broker's shared
-  history file, which ``schedule="adaptive"`` campaigns load for
-  first-run LPT predictions.
+Before simulating, the worker consults the shared
+:class:`~repro.campaign.cache.ResultCache` under the data directory: a
+warm job is acked straight from disk (counted in the broker's
+``worker_cache_hits`` counter, surfaced by ``/stats``) and a fresh
+``ok`` outcome is stored back for every later request.
 
 While a scenario runs, a daemon thread extends the job's lease
 (visibility timeout) so a long simulation is not mistaken for a crash;
@@ -31,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import signal
 import socket
 import sys
 import threading
@@ -41,7 +36,6 @@ from repro import wire
 from repro.campaign.cache import ResultCache, context_hash
 from repro.campaign.execution import execute_scenario
 from repro.campaign.scenario import Scenario
-from repro.campaign.schedule import history_path_for
 from repro.service.broker import Job, JobBroker
 from repro.service import layout
 from repro.telemetry import REGISTRY
@@ -131,16 +125,9 @@ class QueueWorker:
         _TM_JOB_SECONDS.observe(time.monotonic() - started)
         _TM_JOBS.labels("executed").inc()
         self.num_executed += 1
-        self.broker.incr("simulations")
+        self.broker.record_runtime()
         if self.cache is not None:
             self.cache.put(scenario, key, outcome)
-        # canonical history location: inside the shared cache directory,
-        # where adaptive campaigns load it; broker-adjacent fallback for
-        # cache-less fleets
-        self.broker.record_runtime(
-            outcome,
-            history_path_for(self.cache.root)
-            if self.cache is not None else None)
         acked = self.broker.ack(job.id, self.worker_id, outcome)
         if not acked:
             self.broker.incr("late_acks")
@@ -275,9 +262,12 @@ def main(argv=None) -> int:
 
     worker = QueueWorker(broker, cache=cache, worker_id=args.worker_id,
                          lease_seconds=args.lease)
-    print(f"worker {worker.worker_id} attached to {broker.path}",
-          file=sys.stderr)
     try:
+        # Ctrl-C and kill -INT stop the worker, also when it was started
+        # in the background (`&` starts it with SIGINT ignored)
+        signal.signal(signal.SIGINT, signal.default_int_handler)
+        print(f"worker {worker.worker_id} attached to {broker.path}",
+              file=sys.stderr)
         handled = worker.run(exit_when_idle=args.exit_when_idle)
     except KeyboardInterrupt:
         return 0

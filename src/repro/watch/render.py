@@ -179,12 +179,8 @@ def render_snapshot(snap: FleetSnapshot, now: Optional[float] = None,
     else:
         lines.append("  (none tracked by this front end)")
 
-    # -- cache / cost model --------------------------------------------------------
+    # -- cache -------------------------------------------------------------------------
     cache = snap.stats.get("cache") or {}
-    model = snap.stats.get("runtime_model") or {}
     lines.append("")
-    lines.append(
-        f"cache   {cache.get('entries', 0)} entries; cost model "
-        f"{model.get('records', 0)} records over "
-        f"{model.get('pairs', 0)} (circuit, method) pairs")
+    lines.append(f"cache   {cache.get('entries', 0)} entries")
     return "\n".join(lines) + "\n"

@@ -7,6 +7,7 @@ import pytest
 
 from repro.campaign import (
     CircuitSpec,
+    QueueBackend,
     ResultCache,
     Scenario,
     context_hash,
@@ -135,6 +136,32 @@ class TestResultCache:
         run_campaign(scenarios, base_options=FAST_OPTIONS, backend="serial",
                      cache=cache)
         assert len(cache) == len(scenarios)
+
+
+class TestCacheHoldsOnlyOutcomes:
+    """Executed work leaves exactly one entry per ``ok`` outcome in the
+    cache directory -- no runtime log that grows with every run."""
+
+    @pytest.mark.parametrize("backend", ["serial", "process", "queue"])
+    def test_cached_campaign_writes_no_runtime_history(self, tmp_path,
+                                                       backend):
+        data = tmp_path / "svc"
+        cache_dir = data / "cache"
+        if backend == "queue":
+            backend = QueueBackend(data_dir=data, workers=1)
+        scenarios = small_scenarios(budgets=(1e-3,))
+        campaign = run_campaign(scenarios, base_options=FAST_OPTIONS,
+                                backend=backend, workers=2, cache=cache_dir)
+        assert campaign.num_ok == len(scenarios)
+        assert not list(tmp_path.rglob("runtime_history.jsonl"))
+        assert sorted(p.suffix for p in cache_dir.iterdir()) == \
+            [".json"] * len(scenarios)
+
+    def test_run_campaign_has_no_schedule_parameter(self):
+        """Dispatch follows the plan order; there is no other policy."""
+        with pytest.raises(TypeError):
+            run_campaign(small_scenarios(), base_options=FAST_OPTIONS,
+                         backend="serial", schedule="adaptive")
 
 
 class TestAtomicPut:

@@ -5,9 +5,8 @@ The equivalence / timeout / failure-capture contract is covered by
 including ``queue``).  Here: broker-level fault tolerance with real
 worker subprocesses (crash -> lease expiry -> redelivery), bounded
 redelivery of poison scenarios, external workers attached to a broker
-file (and the idle timeout when none is), job dedupe across campaigns
-sharing one broker, and the scheduler's cost-model persistence through
-the cache directory.
+file (and the idle timeout when none is), and job dedupe across
+campaigns sharing one broker.
 """
 
 import threading
@@ -18,11 +17,8 @@ import pytest
 from repro.campaign import (
     CircuitSpec,
     QueueBackend,
-    ResultCache,
     Scenario,
     grid_sweep,
-    history_path_for,
-    load_history,
     resolve_backend,
     run_campaign,
 )
@@ -265,29 +261,3 @@ class TestQueueWorkersShareCache:
         counters = JobBroker(broker_path).counters()
         assert counters.get("worker_cache_hits", 0) == len(scenarios)
         assert counters.get("simulations", 0) == 0
-
-    def test_worker_history_feeds_adaptive_campaigns_without_duplicates(
-            self, tmp_path):
-        """Queue workers append the cost-model records into the cache
-        directory's history file -- the same file adaptive campaigns
-        load -- and the runner does not append a second record for work
-        a recording backend executed."""
-        data = tmp_path / "svc"
-        cache_dir = data / "cache"
-        scenarios = small_scenarios(methods=("er", "benr"))
-        run_campaign(scenarios, base_options=FAST_OPTIONS,
-                     cache=ResultCache(cache_dir),
-                     backend=QueueBackend(data_dir=data, workers=1))
-        model = load_history(history_path_for(cache_dir))
-        assert model.num_records == len(scenarios), \
-            "one history record per executed scenario (no double append)"
-        # a first-run adaptive campaign over *new* scenario content gets
-        # predictions purely from the workers' persisted records
-        fresh = small_scenarios(methods=("er",), budgets=(5e-4,))
-        campaign = run_campaign(fresh, base_options=FAST_OPTIONS,
-                                cache=ResultCache(cache_dir),
-                                schedule="adaptive", backend="serial")
-        record = campaign.metadata["schedule"]
-        assert record["history_records"] == len(scenarios)
-        assert all(v is not None
-                   for v in record["predicted_seconds"].values())

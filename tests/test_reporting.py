@@ -131,7 +131,6 @@ class TestServiceStatsTable:
             "counters": {"admitted": 10, "coalesced": 4, "cache_answers": 6,
                          "simulations": 10, "worker_cache_hits": 3},
             "cache": {"root": "/tmp/c", "entries": 7},
-            "runtime_model": {"records": 10, "pairs": 4},
             "campaigns": 2,
         }
 
@@ -141,7 +140,7 @@ class TestServiceStatsTable:
         rows = service_stats_rows(self.stats_document())
         sections = {row[0] for row in rows}
         assert sections == {"queue", "admission", "workers", "cache",
-                            "cost model", "service"}
+                            "service"}
         by_metric = {(row[0], row[1]): row[2] for row in rows}
         assert by_metric[("admission", "submissions")] == 20
         assert by_metric[("admission", "saved fraction")] == pytest.approx(0.5)

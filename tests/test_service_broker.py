@@ -7,7 +7,6 @@ abandoned lease must expire and the job must be redelivered to the next
 worker, at most ``max_attempts`` times in total.
 """
 
-import json
 import threading
 import time
 
@@ -252,27 +251,16 @@ class TestQueueWorker:
         assert done.status == "done"
         assert done.result["status"] == "ok"
         assert broker.counters()["simulations"] == 1
-        # cost-model persistence: the runtime record landed in the
-        # shared history file next to the broker
-        lines = broker.history_path.read_text().splitlines()
-        assert len(lines) == 1
-        record = json.loads(lines[0])
-        assert record["method"] == "er"
-        assert record["runtime_seconds"] > 0
 
-    def test_cache_aware_worker_records_history_in_cache_dir(
-            self, broker, tmp_path):
-        """The canonical cost-model history lives *inside* the cache
-        directory -- the same file ``run_campaign(cache=...,
-        schedule="adaptive")`` loads -- not next to the broker."""
-        from repro.campaign.schedule import history_path_for, load_history
-
+    def test_worker_writes_no_runtime_history(self, broker, tmp_path):
+        """An executed job leaves the broker file and cache entries
+        behind, and no per-run history file anywhere."""
         cache = ResultCache(tmp_path / "cache")
         broker.enqueue(scenario_payload(), job_id="j")
-        QueueWorker(broker, cache=cache).run_once()
-        assert not broker.history_path.exists()
-        model = load_history(history_path_for(cache.root))
-        assert model.num_records == 1
+        assert QueueWorker(broker, cache=cache).run_once()
+        assert broker.counters()["simulations"] == 1
+        assert len(cache) == 1
+        assert not list(tmp_path.rglob("*.jsonl"))
 
     def test_worker_answers_from_shared_cache(self, broker, tmp_path):
         cache = ResultCache(tmp_path / "cache")

@@ -93,6 +93,19 @@ class TestBrokerGc:
         assert report["bytes_before"] >= report["bytes_after"] > 0
 
 
+    @pytest.mark.parametrize("retention", [
+        {"max_age": -3600.0}, {"max_age": float("nan")},
+        {"max_age": float("inf")}, {"keep": -2}])
+    def test_values_that_would_delete_everything_are_refused(
+            self, tmp_path, retention):
+        broker = make_broker(tmp_path)
+        job_id = broker.enqueue({"name": "r"}, job_id="r").id
+        finish_job(broker, job_id, when=time.time() - 60)
+        with pytest.raises(ValueError):
+            broker.gc(**retention)
+        assert broker.fetch(["r"])["r"].status == "done"
+
+
 class TestGcCli:
     def run_gc(self, argv):
         from repro.service.__main__ import cmd_gc
@@ -137,3 +150,20 @@ class TestGcCli:
         assert _parse_age("7d") == 7 * 86400.0
         with pytest.raises(ValueError):
             _parse_age("nope")
+        for bad in ("-1h", "-5", "7x", "nan", "infd", "1e400", ""):
+            with pytest.raises(ValueError):
+                _parse_age(bad)
+
+    @pytest.mark.parametrize("argv", [
+        ["--max-age=-1h"], ["--max-age", "7x"], ["--max-age", "inf"],
+        ["--keep", "-2"], ["--keep", "-1", "--dry-run"]])
+    def test_cli_refuses_ages_and_counts_that_delete_everything(
+            self, tmp_path, capsys, argv):
+        broker = make_broker(tmp_path)
+        job_id = broker.enqueue({"name": "e"}, job_id="e").id
+        finish_job(broker, job_id, when=time.time() - 60)
+        with pytest.raises(SystemExit) as excinfo:
+            self.run_gc(["--broker", str(broker.path), *argv])
+        assert excinfo.value.code == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert broker.fetch(["e"])["e"].status == "done"

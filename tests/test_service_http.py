@@ -8,6 +8,7 @@ streams as results land, and a duplicate submission -- in flight or warm
 """
 
 import json
+import threading
 import urllib.error
 import urllib.request
 
@@ -329,6 +330,17 @@ class TestValidationAndErrors:
         assert excinfo.value.status == 400
 
 
+class TestLifecycle:
+    def test_shutdown_without_a_serving_thread_returns(self, tmp_path):
+        """What ``serve`` runs after Ctrl-C, also when the signal came
+        before the serve loop began."""
+        server = ServiceServer(data_dir=tmp_path / "svc")
+        stopper = threading.Thread(target=server.shutdown, daemon=True)
+        stopper.start()
+        stopper.join(timeout=5.0)
+        assert not stopper.is_alive()
+
+
 class TestHealthAndStats:
     def test_healthz(self, service):
         status, document = http(f"{service.url}/healthz")
@@ -342,6 +354,8 @@ class TestHealthAndStats:
         assert status == 200
         assert stats["broker"]["jobs"]["queued"] == 1
         assert stats["counters"]["admitted"] == 1
+        assert set(stats) == {"uptime_seconds", "broker", "counters", "cache",
+                              "campaigns", "workers", "fleet", "backpressure"}
         # the reporting layer renders the same document as a table
         from repro.reporting import render_service_stats
 

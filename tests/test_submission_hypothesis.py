@@ -7,6 +7,10 @@ scenario items of ``POST /campaigns``, the front end answers with a
 classified status -- 200 (cache), 202 (admitted or coalesced) or 400
 (rejected) -- and never with a 5xx; and every scenario it enqueues names
 a registered integration method.
+
+Behind the front end, the worker decodes each leased broker row: whatever
+JSON a stored job carries as its payload and context, the worker leaves
+the job failed, or done with a non-``ok`` outcome, and never raises.
 """
 
 import json
@@ -23,7 +27,9 @@ from hypothesis import strategies as st  # noqa: E402
 
 from repro.core.options import SimOptions  # noqa: E402
 from repro.integrators import INTEGRATOR_REGISTRY  # noqa: E402
+from repro.service.broker import JobBroker  # noqa: E402
 from repro.service.server import ServiceServer  # noqa: E402
+from repro.service.worker import QueueWorker  # noqa: E402
 
 SCENARIO = {
     "name": "fuzz",
@@ -148,3 +154,36 @@ def test_arbitrary_campaign_items_never_answer_5xx(tmp_path):
         check()
     finally:
         server.shutdown()
+
+
+#: stored payloads that are no valid scenario: any JSON value, or the
+#: scenario with its circuit spec replaced by one
+PAYLOADS = JSON | st.builds(lambda circuit: dict(SCENARIO, circuit=circuit),
+                            JSON)
+
+
+def test_arbitrary_stored_rows_never_raise_in_the_worker(tmp_path):
+    broker = JobBroker(tmp_path / "broker.sqlite3")
+    worker = QueueWorker(broker, lease_seconds=30.0)
+    ids = iter(range(10 ** 6))
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(payload=PAYLOADS, context=JSON)
+    def check(payload, context):
+        job_id = f"row-{next(ids)}"
+        broker.enqueue(dict(SCENARIO), job_id=job_id)
+        # the row as another writer (or a damaged file) may have left it
+        with broker._conn() as conn:
+            conn.execute("UPDATE jobs SET payload = ?, context = ?"
+                         " WHERE id = ?",
+                         (json.dumps(payload), json.dumps(context), job_id))
+        job = broker.lease(worker.worker_id)
+        assert job is not None and job.id == job_id
+        worker.process(job)
+        stored = broker.get(job_id)
+        assert stored.status == "failed" or (
+            stored.status == "done" and stored.result_status != "ok"), \
+            (stored.status, stored.result_status, stored.error)
+
+    check()

@@ -29,7 +29,6 @@ CANNED_STATS = {
     "counters": {"admitted": 30, "coalesced": 10, "cache_answers": 10,
                  "simulations": 28, "worker_cache_hits": 12},
     "cache": {"root": "/tmp/c", "entries": 17},
-    "runtime_model": {"records": 30, "pairs": 6},
     "campaigns": 1,
     "backpressure": {"max_queue_depth": 100, "rejections": 4},
     "workers": {

@@ -1,13 +1,25 @@
 """Table I regeneration: ckt1-ckt8 under BENR, ER and ER-C.
 
-Each (circuit, method) pair is one pytest-benchmark case (a single
-measured round -- a transient run is far too long to repeat).  After all
-cases of a circuit have run, the Table I rows are assembled exactly like
-the paper's table: circuit specification (#N, #Dev, nnzC, nnzG), per
-method the step count, #NRa / #ma, runtime and the speedup over BENR;
-BENR rows that exceed the memory budget render as "OoM" with NA speedups.
+Table I runs as a campaign: one :class:`~repro.campaign.Scenario` per
+(case, method) on the registered ``ckt1`` ... ``ckt8`` circuit factories,
+with the case's ``scale`` as the factory parameter and the Table-I setup
+(horizon, initial step, error budget, LTE tolerances, the fill-in budget
+emulating the memory limit, ``store_states=False``) as option overrides.
 
-The rendered table is written to ``benchmarks/output/table1.txt``.
+Each case is one pytest-benchmark case (a single measured round -- a
+transient run is far too long to repeat): a serial campaign of its three
+method scenarios, which share one MNA assembly and one DC solve.  After
+all cases have run, their outcomes form one
+:class:`~repro.campaign.CampaignResult`, rendered by
+:func:`~repro.reporting.render_method_matrix` with BENR as the reference:
+circuit specification (#N, #Dev, nnzC, nnzG), per method the step count,
+#NRa / #ma, runtime and the speedup over BENR; BENR runs that exceed the
+memory budget render as "OoM" with NA speedups.  The paper's claims are
+checked on the outcomes: any failure other than BENR's budget failure on
+ckt6-ckt8 fails its case.
+
+The rendered table is written to ``benchmarks/output/table1.txt`` and the
+campaign itself to ``benchmarks/output/table1.json``.
 
 Expected shape (the measured numbers are the rendered table of a run;
 none are committed): ER and ER-C complete every case with far fewer LU
@@ -17,93 +29,96 @@ nnzC and it fails on the strongly coupled ckt6-ckt8.
 
 import pytest
 
-from repro import SimOptions, TransientSimulator, compare_runs
+from repro import CampaignResult, CircuitSpec, Scenario, run_campaign
 from repro.benchcircuits.testcases import TESTCASE_NAMES, make_ckt
-from repro.reporting.tables import render_table1
+from repro.linalg.sparse_lu import FactorizationBudgetExceeded
+from repro.reporting import render_method_matrix
 
-from conftest import bench_scale, bench_tstop, write_report
+from conftest import OUTPUT_DIR, bench_scale, bench_tstop
 
 METHODS = ("benr", "er", "er-c")
 
-#: results collected across parameterized cases: {circuit: {method: result}}
-_RESULTS = {}
-_CASES = {}
+#: the strongly coupled cases, on which BENR exceeds the memory budget
+COUPLED = ("ckt6", "ckt7", "ckt8")
+
+#: outcomes collected across parameterized cases: {circuit: [outcome, ...]}
+_OUTCOMES = {}
 
 
-def _get_case(name):
-    if name not in _CASES:
-        case = make_ckt(name, scale=bench_scale())
-        case.t_stop = bench_tstop()
-        _CASES[name] = case
-    return _CASES[name]
+def is_budget_failure(outcome):
+    """True for a run stopped by the fill-in budget (the paper's "OoM")."""
+    return (outcome.status == "failed"
+            and (outcome.error or "").startswith(FactorizationBudgetExceeded.__name__))
 
 
-def _run(case, method):
-    options = SimOptions(
-        t_stop=case.t_stop,
-        h_init=case.h_init,
-        err_budget=1e-3,
-        lte_reltol=5e-3,
-        lte_abstol=1e-5,
-        max_factor_nnz=case.factor_budget,
-        store_states=False,
-    )
-    simulator = TransientSimulator(case.circuit, method=method, options=options)
-    return simulator.run()
+def table1_scenarios(name):
+    """The three method scenarios of one case, sharing its options."""
+    scale = bench_scale()
+    case = make_ckt(name, scale=scale)
+    options = {
+        "t_stop": bench_tstop(),
+        "h_init": case.h_init,
+        "err_budget": 1e-3,
+        "lte_reltol": 5e-3,
+        "lte_abstol": 1e-5,
+        "max_factor_nnz": case.factor_budget,
+        "store_states": False,
+    }
+    return [Scenario(name=f"{name}/{method}",
+                     circuit=CircuitSpec(name, {"scale": scale}),
+                     method=method, options=options)
+            for method in METHODS]
 
 
-@pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("circuit_name", TESTCASE_NAMES)
-def test_table1_case(benchmark, circuit_name, method):
-    case = _get_case(circuit_name)
-
-    def run_once():
-        return _run(case, method)
-
-    result = benchmark.pedantic(run_once, rounds=1, iterations=1)
-    _RESULTS.setdefault(circuit_name, {})[method] = result
+def test_table1_case(benchmark, circuit_name):
+    scenarios = table1_scenarios(circuit_name)
+    campaign = benchmark.pedantic(run_campaign, args=(scenarios,),
+                                  kwargs={"backend": "serial"},
+                                  rounds=1, iterations=1)
+    _OUTCOMES[circuit_name] = campaign.outcomes
     benchmark.extra_info["circuit"] = circuit_name
-    benchmark.extra_info["method"] = result.method
-    benchmark.extra_info["steps"] = result.stats.num_steps
-    benchmark.extra_info["lu"] = result.stats.num_lu_factorizations
-    benchmark.extra_info["completed"] = result.stats.completed
+    for outcome in campaign:
+        benchmark.extra_info[outcome.scenario.method] = {
+            key: outcome.summary.get(key) for key in ("#step", "#LU", "completed")}
 
-    # ER / ER-C must complete every case; BENR is allowed (expected) to hit
-    # the memory budget on the strongly coupled ckt6-ckt8.
-    if method in ("er", "er-c"):
-        assert result.stats.completed, result.stats.failure_reason
+    # Every run must complete, except that BENR may (and claim (1) says
+    # must) hit the memory budget on the strongly coupled ckt6-ckt8; any
+    # other failure of any method fails the case.
+    for outcome in campaign:
+        if outcome.scenario.method == "benr" and circuit_name in COUPLED:
+            assert outcome.ok or is_budget_failure(outcome), outcome.error
+        else:
+            assert outcome.ok, outcome.error
 
 
 def test_table1_render(benchmark, report_writer):
+    """Assemble and persist the full Table I after all cases have run."""
     # the render step itself is what gets 'benchmarked' so that this test
     # still runs under --benchmark-only and persists the report file
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    """Assemble and persist the full Table I after all cases have run."""
-    comparisons = []
-    for circuit_name in TESTCASE_NAMES:
-        if circuit_name not in _RESULTS:
-            pytest.skip("per-case benchmarks did not run")
-        case = _get_case(circuit_name)
-        runs = [_RESULTS[circuit_name][m] for m in METHODS if m in _RESULTS[circuit_name]]
-        comparisons.append(
-            compare_runs(circuit_name, runs, structure=case.structure().as_dict())
-        )
-    text = render_table1(comparisons)
-    report_writer("table1.txt", text)
+    if any(name not in _OUTCOMES for name in TESTCASE_NAMES):
+        pytest.skip("per-case benchmarks did not run")
+    campaign = CampaignResult(outcome for name in TESTCASE_NAMES
+                              for outcome in _OUTCOMES[name])
+    report_writer("table1.txt", render_method_matrix(campaign, reference_method="benr"))
+    campaign.save(OUTPUT_DIR / "table1.json")
+
+    def outcome(name, method):
+        return campaign.outcome_for(f"{name}/{method}")
 
     # Shape checks mirroring the paper's qualitative claims.
-    by_name = {c.circuit_name: c for c in comparisons}
     # (1) BENR exceeds the memory budget on the strongly coupled cases ...
-    for name in ("ckt6", "ckt7", "ckt8"):
-        assert not by_name[name].row_for("BENR")["completed"]
+    for name in COUPLED:
+        assert is_budget_failure(outcome(name, "benr")), outcome(name, "benr").error
         # ... while ER still completes them.
-        assert by_name[name].row_for("ER")["completed"]
+        assert outcome(name, "er").summary["completed"]
     # (2) on every case ER performs (far) fewer LU factorizations than BENR
     for name in ("ckt1", "ckt3", "ckt4", "ckt5"):
-        benr_row = by_name[name].row_for("BENR")
-        er_row = by_name[name].row_for("ER")
-        if benr_row["completed"]:
-            assert er_row["#LU"] < benr_row["#LU"]
-            # (3) and needs far less factor memory on the coupled cases
-            if name in ("ckt4", "ckt5"):
-                assert er_row["peak_factor_nnz"] < benr_row["peak_factor_nnz"]
+        benr = outcome(name, "benr")
+        assert benr.ok, benr.error
+        er = outcome(name, "er").summary
+        assert er["#LU"] < benr.summary["#LU"]
+        # (3) and needs far less factor memory on the coupled cases
+        if name in ("ckt4", "ckt5"):
+            assert er["peak_factor_nnz"] < benr.summary["peak_factor_nnz"]

@@ -3,7 +3,8 @@
 Demonstrates the whole service surface from a client's point of view:
 submit the method-shootout campaign, stream progress as results land,
 prove request coalescing by resubmitting the identical campaign (zero
-additional simulations), and render the `/stats` operations table.
+additional simulations), and print the fleet dashboard of
+`python -m repro.watch --once`.
 
 Start the service first (two shell commands: the front end, and the
 fleet supervisor holding two local workers; SIGTERM to the supervisor
@@ -119,19 +120,11 @@ def main() -> int:
               file=sys.stderr)
         return 1
 
-    from pathlib import Path
+    # the fleet's status: the dashboard `python -m repro.watch --once` prints
+    from repro.watch import WatchClient, render_snapshot
 
-    sys.path.insert(0, str(Path(__file__).parent.parent / "src"))
-    try:
-        from repro.reporting import render_service_stats
-    except ImportError:
-        render_service_stats = None
-    stats = http(f"{url}/stats")
     print()
-    if render_service_stats is not None:
-        print(render_service_stats(stats))
-    else:
-        print(json.dumps(stats, indent=2))
+    print(render_snapshot(WatchClient(url, token=token).poll()), end="")
     return 0
 
 

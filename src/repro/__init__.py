@@ -47,7 +47,6 @@ from repro.core import (
 from repro.analysis import (
     DCResult,
     Signal,
-    compare_runs,
     compare_waveforms,
     dc_operating_point,
 )
@@ -95,7 +94,6 @@ __all__ = [
     "dc_operating_point",
     "Signal",
     "compare_waveforms",
-    "compare_runs",
     "BackwardEulerNR",
     "TrapezoidalNR",
     "Gear2NR",

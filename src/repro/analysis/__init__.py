@@ -1,8 +1,12 @@
-"""Analysis drivers: DC operating point, transient helpers, waveforms, statistics."""
+"""Analysis drivers: DC operating point and waveform comparison.
+
+Cross-method run statistics (the paper's Table I) come from campaign
+outcomes: :meth:`repro.campaign.CampaignResult.rows` and
+:func:`repro.reporting.render_method_matrix`.
+"""
 
 from repro.analysis.dc import DCResult, dc_operating_point
 from repro.analysis.waveform import Signal, compare_waveforms, WaveformComparison
-from repro.analysis.statistics import MethodComparison, compare_runs
 
 __all__ = [
     "DCResult",
@@ -10,6 +14,4 @@ __all__ = [
     "Signal",
     "compare_waveforms",
     "WaveformComparison",
-    "MethodComparison",
-    "compare_runs",
 ]

@@ -1,6 +1,13 @@
-"""Report generation for the paper's tables and figures."""
+"""Report generation for the paper's tables and figures.
 
-from repro.reporting.tables import format_table, table1_rows, render_table1
+One renderer per report: Table I is the method matrix of a campaign
+(:func:`render_method_matrix` over a
+:class:`~repro.campaign.CampaignResult`), next to the per-scenario
+campaign table, the Fig. 1 / Fig. 2 reports and the verification
+tables.  Fleet status is rendered by :mod:`repro.watch`.
+"""
+
+from repro.reporting.tables import format_table
 from repro.reporting.campaign_tables import (
     DETERMINISTIC_COLUMNS,
     campaign_rows,
@@ -13,10 +20,6 @@ from repro.reporting.figures import (
     Figure2Report,
     figure2_accuracy_report,
 )
-from repro.reporting.service_tables import (
-    render_service_stats,
-    service_stats_rows,
-)
 from repro.reporting.verify_tables import (
     render_verify_report,
     render_verify_summary,
@@ -25,8 +28,6 @@ from repro.reporting.verify_tables import (
 
 __all__ = [
     "format_table",
-    "table1_rows",
-    "render_table1",
     "campaign_rows",
     "render_campaign_table",
     "render_method_matrix",
@@ -38,6 +39,4 @@ __all__ = [
     "verify_rows",
     "render_verify_report",
     "render_verify_summary",
-    "service_stats_rows",
-    "render_service_stats",
 ]

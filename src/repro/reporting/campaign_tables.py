@@ -6,7 +6,8 @@ Two views over a :class:`~repro.campaign.store.CampaignResult`:
   counters, plus speedup and max-error columns against a reference method;
 * :func:`render_method_matrix` -- the Table-I shape proper: one row per
   *variant* (circuit + parameters + options) and a column block per
-  method, which is the natural layout for "method shootout" campaigns.
+  method, which is the natural layout for "method shootout" campaigns
+  and the one renderer of the paper's Table I (``bench_table1.py``).
 """
 
 from __future__ import annotations
@@ -14,6 +15,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from repro.campaign.store import CampaignResult, ScenarioOutcome
+from repro.integrators import INTEGRATOR_REGISTRY
+from repro.integrators.implicit import ImplicitNR
+from repro.linalg.sparse_lu import FactorizationBudgetExceeded
 from repro.reporting.tables import format_table
 
 __all__ = [
@@ -70,14 +74,37 @@ def _variant_label(outcomes: Sequence[ScenarioOutcome]) -> str:
     return label
 
 
+def _iteration_column(method: str) -> str:
+    """``#NRa`` (Newton iterations per step) for the implicit Newton
+    baselines, ``#ma`` (Krylov dimension per step) for every other method,
+    unregistered names included (their block renders ``NA``)."""
+    integrator = INTEGRATOR_REGISTRY.get(method)
+    if integrator is not None and issubclass(integrator, ImplicitNR):
+        return "#NRa"
+    return "#ma"
+
+
+def _failure_cell(outcome: ScenarioOutcome) -> str:
+    """The step cell of a run that did not complete: ``OoM`` when it hit
+    the factorization budget (the paper's "Out of Memory" rows), else
+    its status."""
+    if (outcome.error or "").startswith(FactorizationBudgetExceeded.__name__):
+        return "OoM"
+    return outcome.status
+
+
 def render_method_matrix(campaign: CampaignResult,
                          reference_method: Optional[str] = None,
                          methods: Optional[Sequence[str]] = None) -> str:
     """Render one row per variant with a per-method column block.
 
-    Per method the block reports ``#step``, runtime and (with a
-    ``reference_method``) the speedup over the reference; failed or
-    missing runs render their status string in the step column.
+    Per method the block reports ``#step``, the iteration count
+    (``#NRa`` or ``#ma``, see :func:`_iteration_column`), runtime and
+    (with a ``reference_method``) the speedup over the reference -- the
+    layout of the paper's Table I.  A run that exceeded its
+    factorization budget renders ``OoM`` in the step column, any other
+    failed run its status; the remaining cells of a failed or missing
+    run render ``NA``.
     """
     groups = campaign.by_variant()
     if methods is None:
@@ -94,9 +121,11 @@ def render_method_matrix(campaign: CampaignResult,
         for row in campaign.rows(reference_method=reference_method):
             sp_by_scenario[row["scenario"]] = row.get("SP")
 
-    headers: List[str] = ["variant", "#N", "nnzC", "nnzG"]
+    headers: List[str] = ["variant", "#N", "#Dev", "nnzC", "nnzG"]
+    iteration_columns = {method: _iteration_column(method) for method in methods}
     for method in methods:
-        headers.extend([f"{method} #step", f"{method} RT(s)"])
+        headers.extend([f"{method} #step", f"{method} {iteration_columns[method]}",
+                        f"{method} RT(s)"])
         if reference_method:
             headers.append(f"{method} SP")
 
@@ -107,17 +136,20 @@ def render_method_matrix(campaign: CampaignResult,
         row: List[object] = [
             _variant_label(group),
             first.structure.get("#N"),
+            first.structure.get("#Dev"),
             first.structure.get("nnzC"),
             first.structure.get("nnzG"),
         ]
         for method in methods:
             outcome = by_method.get(method)
             if outcome is None:
-                cells: List[object] = [None, None]
+                cells: List[object] = [None, None, None]
             elif not outcome.ok:
-                cells = [outcome.status, None]
+                cells = [_failure_cell(outcome), None, None]
             else:
-                cells = [outcome.summary.get("#step"), outcome.summary.get("RT(s)")]
+                cells = [outcome.summary.get("#step"),
+                         outcome.summary.get(iteration_columns[method]),
+                         outcome.summary.get("RT(s)")]
             if reference_method:
                 cells.append(
                     sp_by_scenario.get(outcome.scenario.name) if outcome is not None else None

@@ -1,21 +1,16 @@
-"""Plain-text table rendering (Table I of the paper).
+"""Plain-text table rendering shared by every report.
 
-The benchmark harness produces one :class:`MethodComparison` per test case
-(ckt1-ckt8); :func:`render_table1` lays them out with the same columns the
-paper reports: circuit specification (#N, #Dev., nnzC, nnzG) and per method
-the step count, average Newton iterations (BENR), average invert-Krylov
-dimension (ER / ER-C), runtime and the speedup over BENR.  A BENR failure
-(memory budget exceeded) renders as "OoM" and the corresponding speedups as
-"NA", mirroring the paper.
+:func:`format_table` lays out aligned rows; ``None`` cells render as
+``NA`` (the paper's Table I notation for a missing speedup).  The
+paper's Table I itself is rendered from campaign outcomes by
+:func:`repro.reporting.campaign_tables.render_method_matrix`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Sequence
 
-from repro.analysis.statistics import MethodComparison
-
-__all__ = ["format_table", "table1_rows", "render_table1"]
+__all__ = ["format_table"]
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
@@ -44,53 +39,3 @@ def _fmt(value: object) -> str:
             return f"{value:.3g}"
         return f"{value:.4g}"
     return str(value)
-
-
-def table1_rows(comparisons: Sequence[MethodComparison],
-                methods: Optional[Sequence[str]] = None) -> List[List[object]]:
-    """Flatten comparisons into Table-I style rows (one row per circuit)."""
-    if methods is None:
-        methods = ["BENR", "ER", "ER-C"]
-    rows: List[List[object]] = []
-    for comparison in comparisons:
-        structure = comparison.structure
-        row: List[object] = [
-            comparison.circuit_name,
-            structure.get("#N"),
-            structure.get("#Dev"),
-            structure.get("nnzC"),
-            structure.get("nnzG"),
-        ]
-        for method in methods:
-            try:
-                data = comparison.row_for(method)
-            except KeyError:
-                row.extend([None] * 4 if method == "BENR" else [None] * 4)
-                continue
-            if not data["completed"]:
-                failed_tag = "OoM" if "Budget" in str(data.get("failure", "")) else "fail"
-                if method == "BENR":
-                    row.extend([failed_tag, None, None, None])
-                else:
-                    row.extend([failed_tag, None, None, None])
-                continue
-            if method == "BENR":
-                row.extend([data["#step"], data["#NRa"], data["RT(s)"], data["SP"]])
-            else:
-                row.extend([data["#step"], data["#ma"], data["RT(s)"], data["SP"]])
-    # one circuit per row
-        rows.append(row)
-    return rows
-
-
-def render_table1(comparisons: Sequence[MethodComparison],
-                  methods: Optional[Sequence[str]] = None) -> str:
-    """Render the full Table I as plain text."""
-    if methods is None:
-        methods = ["BENR", "ER", "ER-C"]
-    headers: List[str] = ["Case", "#N", "#Dev", "nnzC", "nnzG"]
-    for method in methods:
-        iteration_col = "#NRa" if method == "BENR" else "#ma"
-        headers.extend([f"{method} #step", f"{method} {iteration_col}",
-                        f"{method} RT(s)", f"{method} SP"])
-    return format_table(headers, table1_rows(comparisons, methods))

@@ -1,4 +1,4 @@
-"""Service CLI: ``python -m repro.service <serve|worker|submit|status|gc>``.
+"""Service CLI: ``python -m repro.service <serve|worker|submit|gc>``.
 
 A laptop fleet is two shell commands::
 
@@ -12,10 +12,11 @@ then submit work over HTTP from anywhere::
 
     python -m repro.service submit --url http://localhost:8080 \
         --circuit rc_ladder --params '{"num_segments": 40}' --method er --wait
-    python -m repro.service status --url http://localhost:8080
 
-watch the fleet live (``python -m repro.watch --url http://...``),
-scrape ``/metrics`` with Prometheus, and keep a long-lived broker lean::
+print the fleet's status once (``python -m repro.watch --once --url
+http://...``; ``--json`` adds the raw ``/stats``) or watch it live
+(without ``--once``), scrape ``/metrics`` with Prometheus, and keep a
+long-lived broker lean::
 
     python -m repro.service gc --data ./svc --max-age 7d --keep 10000
 """
@@ -141,6 +142,15 @@ def _wait_for_result(url: str, job_id: str, poll: float,
         time.sleep(poll)
 
 
+def _json_argument(parser: argparse.ArgumentParser, flag: str,
+                   text: str) -> object:
+    """``text`` parsed as JSON; malformed JSON is a usage error (exit 2)."""
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        parser.error(f"{flag}: not valid JSON: {exc}")
+
+
 def cmd_submit(argv) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.service submit",
@@ -169,8 +179,13 @@ def cmd_submit(argv) -> int:
     token = _resolve_token(args.token)
 
     if args.file:
-        with open(args.file, "r", encoding="utf-8") as handle:
-            body = json.load(handle)
+        try:
+            with open(args.file, "r", encoding="utf-8") as handle:
+                body = json.load(handle)
+        except (OSError, ValueError) as exc:
+            parser.error(f"--file: {exc}")
+        if not isinstance(body, dict):
+            parser.error(f"--file: {args.file} does not hold a JSON object")
         body.setdefault("priority", args.priority)
         document = _http_json(f"{args.url}/campaigns", body, token=token)
         print(json.dumps(document, indent=2))
@@ -181,9 +196,9 @@ def cmd_submit(argv) -> int:
     scenario = {
         "name": args.name or f"{args.circuit}/{args.method}",
         "circuit": {"factory": args.circuit,
-                    "params": json.loads(args.params)},
+                    "params": _json_argument(parser, "--params", args.params)},
         "method": args.method,
-        "options": json.loads(args.options),
+        "options": _json_argument(parser, "--options", args.options),
     }
     document = _http_json(f"{args.url}/scenarios",
                           {"scenario": scenario, "priority": args.priority},
@@ -279,36 +294,10 @@ def cmd_gc(argv) -> int:
     return 0
 
 
-# -- status ----------------------------------------------------------------------------
-
-
-def cmd_status(argv) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.service status",
-        description="Print the service /stats snapshot (and render a table).")
-    parser.add_argument("--url", default="http://127.0.0.1:8080")
-    parser.add_argument("--token", default=None,
-                        help="bearer token for a server running with "
-                             f"--auth-token (default: ${TOKEN_ENV} if set)")
-    parser.add_argument("--json", action="store_true",
-                        help="raw JSON instead of the rendered table")
-    args = parser.parse_args(argv)
-
-    stats = _http_json(f"{args.url}/stats", token=_resolve_token(args.token))
-    if args.json:
-        print(json.dumps(stats, indent=2))
-        return 0
-    from repro.reporting import render_service_stats
-
-    print(render_service_stats(stats))
-    return 0
-
-
 COMMANDS = {
     "serve": cmd_serve,
     "worker": cmd_worker,
     "submit": cmd_submit,
-    "status": cmd_status,
     "gc": cmd_gc,
 }
 

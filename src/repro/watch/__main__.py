@@ -4,12 +4,12 @@ Modes
 -----
 * ``--once``           one poll, print the plain-text dashboard, exit
 * ``--once --json``    one poll, print the machine-readable snapshot
-* (default, live)      Textual TUI when textual is importable and stdout
-                       is a terminal; otherwise a plain redraw loop
-* ``--plain``          force the plain loop even if Textual is available
+* (default, live)      redraw the same plain-text dashboard every
+                       ``--interval`` seconds until Ctrl-C
 
-``--once`` / ``--json`` need no TTY and no third-party packages, which
-is what makes the dashboard CI-testable.  With ``--alert-queue-depth``
+No mode needs a TTY or a third-party package, which is what makes the
+dashboard CI-testable.  ``--once --json`` carries the raw ``/stats``
+document under ``"stats"``.  With ``--alert-queue-depth``
 / ``--alert-heartbeat-age``, ``--once`` doubles as a health probe: it
 exits 2 (one reason line on stderr) when a threshold is violated, so a
 cron line or CI step can page on a backed-up queue or a silent worker.
@@ -25,12 +25,26 @@ import sys
 import time
 from typing import List, Optional
 
-from repro.watch.app import run_app, textual_available
 from repro.watch.client import WatchClient
 from repro.watch.render import render_snapshot
+from repro.wire.messages import MAX_TIMEOUT_SECONDS
 
-#: ANSI "clear screen, cursor home" used by the plain live loop
+#: ANSI "clear screen, cursor home" used by the live loop
 _CLEAR = "\x1b[2J\x1b[H"
+
+
+def _seconds(text: str) -> float:
+    """A positive number of seconds that ``time.sleep`` and socket
+    timeouts accept (argparse ``type=``)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not 0.0 < value <= MAX_TIMEOUT_SECONDS:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive number of seconds up to "
+            f"{MAX_TIMEOUT_SECONDS:g}, not {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -40,16 +54,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--url", default="http://127.0.0.1:8080",
                         help="service front-end base URL "
                              "(default: %(default)s)")
-    parser.add_argument("--interval", type=float, default=2.0,
+    parser.add_argument("--interval", type=_seconds, default=2.0,
                         help="poll interval in seconds (default: %(default)s)")
-    parser.add_argument("--timeout", type=float, default=10.0,
+    parser.add_argument("--timeout", type=_seconds, default=10.0,
                         help="per-request HTTP timeout (default: %(default)s)")
     parser.add_argument("--once", action="store_true",
                         help="poll once, print a snapshot, exit")
     parser.add_argument("--json", action="store_true", dest="as_json",
                         help="with --once: print the snapshot as JSON")
-    parser.add_argument("--plain", action="store_true",
-                        help="force the plain-text loop (skip Textual)")
     parser.add_argument("--token", default=None,
                         help="bearer token for a service running with "
                              "--auth-token (default: $REPRO_SERVICE_TOKEN)")
@@ -91,13 +103,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"ALERT: {line}", file=sys.stderr)
         return 2 if alerts else 0
 
-    use_tui = (not args.plain and textual_available()
-               and sys.stdout.isatty())
-    if use_tui:
-        run_app(client, interval=args.interval)
-        return 0
-
-    # plain live loop: redraw the same renderer on every poll
+    # live loop: redraw the same renderer on every poll
     try:
         while True:
             snap = client.poll()

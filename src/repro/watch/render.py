@@ -1,10 +1,10 @@
 """Plain-text fleet rendering: the stdlib half of the dashboard.
 
 Renders a :class:`~repro.watch.client.FleetSnapshot` as aligned tables
-plus unicode sparklines.  This is the renderer behind ``--once``, the
-``--plain`` live loop, and the no-Textual/no-TTY fallback -- so its
-output is deliberately stable and line-oriented (tests assert on it,
-CI archives it).
+plus unicode sparklines.  This is the one renderer of fleet status,
+behind ``--once`` and the live redraw loop alike -- so its output is
+deliberately stable and line-oriented (tests assert on it, CI archives
+it).
 """
 
 from __future__ import annotations
@@ -94,6 +94,11 @@ def render_snapshot(snap: FleetSnapshot, now: Optional[float] = None,
         f"{counters.get('simulations', 0)} simulations, "
         f"{counters.get('worker_cache_hits', 0)} worker cache hits "
         f"(hit rate {_pct(fractions.get('worker_cache_hit'))})")
+    if counters.get("late_acks"):
+        # acks refused because the lease had expired and the job was
+        # redelivered: each one is a simulation that ran twice
+        lines.append(f"late    {counters['late_acks']} late acks "
+                     "(lease expired before the result)")
     backpressure = snap.stats.get("backpressure") or {}
     if backpressure.get("max_queue_depth") is not None or \
             backpressure.get("rejections"):

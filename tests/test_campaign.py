@@ -367,6 +367,38 @@ class TestSerialExecution:
         assert seen[-1][1] == seen[-1][2] == len(scenarios)
 
 
+class TestTable1AsCampaign:
+    def test_campaign_counts_equal_direct_runs(self):
+        """Table I runs as a campaign, which shares one MNA and one DC
+        solve across the methods of a case; that route must not move a
+        count.  ckt6 keeps the budget failure: BENR exceeds its fill-in
+        budget (the paper's "OoM") while ER and ER-C complete."""
+        from repro.benchcircuits.testcases import make_ckt
+        from repro.core.simulator import TransientSimulator
+
+        case = make_ckt("ckt6", scale=0.3)
+        options = {"t_stop": 0.1e-9, "h_init": case.h_init,
+                   "err_budget": case.err_budget,
+                   "max_factor_nnz": case.factor_budget,
+                   "store_states": False}
+        methods = ("benr", "er", "er-c")
+        campaign = run_campaign(
+            [Scenario(name=method, circuit=CircuitSpec("ckt6", {"scale": 0.3}),
+                      method=method, options=options) for method in methods],
+            backend="serial")
+        assert [o.dc_cache_hit for o in campaign] == [False, True, True]
+        assert [o.status for o in campaign] == ["failed", "ok", "ok"]
+        # a failed reference leaves every speedup NA, the ok runs' too
+        assert [row["SP"] for row in campaign.rows(reference_method="benr")] \
+            == [None, None, None]
+        keys = ("#step", "#NRa", "#ma", "#LU", "peak_factor_nnz", "completed")
+        for method, outcome in zip(methods, campaign):
+            direct = TransientSimulator(case.circuit, method=method,
+                                        options=SimOptions(**options)).run()
+            assert {k: outcome.summary[k] for k in keys} == \
+                {k: direct.summary()[k] for k in keys}, method
+
+
 class TestParallelExecution:
     def test_process_pool_matches_serial(self):
         scenarios = small_scenarios()

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.analysis.statistics import MethodComparison
 from repro.analysis.waveform import Signal
+from repro.campaign import CampaignResult, CircuitSpec, Scenario, ScenarioOutcome
+from repro.reporting import render_method_matrix
 from repro.reporting.figures import figure1_nnz_report, figure2_accuracy_report
-from repro.reporting.tables import format_table, render_table1, table1_rows
+from repro.reporting.tables import format_table
 
 
 class TestFormatTable:
@@ -29,49 +30,96 @@ class TestFormatTable:
         assert "1.5" in text
 
 
-def _comparison(circuit, benr_ok=True):
-    comp = MethodComparison(circuit_name=circuit,
-                            structure={"#N": 100, "#Dev": 10, "nnzC": 50, "nnzG": 200})
-    comp.rows.append({
-        "method": "BENR", "#step": 500, "#NRa": 2.8, "#ma": 0.0, "#LU": 1400,
-        "RT(s)": 10.0, "peak_factor_nnz": 5000, "completed": benr_ok,
-        "failure": None if benr_ok else "FactorizationBudgetExceeded: fill-in",
-        "SP": 1.0 if benr_ok else None,
-    })
-    comp.rows.append({
-        "method": "ER", "#step": 300, "#NRa": 0.0, "#ma": 28.0, "#LU": 300,
-        "RT(s)": 2.0, "peak_factor_nnz": 800, "completed": True, "failure": None,
-        "SP": 5.0 if benr_ok else None,
-    })
-    comp.rows.append({
-        "method": "ER-C", "#step": 310, "#NRa": 0.0, "#ma": 30.0, "#LU": 310,
-        "RT(s)": 2.5, "peak_factor_nnz": 800, "completed": True, "failure": None,
-        "SP": 4.0 if benr_ok else None,
-    })
-    return comp
+def _outcome(circuit, method, rt, status="ok", error=None):
+    """A synthesized outcome: no simulation, every number chosen here."""
+    return ScenarioOutcome(
+        scenario=Scenario(name=f"{circuit}/{method}",
+                          circuit=CircuitSpec(circuit), method=method),
+        status=status,
+        error=error,
+        summary={"method": method.upper(), "#step": 100, "#NRa": 2.5,
+                 "#ma": 12.0, "#LU": 40, "RT(s)": rt,
+                 "completed": status == "ok"},
+        structure={"#N": 100, "#Dev": 10, "nnzC": 50, "nnzG": 200},
+    )
 
 
-class TestTable1:
-    def test_rows_one_per_circuit(self):
-        rows = table1_rows([_comparison("ckt1"), _comparison("ckt2")])
-        assert len(rows) == 2
-        assert rows[0][0] == "ckt1"
-        # columns: case + 4 structure + 3 methods x 4
-        assert len(rows[0]) == 5 + 12
+def _oom(circuit, method):
+    return _outcome(circuit, method, None, status="failed",
+                    error="FactorizationBudgetExceeded: LU factor fill-in "
+                          "693 exceeds budget 522 while factorizing C/h+G")
 
-    def test_failed_baseline_renders_oom_and_na(self):
-        text = render_table1([_comparison("ckt6", benr_ok=False)])
-        assert "OoM" in text
-        assert "NA" in text
 
-    def test_full_render_contains_headers(self):
-        text = render_table1([_comparison("ckt1")])
-        for header in ("Case", "#N", "nnzC", "BENR #step", "ER #ma", "ER-C SP"):
-            assert header in text
+def _cells(table):
+    """The rendered matrix as one {header: cell} dict per data row."""
+    lines = table.splitlines()
+    headers = [cell.strip() for cell in lines[0].split(" | ")]
+    return [dict(zip(headers, (cell.strip() for cell in line.split(" | "))))
+            for line in lines[2:]]
 
-    def test_speedup_values_present(self):
-        text = render_table1([_comparison("ckt1")])
-        assert "5" in text  # the ER speedup
+
+class TestSpeedupRows:
+    def test_speedup_is_reference_runtime_over_own(self):
+        campaign = CampaignResult([_outcome("ckt1", "benr", 10.0),
+                                   _outcome("ckt1", "er", 2.0),
+                                   _outcome("ckt1", "er-c", 4.0)])
+        sp = {row["scenario"]: row["SP"]
+              for row in campaign.rows(reference_method="BENR")}
+        assert sp == {"ckt1/benr": 1.0, "ckt1/er": 5.0, "ckt1/er-c": 2.5}
+
+    def test_rows_carry_the_structure(self):
+        row = CampaignResult([_outcome("ckt2", "er", 1.0)]).rows()[0]
+        assert (row["circuit"], row["method"], row["#N"], row["nnzC"]) == \
+            ("ckt2", "ER", 100, 50)
+
+
+class TestMethodMatrix:
+    def test_table1_layout_with_dev_and_iteration_columns(self):
+        campaign = CampaignResult([_outcome("ckt1", "benr", 10.0),
+                                   _outcome("ckt1", "er", 2.0),
+                                   _outcome("ckt1", "er-c", 4.0)])
+        table = render_method_matrix(campaign, reference_method="benr")
+        (row,) = _cells(table)
+        assert row["variant"] == "ckt1" and row["#Dev"] == "10"
+        assert row["benr #NRa"] == "2.5" and "benr #ma" not in row
+        assert row["er #ma"] == "12" and "er #NRa" not in row
+        assert row["er-c #ma"] == "12"
+        assert (row["benr SP"], row["er SP"], row["er-c SP"]) == \
+            ("1", "5", "2.5")
+
+    def test_one_row_per_variant(self):
+        campaign = CampaignResult([_outcome("ckt1", "er", 2.0),
+                                   _outcome("ckt2", "er", 3.0),
+                                   _outcome("ckt1", "benr", 9.0)])
+        rows = _cells(render_method_matrix(campaign))
+        assert [row["variant"] for row in rows] == ["ckt1", "ckt2"]
+        assert rows[1]["benr #step"] == "NA"
+
+    def test_budget_failure_is_oom_with_na_cells(self):
+        campaign = CampaignResult([_oom("ckt6", "benr"),
+                                   _outcome("ckt6", "er", 2.0)])
+        (row,) = _cells(render_method_matrix(campaign, reference_method="benr"))
+        assert row["benr #step"] == "OoM"
+        assert row["benr #NRa"] == row["benr RT(s)"] == row["benr SP"] == "NA"
+        assert row["er #step"] == "100" and row["er SP"] == "NA"
+
+    def test_other_failures_show_their_status(self):
+        campaign = CampaignResult([
+            _outcome("ckt1", "trap", None, status="error",
+                     error="ValueError: boom")])
+        (row,) = _cells(render_method_matrix(campaign))
+        assert row["trap #step"] == "error" and row["trap #NRa"] == "NA"
+
+    def test_missing_method_is_na(self):
+        campaign = CampaignResult([_outcome("ckt1", "er", 2.0)])
+        (row,) = _cells(render_method_matrix(
+            campaign, reference_method="benr",
+            methods=["gear2", "fe", "nosuch", "er"]))
+        assert row["gear2 #step"] == row["gear2 #NRa"] == "NA"
+        assert row["fe #step"] == row["fe #ma"] == "NA"
+        assert row["nosuch #step"] == row["nosuch #ma"] == "NA"
+        # no reference run: the speedup is NA, the counts are not
+        assert row["er #step"] == "100" and row["er SP"] == "NA"
 
 
 class TestFigure1Report:
@@ -120,42 +168,3 @@ class TestFigure2Report:
         report = figure2_accuracy_report("node", ref)
         report.add("M1", Signal(t, np.full(50, 0.5), "M1"))
         assert report.comparisons["M1"].max_abs_error == pytest.approx(0.5)
-
-
-class TestServiceStatsTable:
-    def stats_document(self):
-        return {
-            "uptime_seconds": 12.5,
-            "broker": {"path": "/tmp/b", "jobs": {"queued": 1, "leased": 2,
-                                                  "done": 7, "failed": 0}},
-            "counters": {"admitted": 10, "coalesced": 4, "cache_answers": 6,
-                         "simulations": 10, "worker_cache_hits": 3},
-            "cache": {"root": "/tmp/c", "entries": 7},
-            "campaigns": 2,
-        }
-
-    def test_rows_cover_every_section(self):
-        from repro.reporting import service_stats_rows
-
-        rows = service_stats_rows(self.stats_document())
-        sections = {row[0] for row in rows}
-        assert sections == {"queue", "admission", "workers", "cache",
-                            "service"}
-        by_metric = {(row[0], row[1]): row[2] for row in rows}
-        assert by_metric[("admission", "submissions")] == 20
-        assert by_metric[("admission", "saved fraction")] == pytest.approx(0.5)
-        assert by_metric[("workers", "simulations")] == 10
-
-    def test_render_is_aligned_table(self):
-        from repro.reporting import render_service_stats
-
-        table = render_service_stats(self.stats_document())
-        lines = table.splitlines()
-        assert lines[0].startswith("section")
-        assert all("|" in line for line in lines if line and "-+-" not in line)
-
-    def test_render_tolerates_minimal_document(self):
-        from repro.reporting import render_service_stats
-
-        table = render_service_stats({})
-        assert "queued" in table and "simulations" in table

@@ -356,8 +356,43 @@ class TestHealthAndStats:
         assert stats["counters"]["admitted"] == 1
         assert set(stats) == {"uptime_seconds", "broker", "counters", "cache",
                               "campaigns", "workers", "fleet", "backpressure"}
-        # the reporting layer renders the same document as a table
-        from repro.reporting import render_service_stats
+        # the watch dashboard renders the same document
+        from repro.watch import WatchClient, render_snapshot
 
-        table = render_service_stats(stats)
-        assert "admitted" in table and "simulations" in table
+        text = render_snapshot(WatchClient(service.url).poll())
+        assert "1 queued" in text
+        assert "1 admitted" in text and "0 simulations" in text
+
+
+class TestSubmitCli:
+    """Bad ``submit`` input is a usage error (exit 2), never a traceback;
+    every case here fails before any request is sent."""
+
+    def run_submit(self, argv):
+        from repro.service.__main__ import cmd_submit
+        return cmd_submit(["--url", "http://127.0.0.1:9", *argv])
+
+    @pytest.mark.parametrize("flag", ["--params", "--options"])
+    def test_malformed_json_argument_is_a_usage_error(self, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            self.run_submit(["--circuit", "rc_ladder", flag, "{bad"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{flag}: not valid JSON" in err and "Traceback" not in err
+
+    def test_missing_file_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            self.run_submit(["--file", str(tmp_path / "missing.json")])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "--file:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("text", ["{bad", "[1, 2]"])
+    def test_malformed_file_is_a_usage_error(self, tmp_path, capsys, text):
+        path = tmp_path / "campaign.json"
+        path.write_text(text)
+        with pytest.raises(SystemExit) as excinfo:
+            self.run_submit(["--file", str(path)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "--file:" in err and "Traceback" not in err

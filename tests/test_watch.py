@@ -19,7 +19,8 @@ import pytest
 from repro.service.server import ServiceServer
 from repro.telemetry import prometheus
 from repro.telemetry.metrics import MetricsRegistry
-from repro.watch.client import WatchClient
+from repro.watch.__main__ import main as watch_main
+from repro.watch.client import FleetSnapshot, WatchClient
 from repro.watch.render import render_snapshot, sparkline
 
 CANNED_STATS = {
@@ -179,6 +180,18 @@ class TestAgainstFakeFrontEnd:
         assert "5/10" in text and "##########.........." in text
         assert "17 entries" in text
 
+    def test_late_acks_render_only_when_counted(self, fake):
+        snap = WatchClient(fake.url).poll()
+        assert "late acks" not in render_snapshot(snap)
+        snap.stats = {**snap.stats,
+                      "counters": {**snap.counters, "late_acks": 3}}
+        assert "late    3 late acks" in render_snapshot(snap)
+
+    def test_render_tolerates_minimal_document(self):
+        text = render_snapshot(FleetSnapshot(url="u", ts=0.0, healthy=True))
+        assert "0 queued" in text and "0 simulations" in text
+        assert "0 entries" in text
+
     def test_unreachable_front_end_degrades(self):
         client = WatchClient("http://127.0.0.1:9", timeout=0.5)
         snap = client.poll()
@@ -284,6 +297,24 @@ class TestCliAgainstRealServer:
         proc = self.run_watch("--alert-queue-depth", "5")
         assert proc.returncode == 2
         assert "--alert-* thresholds require --once" in proc.stderr
+
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf", "1e300"])
+    def test_interval_must_be_positive_and_bounded(self, value, capsys):
+        # the live loop would crash in time.sleep after its first redraw
+        with pytest.raises(SystemExit) as excinfo:
+            watch_main(["--interval", value, "--url", "http://127.0.0.1:9"])
+        assert excinfo.value.code == 2
+        assert "must be a positive number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-2", "nan", "inf", "1e300"])
+    def test_timeout_must_be_positive_and_bounded(self, value, capsys):
+        # a zero socket timeout reports a live front end as unreachable,
+        # and one past time_t crashes the poll with OverflowError
+        with pytest.raises(SystemExit) as excinfo:
+            watch_main(["--once", "--timeout", value,
+                        "--url", "http://127.0.0.1:9"])
+        assert excinfo.value.code == 2
+        assert "must be a positive number" in capsys.readouterr().err
 
     def test_alert_violation_exits_2_with_reason(self, fake):
         proc = self.run_watch("--once", "--url", fake.url,

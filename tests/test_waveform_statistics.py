@@ -1,13 +1,11 @@
-"""Tests for waveform analysis (Fig. 2 machinery) and run statistics (Table I machinery)."""
+"""Tests for waveform analysis (the Fig. 2 machinery)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.statistics import compare_runs
 from repro.analysis.waveform import Signal, compare_waveforms
-from repro.core.results import RunStatistics, SimulationResult
 
 
 class TestSignal:
@@ -82,61 +80,3 @@ class TestCompareWaveforms:
         perturbed = Signal(t, base + scale * 0.01)
         cmp = compare_waveforms(perturbed, ref)
         assert cmp.max_abs_error == pytest.approx(0.01 * scale, rel=1e-9)
-
-
-def _fake_result(mna, method, runtime, completed=True, steps=100):
-    result = SimulationResult(mna, method)
-    result.stats.method = method
-    result.stats.runtime_seconds = runtime
-    result.stats.completed = completed
-    result.stats.num_steps = steps
-    if not completed:
-        result.stats.failure_reason = "FactorizationBudgetExceeded: emulated OoM"
-    return result
-
-
-@pytest.fixture
-def tiny_mna():
-    from repro.circuit.netlist import Circuit
-
-    ckt = Circuit("tiny")
-    ckt.add_resistor("R1", "a", "0", 1.0)
-    ckt.add_capacitor("C1", "a", "0", 1e-12)
-    return ckt.build()
-
-
-class TestCompareRuns:
-    def test_speedups_relative_to_benr(self, tiny_mna):
-        runs = [
-            _fake_result(tiny_mna, "BENR", 10.0),
-            _fake_result(tiny_mna, "ER", 2.0),
-            _fake_result(tiny_mna, "ER-C", 4.0),
-        ]
-        comparison = compare_runs("ckt1", runs, structure={"#N": 3})
-        assert comparison.row_for("BENR")["SP"] == 1.0
-        assert comparison.row_for("ER")["SP"] == pytest.approx(5.0)
-        assert comparison.row_for("ER-C")["SP"] == pytest.approx(2.5)
-
-    def test_failed_baseline_gives_na_speedups(self, tiny_mna):
-        runs = [
-            _fake_result(tiny_mna, "BENR", 10.0, completed=False),
-            _fake_result(tiny_mna, "ER", 2.0),
-        ]
-        comparison = compare_runs("ckt6", runs)
-        assert comparison.row_for("BENR")["SP"] is None
-        assert comparison.row_for("ER")["SP"] is None  # NA, like the paper
-        assert comparison.row_for("ER")["completed"] is True
-
-    def test_missing_method_raises_keyerror(self, tiny_mna):
-        comparison = compare_runs("ckt1", [_fake_result(tiny_mna, "ER", 1.0)])
-        with pytest.raises(KeyError):
-            comparison.row_for("BENR")
-
-    def test_as_dicts_merges_structure(self, tiny_mna):
-        comparison = compare_runs(
-            "ckt2", [_fake_result(tiny_mna, "ER", 1.0)], structure={"#N": 42, "nnzC": 7}
-        )
-        rows = comparison.as_dicts()
-        assert rows[0]["circuit"] == "ckt2"
-        assert rows[0]["#N"] == 42
-        assert rows[0]["method"] == "ER"

@@ -22,7 +22,9 @@ counted reuse split and the transient run time relative to the
 host-dependent, so nothing gates on it).  Trajectory deviation is
 measured against the ``adaptive`` baseline of the same method.
 
-Results land in ``benchmarks/output/BENCH_adaptive_stepping.json``.
+Results land in ``benchmarks/output/BENCH_adaptive_stepping.json``; the
+rows minus their ``runtime_*`` fields go to the committed
+``benchmarks/records/adaptive_stepping-<mode>.json``.
 
 Usage::
 
@@ -48,6 +50,7 @@ from pathlib import Path
 
 import numpy as np
 
+from _records import write_record
 from repro import SimOptions, TransientSimulator
 from repro.benchcircuits.registry import build_circuit
 from repro.circuit.sources import PWL, SIN
@@ -65,6 +68,9 @@ GATED_METHODS = ("benr", "trap")
 
 #: the ladder_stale LU budget relative to the fixed-step run
 LU_RATIO_TARGET = 1.5
+
+#: row fields that vary from run to run: the committed record omits them
+TIMED_FIELDS = ("runtime_",)
 
 #: the four step-control configurations, as SimOptions override dicts
 CONFIGS = (
@@ -294,55 +300,6 @@ def check_acceptance(rows, smoke: bool) -> list:
     return failures
 
 
-def history_series(rows) -> dict:
-    """Per (case, method): fixed-step LUs per ladder+stale LU (higher is
-    better), the savings series the JSONL history tracks across runs."""
-    series = {}
-    for row in rows:
-        fixed_lu = row["fixed"]["lu_factorizations"]
-        reuse_lu = max(row["ladder_stale"]["lu_factorizations"], 1)
-        series[f"{row['case']}/{row['method']}"] = fixed_lu / reuse_lu
-    return series
-
-
-def run_history_gate(rows, mode: str, history_path) -> int:
-    """Gate the LU-savings series against its tracked median, then record.
-
-    Mirrors the hotpath bench's gate-before-record order (a regressed
-    run cannot vote itself into its own baseline) on the same JSONL
-    machinery, just with LU-savings ratios instead of steps/sec.
-    """
-    from repro.verify.perf import (
-        DEFAULT_MIN_HISTORY, DEFAULT_THRESHOLD, load_history, record_entry,
-        tracked_medians,
-    )
-
-    series = history_series(rows)
-    medians = tracked_medians(load_history(history_path), mode)
-    failures = []
-    for key, value in series.items():
-        tracked = medians.get(key)
-        if tracked is None:
-            continue
-        median, count = tracked
-        if count < DEFAULT_MIN_HISTORY or median <= 0.0:
-            continue
-        if value < (1.0 - DEFAULT_THRESHOLD) * median:
-            drop = 100.0 * (1.0 - value / median)
-            failures.append(
-                f"{key} [{mode}]: LU savings {value:.2f}x is {drop:.1f}% "
-                f"below the tracked median {median:.2f}x")
-    entry = record_entry(series, mode, history_path)
-    print(f"recorded {len(entry['rates'])} series into {history_path}")
-    if failures:
-        for failure in failures:
-            print(f"PERF REGRESSION: {failure}", file=sys.stderr)
-        return 1
-    print(f"perf gate passed (threshold {100.0 * DEFAULT_THRESHOLD:.0f}% "
-          f"below tracked median)")
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
@@ -352,13 +309,6 @@ def main(argv=None) -> int:
     parser.add_argument("--json", type=Path,
                         default=OUTPUT_DIR / "BENCH_adaptive_stepping.json",
                         help="output JSON path")
-    parser.add_argument("--history", type=Path, nargs="?", const=None,
-                        default=False, metavar="PATH",
-                        help="append this run's LU-savings ratios to the "
-                             "perf-trajectory history and fail on a >20%% "
-                             "regression against the tracked median "
-                             "(default path: "
-                             "benchmarks/history/adaptive_history.jsonl)")
     args = parser.parse_args(argv)
 
     print("cache-aware adaptive stepping benchmark "
@@ -368,9 +318,10 @@ def main(argv=None) -> int:
     for name, factory, params, sim_kwargs, h_fix in suite(args.smoke):
         rows.extend(bench_case(name, factory, params, sim_kwargs, h_fix))
 
+    mode = "smoke" if args.smoke else "full"
     payload = {
         "benchmark": "adaptive_stepping",
-        "mode": "smoke" if args.smoke else "full",
+        "mode": mode,
         "gated_cases": list(GATED_CASES),
         "gated_methods": list(GATED_METHODS),
         "lu_ratio_target": LU_RATIO_TARGET,
@@ -379,7 +330,8 @@ def main(argv=None) -> int:
     }
     args.json.parent.mkdir(parents=True, exist_ok=True)
     args.json.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {args.json}")
+    record = write_record("adaptive_stepping", mode, rows, TIMED_FIELDS)
+    print(f"wrote {args.json} and {record}")
 
     if args.check:
         failures = check_acceptance(rows, smoke=args.smoke)
@@ -390,13 +342,6 @@ def main(argv=None) -> int:
         print(f"acceptance checks passed (ladder+stale <= {LU_RATIO_TARGET}x "
               "fixed-step LUs, in-band trajectories, counted accounting, "
               "bit-identical default knobs)")
-
-    if args.history is not False:
-        from repro.verify.perf import ADAPTIVE_HISTORY_PATH
-
-        history = (args.history if args.history is not None
-                   else ADAPTIVE_HISTORY_PATH)
-        return run_history_gate(rows, payload["mode"], history)
     return 0
 
 

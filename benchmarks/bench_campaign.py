@@ -135,9 +135,9 @@ def test_campaign_report_and_equivalence(benchmark, report_writer):
         json.dumps(summary, indent=2) + "\n")
 
     # the speedup bar is a wall-clock assertion: meaningful on a quiet
-    # multi-core dev box, pure noise on shared CI runners (the repo's
-    # perf regressions are gated by verify.perf's tracked-median
-    # approach instead) -- so CI sets the skip knob and keeps the
+    # multi-core dev box, pure noise on shared CI runners (no timing is
+    # gated there; the committed records under benchmarks/records/ gate
+    # the exact counts) -- so CI sets the skip knob and keeps the
     # backend-equivalence checks above as the gate
     if os.environ.get("REPRO_BENCH_SKIP_SPEEDUP_GATE"):
         pytest.skip("speedup gate disabled via REPRO_BENCH_SKIP_SPEEDUP_GATE")

@@ -29,11 +29,11 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_fig1_nnz.py             # full sweep, >= 50k nodes
     PYTHONPATH=src python benchmarks/bench_fig1_nnz.py --smoke     # CI-sized
     PYTHONPATH=src python benchmarks/bench_fig1_nnz.py --check     # assert the fill-in gap
-    PYTHONPATH=src python benchmarks/bench_fig1_nnz.py --history   # append fig1_history.jsonl
 
 Outputs: ``benchmarks/output/BENCH_fig1_nnz.json`` (machine-readable),
-``benchmarks/output/fig1_nnz.txt`` (aligned table), and -- with
-``--history`` -- one entry in ``benchmarks/history/fig1_history.jsonl``.
+``benchmarks/output/fig1_nnz.txt`` (aligned table), and the committed
+``benchmarks/records/fig1_nnz-<mode>.json`` (the rows without their
+timings, :data:`TIMED_FIELDS`).
 """
 
 import argparse
@@ -45,15 +45,18 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse.linalg as spla
 
+from _records import write_record
 from repro.benchcircuits import build_circuit
 from repro.linalg.sparse_lu import LUStats, SymbolicCache, factorize, structurally_symmetric
 from repro.reporting.tables import format_table
-from repro.verify.perf import FIG1_HISTORY_PATH, record_entry
 
 OUTPUT_DIR = Path(__file__).parent / "output"
 
 #: the BENR-Jacobian step size used throughout (matches the old Fig. 1 report)
 H = 1e-12
+
+#: row fields that vary from run to run: the committed record omits them
+TIMED_FIELDS = ("t_", "refactor_speedup")
 
 #: (case label, factory, params) sweep points.  The scaling column holds the
 #: coupling fraction at 5% and grows the mesh to >= 50k nodes; the coupling
@@ -190,9 +193,6 @@ def main(argv=None) -> int:
                         help="exit non-zero unless the fill-in gap holds")
     parser.add_argument("--json", type=Path, default=None,
                         help="payload path (default benchmarks/output/BENCH_fig1_nnz.json)")
-    parser.add_argument("--history", nargs="?", const=None, default=False, metavar="PATH",
-                        help="append this run to the fig1 JSONL history "
-                             "(default benchmarks/history/fig1_history.jsonl)")
     args = parser.parse_args(argv)
 
     points = SMOKE_POINTS if args.smoke else FULL_POINTS
@@ -231,15 +231,8 @@ def main(argv=None) -> int:
     print(table)
     print(f"\n{payload['headline']}")
     print(f"payload: {json_path}  ({wall_seconds:.1f}s)")
-
-    if args.history is not False:
-        history_path = Path(args.history) if args.history else FIG1_HISTORY_PATH
-        series = {}
-        for row in rows:
-            series[f"{row['case']}/factor_advantage"] = row["factor_advantage"]
-            series[f"{row['case']}/refactor_speedup"] = row["refactor_speedup"]
-        entry = record_entry(series, mode=mode, history_path=history_path)
-        print(f"recorded {len(entry['rates'])} series into {history_path}")
+    record = write_record("fig1_nnz", mode, rows, TIMED_FIELDS)
+    print(f"record: {record}")
 
     if args.check:
         failures = check_rows(rows, smoke=args.smoke)

@@ -12,8 +12,9 @@ measuring
 * the maximum absolute state-trajectory difference between the two modes
   (the cache is exact: the expected difference is 0.0).
 
-Results land in ``benchmarks/output/BENCH_hotpath.json`` so the perf
-trajectory of the repository is recorded per run.
+Results land in ``benchmarks/output/BENCH_hotpath.json``; the rows minus
+their timings (:data:`TIMED_FIELDS`) go to the committed
+``benchmarks/records/hotpath-<mode>.json``.
 
 Usage::
 
@@ -37,6 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
+from _records import write_record
 from repro import SimOptions, TransientSimulator
 from repro.benchcircuits.registry import build_circuit
 from repro.circuit.sources import PWL
@@ -49,6 +51,9 @@ METHODS = ["er", "benr", "trap", "gear2"]
 
 #: the acceptance-checked configuration
 HEADLINE = ("rc_mesh_ramp", "er")
+
+#: row fields that vary from run to run: the committed record omits them
+TIMED_FIELDS = ("runtime_seconds", "steps_per_second", "speedup")
 
 
 def ramp(t_stop: float) -> PWL:
@@ -220,13 +225,9 @@ def main(argv=None) -> int:
     parser.add_argument("--json", type=Path,
                         default=OUTPUT_DIR / "BENCH_hotpath.json",
                         help="output JSON path")
-    parser.add_argument("--history", type=Path, nargs="?", const=None,
-                        default=False, metavar="PATH",
-                        help="append this run to the perf-trajectory history "
-                             "and fail on a >20%% steps/sec regression "
-                             "against the tracked median (default path: "
-                             "benchmarks/history/hotpath_history.jsonl)")
     args = parser.parse_args(argv)
+    if args.repeats < 1:
+        parser.error(f"--repeats must be >= 1, not {args.repeats}")
 
     print(f"hot-path benchmark ({'smoke' if args.smoke else 'full'} sizes, "
           f"best of {args.repeats})")
@@ -235,9 +236,10 @@ def main(argv=None) -> int:
     for name, factory, params, sim_kwargs in suite(args.smoke):
         rows.extend(bench_case(name, factory, params, sim_kwargs, args.repeats))
 
+    mode = "smoke" if args.smoke else "full"
     payload = {
         "benchmark": "hotpath",
-        "mode": "smoke" if args.smoke else "full",
+        "mode": mode,
         "repeats": args.repeats,
         "headline": f"{HEADLINE[0]}/{HEADLINE[1]}",
         "wall_seconds": time.perf_counter() - wall_start,
@@ -245,7 +247,8 @@ def main(argv=None) -> int:
     }
     args.json.parent.mkdir(parents=True, exist_ok=True)
     args.json.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {args.json}")
+    record = write_record("hotpath", mode, rows, TIMED_FIELDS)
+    print(f"wrote {args.json} and {record}")
 
     if args.check:
         failures = check_acceptance(rows, smoke=args.smoke)
@@ -256,17 +259,6 @@ def main(argv=None) -> int:
         targets = "O(1) LU, bases <= inputs + 1, trajectories <= 1e-12" if args.smoke \
             else "headline >= 3x, O(1) LU, bases <= inputs + 1, trajectories <= 1e-12"
         print(f"acceptance checks passed ({targets})")
-
-    if args.history is not False:
-        # perf-trajectory gate: check against the tracked median *before*
-        # recording this run, then append it (see repro.verify.perf).
-        # DEFAULT_HISTORY_PATH is checkout-anchored, so this and
-        # `python -m repro.verify --perf-check` share one history
-        # regardless of the invoking CWD.
-        from repro.verify.perf import DEFAULT_HISTORY_PATH, run_gate
-
-        history = args.history if args.history is not None else DEFAULT_HISTORY_PATH
-        return run_gate(args.json, history)
     return 0
 
 

@@ -64,6 +64,8 @@ def main() -> int:
     parser.add_argument("--cache", type=Path, default=None,
                         help="scenario-hash result cache directory")
     args = parser.parse_args()
+    if args.workers is not None and args.workers < 1:
+        parser.error(f"--workers must be >= 1, not {args.workers}")
 
     scenarios = build_scenarios(args.smoke)
     base = SimOptions(t_stop=0.25e-9, h_init=2e-12, store_states=False)

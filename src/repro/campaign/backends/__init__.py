@@ -49,6 +49,12 @@ __all__ = [
 BACKEND_NAMES = ("serial", "process", "pool", "queue")
 
 
+def _check_workers(workers: Optional[int]) -> None:
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be >= 1 (or None for one per core), "
+                         f"not {workers}")
+
+
 def resolve_backend(
     backend: Union[str, ExecutionBackend, None],
     workers: Optional[int] = None,
@@ -63,10 +69,17 @@ def resolve_backend(
     A ready instance passes through; an explicit ``workers`` count fills
     the instance's worker bound only when the instance left it unset
     (instance configuration wins over the call-site convenience arg).
+
+    ``workers``, and the worker bound of a ready instance, is ``None``
+    (one per core) or at least 1; anything else raises
+    :class:`ValueError`.
     """
+    _check_workers(workers)
     if isinstance(backend, ExecutionBackend):
         if workers is not None and getattr(backend, "workers", workers) is None:
             backend.workers = workers
+        # a negative queue-backend bound would spawn no worker and wait forever
+        _check_workers(getattr(backend, "workers", None))
         return backend
     name = (backend or "auto").strip().lower()
     if name == "auto":

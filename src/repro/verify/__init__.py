@@ -1,8 +1,7 @@
 """Differential verification subsystem.
 
 Turns correctness checking into a first-class, campaign-driven workload
-(the systematic harness behind the repo's accuracy and steps/sec
-claims):
+(the systematic harness behind the repo's accuracy claims):
 
 * :mod:`repro.verify.oracles` -- registry of analytic references:
   closed-form RC/RL/RLC/superposition responses and high-resolution
@@ -16,12 +15,12 @@ claims):
   oracles, goldens and physical/accounting invariants;
 * :mod:`repro.verify.invariants` -- Eq. 13 slope consistency,
   passivity/energy decay, and the linearization cache's LU accounting
-  identities;
-* :mod:`repro.verify.perf` -- the steps/sec perf-trajectory tracker and
-  its >20%-below-median regression gate over ``BENCH_hotpath.json``
-  history.
+  identities.
 
-CLI: ``python -m repro.verify --matrix`` / ``--perf-check``.
+Performance is not gated here: the benchmarks commit their exact counts
+under ``benchmarks/records/`` and CI checks them with ``git diff``.
+
+CLI: ``python -m repro.verify --matrix`` / ``--prune-orphans``.
 """
 
 from repro.verify.golden import (
@@ -51,13 +50,6 @@ from repro.verify.oracles import (
     oracle_names,
     register_oracle,
 )
-from repro.verify.perf import (
-    PerfRegression,
-    check_perf_regression,
-    extract_rates,
-    load_history,
-    record_run,
-)
 
 __all__ = [
     "Oracle",
@@ -79,9 +71,4 @@ __all__ = [
     "matrix_scenarios",
     "oracle_scenarios",
     "run_matrix",
-    "PerfRegression",
-    "extract_rates",
-    "load_history",
-    "record_run",
-    "check_perf_regression",
 ]

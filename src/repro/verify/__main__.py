@@ -1,6 +1,6 @@
 """Command-line entry point: ``python -m repro.verify``.
 
-Three subcommands, selectable by flag:
+Two subcommands, selectable by flag:
 
 ``--matrix``
     Run the differential verification matrix (every registered
@@ -13,11 +13,6 @@ Three subcommands, selectable by flag:
     matrix checks the current program, and stored outcomes carry no code
     version.
 
-``--perf-check``
-    Gate a ``BENCH_hotpath.json`` payload against the tracked steps/sec
-    history (median of the same machine's previous runs), then append
-    the run to the history.  Exits nonzero on a >threshold regression.
-
 ``--prune-orphans``
     List goldens whose content-hash key no currently-planned matrix
     scenario produces (the debris of re-parameterizing a family), and
@@ -27,6 +22,7 @@ Three subcommands, selectable by flag:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -36,12 +32,6 @@ from repro.verify.matrix import (
     DEFAULT_GOLDEN_TOLERANCE,
     planned_golden_keys,
     run_matrix,
-)
-from repro.verify.perf import (
-    DEFAULT_HISTORY_PATH,
-    DEFAULT_MIN_HISTORY,
-    DEFAULT_THRESHOLD,
-    run_gate,
 )
 
 
@@ -92,17 +82,6 @@ def _run_prune_orphans(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_perf_check(args: argparse.Namespace) -> int:
-    input_path = Path(args.input)
-    if not input_path.exists():
-        print(f"perf-check: payload {input_path} not found", file=sys.stderr)
-        return 2
-    return run_gate(
-        input_path, args.history, threshold=args.threshold,
-        min_history=args.min_history, record=not args.no_record,
-    )
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.verify",
@@ -111,8 +90,6 @@ def main(argv=None) -> int:
     action = parser.add_mutually_exclusive_group(required=True)
     action.add_argument("--matrix", action="store_true",
                         help="run the differential verification matrix")
-    action.add_argument("--perf-check", action="store_true",
-                        help="gate a BENCH_hotpath.json against the perf history")
     action.add_argument("--prune-orphans", action="store_true",
                         help="list goldens no planned scenario produces "
                              "(dry run; --yes deletes them)")
@@ -138,29 +115,19 @@ def main(argv=None) -> int:
     matrix.add_argument("--json", type=Path, default=None,
                         help="also write the report as JSON")
 
-    perf = parser.add_argument_group("perf-check options")
-    perf.add_argument("--input", type=Path,
-                      default=Path("benchmarks/output/BENCH_hotpath.json"),
-                      help="benchmark payload to gate")
-    perf.add_argument("--history", type=Path, default=DEFAULT_HISTORY_PATH,
-                      help="JSONL perf history file")
-    perf.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
-                      help="fail below (1 - threshold) * tracked median")
-    perf.add_argument("--min-history", type=int, default=DEFAULT_MIN_HISTORY,
-                      help="runs required before the gate engages")
-    perf.add_argument("--no-record", action="store_true",
-                      help="check only; do not append this run to the history")
-
     prune = parser.add_argument_group("prune-orphans options")
     prune.add_argument("--yes", action="store_true",
                        help="actually delete the orphaned goldens")
 
     args = parser.parse_args(argv)
+    if args.workers is not None and args.workers < 1:
+        parser.error(f"--workers must be >= 1, not {args.workers}")
+    if not (math.isfinite(args.golden_tolerance) and args.golden_tolerance > 0.0):
+        parser.error(f"--golden-tolerance must be a positive finite number, "
+                     f"not {args.golden_tolerance}")
     if args.matrix:
         return _run_matrix(args)
-    if args.prune_orphans:
-        return _run_prune_orphans(args)
-    return _run_perf_check(args)
+    return _run_prune_orphans(args)
 
 
 if __name__ == "__main__":

@@ -21,6 +21,7 @@ Rules of the store:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Union
@@ -155,8 +156,11 @@ class GoldenStore:
         exists under the same key with a *tighter* tolerance band and
         ``allow_widen`` is False.
         """
-        if tolerance <= 0.0:
-            raise ValueError("golden tolerance must be positive")
+        # NaN would pass both this and the refuse-to-widen comparison,
+        # and a stored NaN band fails every later check
+        if not (math.isfinite(tolerance) and tolerance > 0.0):
+            raise ValueError(
+                f"golden tolerance must be positive and finite, not {tolerance!r}")
         if not waveforms:
             raise ValueError("golden needs at least one node waveform")
         times = np.asarray(times, dtype=float)

@@ -7,6 +7,11 @@ captured, not propagated.  The queue backend's worker-death redelivery
 and external-worker tests live in ``tests/test_campaign_queue_backend.py``.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.campaign import (
@@ -134,6 +139,45 @@ class TestResolveBackend:
     def test_instance_passthrough(self):
         backend = SerialBackend()
         assert resolve_backend(backend) is backend
+
+    @pytest.mark.parametrize("name", ("auto", *BACKEND_NAMES))
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_rejected(self, name, workers):
+        # 0 once meant "one per core" and -1 silently ran serial under
+        # auto or failed deep inside ProcessPoolExecutor
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            resolve_backend(name, workers=workers, num_scenarios=10)
+
+    @pytest.mark.parametrize("backend, workers", [
+        ("process", -1),
+        (ProcessPoolBackend(workers=-1), None),
+        (QueueBackend(workers=0), None),
+    ])
+    def test_run_campaign_rejects_workers_below_one(self, backend, workers):
+        # an instance bound of 0 silently meant one per core, and a
+        # QueueBackend bound of -1 spawned no worker and waited forever
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            run_campaign(small_scenarios(), base_options=FAST_OPTIONS,
+                         backend=backend, workers=workers)
+
+    def test_clis_refuse_workers_below_one(self, capsys, monkeypatch):
+        from repro.verify import __main__ as cli
+
+        monkeypatch.setattr(cli, "_run_matrix", lambda args: pytest.fail(
+            "the matrix ran with --workers 0"))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--matrix", "--workers", "0"])
+        assert exc.value.code == 2
+        assert "--workers must be >= 1" in capsys.readouterr().err
+
+        root = Path(__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, str(root / "examples" / "method_shootout.py"),
+             "--smoke", "--workers", "-1"],
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert "--workers must be >= 1" in proc.stderr
 
     def test_unknown_rejected(self):
         with pytest.raises(ValueError, match="unknown backend"):

@@ -145,6 +145,32 @@ class TestToleranceDiscipline:
         with pytest.raises(ValueError, match="shape"):
             store.save(scenario, grid, {"n4": np.zeros(3)}, tolerance=1e-6)
 
+    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf")])
+    def test_rejects_non_finite_band(self, tmp_path, scenario, grid, waveforms,
+                                     tolerance):
+        # NaN compares false, so it would slip past a plain "<= 0" check
+        # and the refuse-to-widen guard alike and fail every later check
+        store = GoldenStore(tmp_path)
+        store.save(scenario, grid, waveforms, tolerance=1e-6)
+        with pytest.raises(ValueError, match="positive and finite"):
+            store.save(scenario, grid, waveforms, tolerance=tolerance)
+        _, meta = store.load(scenario)
+        assert meta["tolerance"] == 1e-6
+        assert store.check(scenario, grid, waveforms).ok
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1e-6"])
+    def test_cli_refuses_bad_golden_tolerance(self, tmp_path, capsys,
+                                              monkeypatch, value):
+        from repro.verify import __main__ as cli
+
+        monkeypatch.setattr(cli, "_run_matrix", lambda args: pytest.fail(
+            "the matrix ran with a bad --golden-tolerance"))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--matrix", "--goldens", str(tmp_path),
+                      f"--golden-tolerance={value}"])
+        assert exc.value.code == 2
+        assert "--golden-tolerance" in capsys.readouterr().err
+
     def test_metadata_is_valid_json(self, tmp_path, scenario, grid, waveforms):
         store = GoldenStore(tmp_path)
         store.save(scenario, grid, waveforms, tolerance=1e-6)

@@ -15,6 +15,10 @@ Both ladders are constants of this module; the Newton solves use the
 :class:`~repro.integrators.newton.NewtonSolver` tolerances.  A transient
 that should start from the circuit's ``.ic`` vector instead of the DC
 point passes it directly: ``simulator.run(x0=mna.initial_state())``.
+
+The result keeps the ordering of the solve's last factorization
+(:class:`~repro.linalg.sparse_lu.OrderingSeed`), so the transient's first
+factorization of the same pattern need not order it again.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import scipy.sparse as sp
 
 from repro.circuit.mna import MNASystem
 from repro.integrators.newton import NewtonResult, NewtonSolver
-from repro.linalg.sparse_lu import LUStats
+from repro.linalg.sparse_lu import LUStats, OrderingSeed, SparseLU, factorize
 
 __all__ = ["DCResult", "dc_operating_point", "GMIN_STEPS", "SOURCE_STEPS"]
 
@@ -48,6 +52,8 @@ class DCResult:
     iterations: int
     strategy: str
     residual_norm: float
+    #: the ordering of the last factorization, detached from its factor
+    ordering: Optional[OrderingSeed] = None
 
     def voltage(self, mna: MNASystem, node: str) -> float:
         return mna.voltage(self.x, node)
@@ -86,7 +92,18 @@ def dc_operating_point(
     ``lu_stats`` and ``max_factor_nnz`` are forwarded to every
     factorization.
     """
-    solver = NewtonSolver(mna, lu_stats=lu_stats, max_factor_nnz=max_factor_nnz)
+    ordering: Optional[OrderingSeed] = None
+
+    def factorizer(jacobian: sp.csc_matrix, label: str) -> SparseLU:
+        nonlocal ordering
+        lu = factorize(jacobian, stats=lu_stats, max_factor_nnz=max_factor_nnz, label=label)
+        ordering = lu.ordering_seed(jacobian)
+        return lu
+
+    def outcome(x, converged, strategy, residual_norm) -> DCResult:
+        return DCResult(x, converged, total_iterations, strategy, residual_norm, ordering)
+
+    solver = NewtonSolver(mna, factorizer=factorizer)
     x0 = mna.initial_state()
     total_iterations = 0
 
@@ -94,7 +111,7 @@ def dc_operating_point(
     result = _solve_stage(mna, solver, x0, 0.0, 1.0)
     total_iterations += result.iterations
     if result.converged:
-        return DCResult(result.x, True, total_iterations, "newton", result.residual_norm)
+        return outcome(result.x, True, "newton", result.residual_norm)
 
     # 2. gmin stepping
     x = np.array(x0, copy=True)
@@ -107,7 +124,7 @@ def dc_operating_point(
         if not converged:
             break
     if converged:
-        return DCResult(x, True, total_iterations, "gmin-stepping", 0.0)
+        return outcome(x, True, "gmin-stepping", 0.0)
 
     # 3. source stepping
     x = np.array(x0, copy=True)
@@ -120,6 +137,6 @@ def dc_operating_point(
         if not converged:
             break
     if converged:
-        return DCResult(x, True, total_iterations, "source-stepping", 0.0)
+        return outcome(x, True, "source-stepping", 0.0)
 
-    return DCResult(x, False, total_iterations, "failed", np.inf)
+    return outcome(x, False, "failed", np.inf)

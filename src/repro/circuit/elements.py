@@ -1,10 +1,13 @@
 """Linear circuit elements and independent sources.
 
-Each element is a light-weight description object; the actual matrix
-stamping is performed by :class:`repro.circuit.mna.MNASystem`, which hands
-each element a :class:`LinearStamper` view that resolves node names to
-unknown indices.  Elements therefore never deal with matrix indices
-directly, which keeps them trivially testable.
+Each element is a light-weight description object; its matrix entries
+are class data, not code.  A class lists them in :attr:`CircuitElement.STAMPS`
+over its terminals -- ``nodes`` in order, then, for an element with a
+branch current, its branch unknown -- and every entry is scaled by one
+per-instance number, :attr:`CircuitElement.stamp_value` (``1/R``, ``C``,
+``-L``, ``gm``, ``gain``, or ``1.0`` for the independent sources).
+:class:`repro.circuit.mna.MNASystem` stamps all elements of a class at
+once from that table, so elements never deal with matrix indices.
 
 Sign conventions (SPICE / MNA standard):
 
@@ -13,19 +16,22 @@ Sign conventions (SPICE / MNA standard):
   symmetric 4-entry pattern into ``G`` / ``C``;
 * an independent current source ``I`` from ``n+`` to ``n-`` removes the
   current from ``n+`` and injects it into ``n-`` (stamped into ``B``);
-* voltage sources and inductors introduce one extra branch-current
-  unknown each.
+* voltage sources, inductors and VCVS elements introduce one extra
+  branch-current unknown ``k`` each.  Ahead of its own ``G`` entries such
+  an element stamps the unit incidence of that branch between its first
+  two terminals ``a`` and ``b``: ``G[a, k] = G[k, a] = 1`` and
+  ``G[b, k] = G[k, b] = -1`` (KCL rows, then the branch row).
 """
 
 from __future__ import annotations
 
-from typing import Optional, Protocol
+from typing import ClassVar, NamedTuple, Optional, Tuple
 
 from repro.circuit.sources import DC, Waveform
 
 __all__ = [
     "CircuitElement",
-    "LinearStamper",
+    "LinearStamps",
     "Resistor",
     "Capacitor",
     "CouplingCapacitor",
@@ -37,23 +43,25 @@ __all__ = [
 ]
 
 
-class LinearStamper(Protocol):
-    """Interface the MNA assembler exposes to linear elements."""
+class LinearStamps(NamedTuple):
+    """The matrix entries of one linear element class.
 
-    def node(self, name: str) -> int:
-        """Return the unknown index of node ``name`` (-1 for ground)."""
+    Terminal positions index the element's ``nodes``, then its branch
+    unknown.  An entry adds ``sign * stamp_value`` to its matrix; entries
+    on the ground node and zero-valued ones are dropped.
+    """
 
-    def branch(self, element: "CircuitElement") -> int:
-        """Return the extra branch-current unknown index for ``element``."""
+    #: ``(row, col, sign)`` entries of ``G``
+    G: Tuple[Tuple[int, int, float], ...] = ()
+    #: ``(row, col, sign)`` entries of ``C``
+    C: Tuple[Tuple[int, int, float], ...] = ()
+    #: ``(row, sign)`` entries of ``B`` in the column of the element's
+    #: ``waveform`` (one column per distinct waveform object)
+    B: Tuple[Tuple[int, float], ...] = ()
 
-    def add_G(self, i: int, j: int, value: float) -> None:
-        """Accumulate ``value`` into ``G[i, j]`` (ignored if i or j is ground)."""
 
-    def add_C(self, i: int, j: int, value: float) -> None:
-        """Accumulate ``value`` into ``C[i, j]`` (ignored if i or j is ground)."""
-
-    def add_input(self, i: int, waveform: Waveform, scale: float) -> None:
-        """Register ``scale * waveform(t)`` as a RHS injection at row ``i``."""
+#: the symmetric two-terminal pattern of a resistor or capacitor
+_SYMMETRIC_PAIR = ((0, 0, 1.0), (1, 1, 1.0), (0, 1, -1.0), (1, 0, -1.0))
 
 
 class CircuitElement:
@@ -61,14 +69,14 @@ class CircuitElement:
 
     #: True for elements that need an extra branch-current unknown.
     needs_branch_current: bool = False
+    #: the class's matrix entries; a concrete element class must declare them
+    STAMPS: ClassVar[Optional[LinearStamps]] = None
+    #: the per-instance scale of every entry in :attr:`STAMPS`
+    stamp_value: float = 1.0
 
     def __init__(self, name: str, nodes: tuple):
         self.name = str(name)
         self.nodes = tuple(str(n) for n in nodes)
-
-    def stamp(self, st: LinearStamper) -> None:
-        """Stamp the element's linear contribution.  Overridden by subclasses."""
-        raise NotImplementedError
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r}, nodes={self.nodes})"
@@ -85,6 +93,8 @@ class _TwoTerminal(CircuitElement):
 class Resistor(_TwoTerminal):
     """Linear resistor; stamps ``1/R`` into the conductance matrix."""
 
+    STAMPS = LinearStamps(G=_SYMMETRIC_PAIR)
+
     def __init__(self, name: str, node_a: str, node_b: str, resistance: float):
         if resistance <= 0:
             raise ValueError(f"Resistor {name}: resistance must be positive, got {resistance}")
@@ -98,17 +108,13 @@ class Resistor(_TwoTerminal):
     def conductance(self) -> float:
         return 1.0 / self.value
 
-    def stamp(self, st: LinearStamper) -> None:
-        a, b = st.node(self.nodes[0]), st.node(self.nodes[1])
-        g = self.conductance
-        st.add_G(a, a, g)
-        st.add_G(b, b, g)
-        st.add_G(a, b, -g)
-        st.add_G(b, a, -g)
+    stamp_value = conductance
 
 
 class Capacitor(_TwoTerminal):
     """Linear capacitor; stamps the capacitance into ``C``."""
+
+    STAMPS = LinearStamps(C=_SYMMETRIC_PAIR)
 
     def __init__(self, name: str, node_a: str, node_b: str, capacitance: float):
         super().__init__(name, node_a, node_b, capacitance)
@@ -117,13 +123,7 @@ class Capacitor(_TwoTerminal):
     def capacitance(self) -> float:
         return self.value
 
-    def stamp(self, st: LinearStamper) -> None:
-        a, b = st.node(self.nodes[0]), st.node(self.nodes[1])
-        c = self.capacitance
-        st.add_C(a, a, c)
-        st.add_C(b, b, c)
-        st.add_C(a, b, -c)
-        st.add_C(b, a, -c)
+    stamp_value = capacitance
 
 
 class CouplingCapacitor(Capacitor):
@@ -147,6 +147,7 @@ class Inductor(_TwoTerminal):
     """
 
     needs_branch_current = True
+    STAMPS = LinearStamps(C=((2, 2, 1.0),))
 
     def __init__(self, name: str, node_a: str, node_b: str, inductance: float):
         if inductance <= 0:
@@ -157,14 +158,9 @@ class Inductor(_TwoTerminal):
     def inductance(self) -> float:
         return self.value
 
-    def stamp(self, st: LinearStamper) -> None:
-        a, b = st.node(self.nodes[0]), st.node(self.nodes[1])
-        k = st.branch(self)
-        st.add_G(a, k, 1.0)
-        st.add_G(b, k, -1.0)
-        st.add_G(k, a, 1.0)
-        st.add_G(k, b, -1.0)
-        st.add_C(k, k, -self.inductance)
+    @property
+    def stamp_value(self) -> float:
+        return -self.value
 
 
 class VoltageSource(CircuitElement):
@@ -174,37 +170,30 @@ class VoltageSource(CircuitElement):
     """
 
     needs_branch_current = True
+    STAMPS = LinearStamps(B=((2, 1.0),))
 
     def __init__(self, name: str, node_pos: str, node_neg: str, waveform: Waveform | float):
         super().__init__(name, (node_pos, node_neg))
         self.waveform: Waveform = DC(waveform) if isinstance(waveform, (int, float)) else waveform
-
-    def stamp(self, st: LinearStamper) -> None:
-        p, n = st.node(self.nodes[0]), st.node(self.nodes[1])
-        k = st.branch(self)
-        st.add_G(p, k, 1.0)
-        st.add_G(n, k, -1.0)
-        st.add_G(k, p, 1.0)
-        st.add_G(k, n, -1.0)
-        st.add_input(k, self.waveform, 1.0)
 
 
 class CurrentSource(CircuitElement):
-    """Independent current source from ``n+`` to ``n-``."""
+    """Independent current source from ``n+`` to ``n-``.
+
+    The current leaves ``n+`` and enters ``n-``; ``B u(t)`` sits on the RHS.
+    """
+
+    STAMPS = LinearStamps(B=((0, -1.0), (1, 1.0)))
 
     def __init__(self, name: str, node_pos: str, node_neg: str, waveform: Waveform | float):
         super().__init__(name, (node_pos, node_neg))
         self.waveform: Waveform = DC(waveform) if isinstance(waveform, (int, float)) else waveform
-
-    def stamp(self, st: LinearStamper) -> None:
-        p, n = st.node(self.nodes[0]), st.node(self.nodes[1])
-        # Current leaves n+ and enters n-; B u(t) sits on the RHS.
-        st.add_input(p, self.waveform, -1.0)
-        st.add_input(n, self.waveform, 1.0)
 
 
 class VCCS(CircuitElement):
     """Voltage-controlled current source: ``i(out+ -> out-) = gm * v(c+ , c-)``."""
+
+    STAMPS = LinearStamps(G=((0, 2, 1.0), (0, 3, -1.0), (1, 2, -1.0), (1, 3, 1.0)))
 
     def __init__(
         self,
@@ -218,20 +207,17 @@ class VCCS(CircuitElement):
         super().__init__(name, (out_pos, out_neg, ctrl_pos, ctrl_neg))
         self.gm = float(transconductance)
 
-    def stamp(self, st: LinearStamper) -> None:
-        op, on = st.node(self.nodes[0]), st.node(self.nodes[1])
-        cp, cn = st.node(self.nodes[2]), st.node(self.nodes[3])
-        gm = self.gm
-        st.add_G(op, cp, gm)
-        st.add_G(op, cn, -gm)
-        st.add_G(on, cp, -gm)
-        st.add_G(on, cn, gm)
+    @property
+    def stamp_value(self) -> float:
+        return self.gm
 
 
 class VCVS(CircuitElement):
     """Voltage-controlled voltage source: ``v(out+, out-) = gain * v(c+, c-)``."""
 
     needs_branch_current = True
+    #: the branch row beyond the incidence: ``v_out - gain * v_ctrl = 0``
+    STAMPS = LinearStamps(G=((4, 2, -1.0), (4, 3, 1.0)))
 
     def __init__(
         self,
@@ -245,13 +231,6 @@ class VCVS(CircuitElement):
         super().__init__(name, (out_pos, out_neg, ctrl_pos, ctrl_neg))
         self.gain = float(gain)
 
-    def stamp(self, st: LinearStamper) -> None:
-        op, on = st.node(self.nodes[0]), st.node(self.nodes[1])
-        cp, cn = st.node(self.nodes[2]), st.node(self.nodes[3])
-        k = st.branch(self)
-        st.add_G(op, k, 1.0)
-        st.add_G(on, k, -1.0)
-        st.add_G(k, op, 1.0)
-        st.add_G(k, on, -1.0)
-        st.add_G(k, cp, -self.gain)
-        st.add_G(k, cn, self.gain)
+    @property
+    def stamp_value(self) -> float:
+        return self.gain

@@ -22,6 +22,12 @@ subspace method never needs ``C^{-1}``, whereas the standard Krylov
 baseline requires a regularization pass
 (:mod:`repro.linalg.regularization`).
 
+The linear elements are stamped in one batch: every element class
+declares its ``G``/``C``/``B`` entries as a table
+(:class:`repro.circuit.elements.LinearStamps`), and all elements'
+triplets are built at once with NumPy, in circuit order, so the matrices
+equal those of stamping one element at a time bit for bit.
+
 Nonlinear devices are evaluated by one NumPy kernel per device class
 (:mod:`repro.circuit.devices.base`), prepared once at construction.  Their
 stamps are scattered into ``C``/``G`` sparsity patterns that are fixed at
@@ -33,7 +39,10 @@ stamp set -- so every evaluation returns matrices with identical
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from itertools import chain
+from operator import attrgetter
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -44,6 +53,9 @@ from repro.circuit.elements import CircuitElement, CouplingCapacitor
 from repro.circuit.sources import Waveform
 
 __all__ = ["MNASystem", "EvalResult", "StructureStats"]
+
+_NODES = attrgetter("nodes")
+_STAMP_VALUE = attrgetter("stamp_value")
 
 
 @dataclass
@@ -88,44 +100,182 @@ class StructureStats:
         }
 
 
-class _LinearAssembler:
-    """LinearStamper implementation that accumulates COO triplets."""
+class _NodeLookup(dict):
+    """Node name -> unknown index; each ground spelling resolves to -1 once."""
 
-    def __init__(self, system: "MNASystem"):
-        self._system = system
-        self.g_rows: List[int] = []
-        self.g_cols: List[int] = []
-        self.g_vals: List[float] = []
-        self.c_rows: List[int] = []
-        self.c_cols: List[int] = []
-        self.c_vals: List[float] = []
-        #: (row, waveform, scale) registrations, grouped into B columns later
-        self.inputs: List[Tuple[int, Waveform, float]] = []
+    def __init__(self, circuit: Circuit):
+        super().__init__(zip(circuit.node_names, range(circuit.num_nodes)))
+        self._title = circuit.title
 
-    def node(self, name: str) -> int:
-        return self._system.node_index(name)
+    def __missing__(self, name: str) -> int:
+        if not Circuit.is_ground(name):
+            raise KeyError(f"unknown node {name!r} in circuit {self._title!r}")
+        self[name] = -1
+        return -1
 
-    def branch(self, element: CircuitElement) -> int:
-        return self._system.branch_index(element)
 
-    def add_G(self, i: int, j: int, value: float) -> None:
-        if i < 0 or j < 0 or value == 0.0:
-            return
-        self.g_rows.append(i)
-        self.g_cols.append(j)
-        self.g_vals.append(value)
+class _Table(NamedTuple):
+    """One matrix's entries of every element class, padded to one width.
 
-    def add_C(self, i: int, j: int, value: float) -> None:
-        if i < 0 or j < 0 or value == 0.0:
-            return
-        self.c_rows.append(i)
-        self.c_cols.append(j)
-        self.c_vals.append(value)
+    Row ``c`` lists class ``c``'s entries; their row and column terminals
+    are columns of the per-element terminal matrix.  Padding entries name
+    its ground column, so they are dropped with the ground entries.
+    """
 
-    def add_input(self, i: int, waveform: Waveform, scale: float) -> None:
-        if i < 0 or scale == 0.0:
-            return
-        self.inputs.append((i, waveform, scale))
+    #: whether class ``c`` has any entry
+    has_entries: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    signs: np.ndarray
+    #: False for the unit incidence of a branch, which ``stamp_value`` does not scale
+    scaled: np.ndarray
+
+
+class _StampPlan(NamedTuple):
+    """The stamp tables of a circuit's element classes.
+
+    The per-element terminal matrix has ``width`` columns: the node
+    unknowns, the branch unknown, the element's own position (the column
+    of its ``B`` entries, mapped to its waveform later) and a column that
+    always reads ground.
+    """
+
+    width: int
+    has_branch: np.ndarray
+    G: _Table
+    C: _Table
+    B: _Table
+
+
+def _table(entries: List[List[tuple]], ground: int) -> _Table:
+    """Pad the ``(row, col, sign, scaled)`` entries of every class to one width."""
+    width = max(map(len, entries), default=0)
+    padded = [row + [(ground, ground, 0.0, False)] * (width - len(row)) for row in entries]
+    rows, cols, signs, scaled = (
+        np.array([[entry[f] for entry in row] for row in padded], dtype=dtype)
+        .reshape(len(entries), width)
+        for f, dtype in enumerate((np.intp, np.intp, float, bool)))
+    table = _Table(np.array([bool(row) for row in entries], dtype=bool),
+                   rows, cols, signs, scaled)
+    for array in table:  # shared by every build through the plan cache
+        array.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=64)
+def _stamp_plan(classes: Tuple[type, ...], arities: Tuple[int, ...]) -> _StampPlan:
+    """Stack the :class:`~repro.circuit.elements.LinearStamps` of ``classes``.
+
+    An element with a branch current first stamps the unit incidence of
+    its branch between its first two terminals, then its class's ``G``
+    entries, which -- like all ``C`` and ``B`` entries -- are scaled by
+    ``stamp_value``.
+    """
+    branch = max(arities, default=0)
+    position, ground = branch + 1, branch + 2
+    g_entries, c_entries, b_entries = [], [], []
+    for cls, arity in zip(classes, arities):
+        terminals = arity + cls.needs_branch_current
+
+        def column(terminal: int) -> int:
+            if not 0 <= terminal < terminals:
+                raise TypeError(f"{cls.__name__} stamps terminal {terminal} of {terminals}")
+            return branch if terminal == arity else terminal
+
+        g = [(column(r), column(c), sign, True) for r, c, sign in cls.STAMPS.G]
+        if cls.needs_branch_current:
+            k = arity
+            g = [(column(r), column(c), sign, False)
+                 for r, c, sign in ((0, k, 1.0), (1, k, -1.0), (k, 0, 1.0), (k, 1, -1.0))] + g
+        g_entries.append(g)
+        c_entries.append([(column(r), column(c), sign, True) for r, c, sign in cls.STAMPS.C])
+        b_entries.append([(column(r), position, sign, True) for r, sign in cls.STAMPS.B])
+    has_branch = np.array([cls.needs_branch_current for cls in classes], dtype=bool)
+    has_branch.flags.writeable = False
+    return _StampPlan(
+        width=branch + 3,
+        has_branch=has_branch,
+        G=_table(g_entries, ground),
+        C=_table(c_entries, ground),
+        B=_table(b_entries, ground),
+    )
+
+
+def _stamp_linear(elements: Sequence[CircuitElement], nodes: _NodeLookup, num_nodes: int):
+    """COO triplets of ``G_lin``, ``C_lin`` and ``B``, and the waveforms of ``B``'s columns.
+
+    All elements are stamped at once from their classes'
+    :class:`~repro.circuit.elements.LinearStamps`, in circuit order and
+    each element's entries in table order; ground and zero-valued entries
+    are dropped.  That is the COO input of stamping one element at a time,
+    so the summed matrices match it bit for bit.  ``B`` has one column per
+    distinct waveform object, in order of its first entry.
+    """
+    m = len(elements)
+    types = list(map(type, elements))
+    #: one instance of every class, classes in order of first appearance
+    instances = dict(zip(types, elements))
+    classes = tuple(instances)
+    for cls in classes:
+        if cls.STAMPS is None:
+            raise TypeError(f"{cls.__name__} declares no linear stamp table (STAMPS)")
+    kind = np.fromiter(map({cls: c for c, cls in enumerate(classes)}.__getitem__, types),
+                       dtype=np.intp, count=m)
+    arities = tuple(len(el.nodes) for el in instances.values())
+    arity = np.array(arities, dtype=np.intp).take(kind)
+    names = list(chain.from_iterable(map(_NODES, elements)))
+    if len(names) != arity.sum():
+        raise TypeError("instances of one element class differ in their number of nodes")
+    plan = _stamp_plan(classes, arities)
+    width = plan.width
+
+    # per element: its node unknowns, branch unknown, position, ground;
+    # node ``j`` of element ``e`` lands at ``e * width + j``
+    terminals = np.full((m, width), -1, dtype=np.intp)
+    first = np.cumsum(arity) - arity
+    terminals.ravel()[np.repeat(np.arange(m) * width - first, arity)
+                      + np.arange(len(names))] = np.fromiter(
+        map(nodes.__getitem__, names), dtype=np.intp, count=len(names))
+    branches = np.flatnonzero(plan.has_branch.take(kind))
+    terminals[branches, width - 3] = num_nodes + np.arange(len(branches))
+    terminals[:, width - 2] = np.arange(m)
+    flat = terminals.ravel()
+    values = np.fromiter(map(_STAMP_VALUE, elements), dtype=float, count=m)
+
+    def stamped(table: _Table):
+        # ``take`` gathers whole table rows far faster than fancy indexing
+        members = np.flatnonzero(table.has_entries.take(kind))
+        own = kind.take(members)
+        base = (members * width)[:, None]
+        rows = flat.take(base + table.rows.take(own, axis=0))
+        cols = flat.take(base + table.cols.take(own, axis=0))
+        vals = np.where(table.scaled.take(own, axis=0), values.take(members)[:, None], 1.0) \
+            * table.signs.take(own, axis=0)
+        keep = (rows >= 0) & (cols >= 0) & (vals != 0.0)
+        return rows[keep], cols[keep], vals[keep]
+
+    b_rows, owners, b_vals = stamped(plan.B)
+    sources = [elements[k].waveform for k in owners.tolist()]
+    columns: Dict[int, int] = {}
+    b_cols = np.array([columns.setdefault(id(w), len(columns)) for w in sources], dtype=np.intp)
+    waveforms = list({id(w): w for w in sources}.values())
+    return stamped(plan.G), stamped(plan.C), (b_rows, b_cols, b_vals), waveforms
+
+
+def _csc(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, shape: Tuple[int, int]):
+    """The CSC matrix of COO triplets, duplicates summed.
+
+    The computation of ``coo_matrix(...).tocsc()`` -- entries bucketed by
+    column in input order, then SciPy's own duplicate summation -- without
+    the per-call validation of the COO container, which dominates the
+    build of a small circuit.
+    """
+    order = np.argsort(cols, kind="stable")
+    indptr = np.zeros(shape[1] + 1, dtype=np.intp)
+    np.cumsum(np.bincount(cols, minlength=shape[1]), out=indptr[1:])
+    matrix = sp.csc_matrix((vals[order], rows[order], indptr), shape=shape)
+    matrix.sum_duplicates()
+    return matrix
 
 
 class _FixedPattern:
@@ -212,9 +362,7 @@ class MNASystem:
 
     def __init__(self, circuit: Circuit):
         self.circuit = circuit
-        self._node_index: Dict[str, int] = {
-            name: i for i, name in enumerate(circuit.node_names)
-        }
+        self._nodes = _NodeLookup(circuit)
         branch_elements = [el for el in circuit.elements if el.needs_branch_current]
         self._branch_elements = branch_elements
         self._branch_index: Dict[int, int] = {
@@ -236,12 +384,7 @@ class MNASystem:
 
     def node_index(self, name: str) -> int:
         """Return the unknown index of node ``name``; -1 for ground."""
-        if Circuit.is_ground(name):
-            return -1
-        try:
-            return self._node_index[name]
-        except KeyError:
-            raise KeyError(f"unknown node {name!r} in circuit {self.circuit.title!r}") from None
+        return self._nodes[name]
 
     def branch_index(self, element: CircuitElement) -> int:
         """Return the branch-current unknown index of ``element``."""
@@ -261,39 +404,13 @@ class MNASystem:
     # -- linear assembly --------------------------------------------------------------
 
     def _assemble_linear(self) -> None:
-        asm = _LinearAssembler(self)
-        for el in self.circuit.elements:
-            el.stamp(asm)
-
+        g, c, b, self._waveforms = _stamp_linear(self.circuit.elements, self._nodes,
+                                                 self.num_nodes)
         n = self.n
-        self.G_lin = sp.coo_matrix(
-            (asm.g_vals, (asm.g_rows, asm.g_cols)), shape=(n, n)
-        ).tocsc()
-        self.C_lin = sp.coo_matrix(
-            (asm.c_vals, (asm.c_rows, asm.c_cols)), shape=(n, n)
-        ).tocsc()
-        self.G_lin.sum_duplicates()
-        self.C_lin.sum_duplicates()
-
-        # Group input registrations into one B column per independent source
-        # (identified by its waveform object).
-        columns: Dict[int, int] = {}
-        self._waveforms: List[Waveform] = []
-        b_rows: List[int] = []
-        b_cols: List[int] = []
-        b_vals: List[float] = []
-        for row, waveform, scale in asm.inputs:
-            key = id(waveform)
-            if key not in columns:
-                columns[key] = len(self._waveforms)
-                self._waveforms.append(waveform)
-            b_rows.append(row)
-            b_cols.append(columns[key])
-            b_vals.append(scale)
+        self.G_lin = _csc(*g, shape=(n, n))
+        self.C_lin = _csc(*c, shape=(n, n))
         self.num_inputs = len(self._waveforms)
-        self.B = sp.coo_matrix(
-            (b_vals, (b_rows, b_cols)), shape=(n, max(self.num_inputs, 1))
-        ).tocsc()
+        self.B = _csc(*b, shape=(n, max(self.num_inputs, 1)))
 
         self._has_nonlinear = bool(self.circuit.devices)
 

@@ -118,7 +118,9 @@ class TransientSimulator:
         the result cached by an earlier :meth:`run_dc` call when one exists.  The DC
         solve's LU counters are merged into every result that starts from
         it, so the Table-I statistics do not depend on whether (or how
-        often) the cache was warmed.
+        often) the cache was warmed.  The DC solve's last ordering seeds
+        the integrator's symbolic cache, so the transient does not order
+        that pattern again.
         """
         result = SimulationResult(
             self.mna, method=self.integrator.name,
@@ -133,6 +135,8 @@ class TransientSimulator:
                 result.stats.failure_reason = "DC operating point did not converge"
                 return result
             x0 = dc.x
+            if dc.ordering is not None:
+                dc.ordering.install(self.integrator.cache.symbolic)
         return self.integrator.run(np.asarray(x0, dtype=float), result)
 
 

@@ -43,6 +43,7 @@ __all__ = [
     "LUStats",
     "SparseLU",
     "RefinedLU",
+    "OrderingSeed",
     "SymbolicCache",
     "SymbolicOrdering",
     "FactorizationBudgetExceeded",
@@ -298,8 +299,38 @@ class SymbolicCache:
     def clear(self) -> None:
         self._orderings.clear()
 
+    def __contains__(self, key: PatternKey) -> bool:
+        return key in self._orderings
+
     def __len__(self) -> int:
         return len(self._orderings)
+
+
+@dataclass(frozen=True)
+class OrderingSeed:
+    """The ordering a factorization chose, detached from the factor.
+
+    The DC solve factorizes without a :class:`SymbolicCache`; it keeps the
+    ordering of its last factorization as a seed, which the transient
+    installs in its own cache.  The transient's first factorization of the
+    same pattern then skips the ordering pass, bit-identically: the
+    ordering depends on the pattern alone, and a symmetric miss would
+    compute it with the very ``splu`` call the DC made.
+
+    ``perm_c`` is a copy -- SuperLU's own array is a view that keeps the
+    whole factor alive -- and only the pattern of ``matrix`` is read.
+    """
+
+    matrix: sp.csc_matrix
+    perm_c: np.ndarray
+    symmetric: bool
+
+    def install(self, symbolic: SymbolicCache) -> None:
+        """Store the ordering in ``symbolic`` unless its pattern is known there."""
+        key = SymbolicCache.pattern_key(self.matrix)
+        if key not in symbolic:
+            symbolic.store(key, SymbolicOrdering.from_permutation(
+                self.matrix, self.perm_c, self.symmetric))
 
 
 class SparseLU:
@@ -313,7 +344,7 @@ class SparseLU:
 
     def __init__(self, lu: spla.SuperLU, stats: Optional[LUStats], label: str = "",
                  ordering: Optional[SymbolicOrdering] = None,
-                 reused_symbolic: bool = False):
+                 reused_symbolic: bool = False, symmetric: bool = False):
         self._lu = lu
         self._stats = stats
         self.label = label
@@ -329,6 +360,8 @@ class SparseLU:
         self.ordering = ordering
         #: True when this factorization skipped the ordering phase
         self.reused_symbolic = reused_symbolic
+        #: True when the pattern was ordered as structurally symmetric
+        self.symmetric = ordering.symmetric if ordering is not None else symmetric
 
     @property
     def nnz_factors(self) -> int:
@@ -358,6 +391,12 @@ class SparseLU:
     @property
     def shape(self) -> tuple:
         return self._lu.shape
+
+    def ordering_seed(self, matrix: sp.csc_matrix) -> OrderingSeed:
+        """The ordering this factorization chose for ``matrix``, as a seed."""
+        if self.ordering is not None:
+            return OrderingSeed(matrix, self.ordering.rank, self.symmetric)
+        return OrderingSeed(matrix, np.array(self._lu.perm_c, dtype=np.intp), self.symmetric)
 
     def rebind_stats(self, stats: Optional[LUStats]) -> None:
         """Attribute future solves to ``stats``.
@@ -574,9 +613,11 @@ def factorize(
     start = time.perf_counter()
     ordering = None
     reused = False
+    symmetric = False
     try:
         if symbolic is None:
-            lu = _splu(matrix, structurally_symmetric(matrix))
+            symmetric = structurally_symmetric(matrix)
+            lu = _splu(matrix, symmetric)
         else:
             pattern = SymbolicCache.pattern_key(matrix)
             ordering = symbolic.lookup(pattern)
@@ -600,7 +641,8 @@ def factorize(
         ) from exc
     elapsed = time.perf_counter() - start
 
-    wrapped = SparseLU(lu, stats, label=label, ordering=ordering, reused_symbolic=reused)
+    wrapped = SparseLU(lu, stats, label=label, ordering=ordering, reused_symbolic=reused,
+                       symmetric=symmetric)
     if stats is not None:
         stats.num_factorizations += 1
         stats.factor_time += elapsed

@@ -1,4 +1,4 @@
-"""Unit tests for linear elements and their MNA stamps (repro.circuit.elements)."""
+"""Unit tests for linear elements and the matrix entries their classes declare."""
 
 import pytest
 
@@ -12,60 +12,37 @@ from repro.circuit.elements import (
     VCVS,
     VoltageSource,
 )
+from repro.circuit.netlist import Circuit
 from repro.circuit.sources import DC, PWL
 
 
-class FakeStamper:
-    """Records stamps against node names so element tests need no MNA system."""
+def assemble(element):
+    """Assemble a one-element circuit; return its MNA system and G/C/B entries."""
+    ckt = Circuit("one")
+    ckt.add(element)
+    mna = ckt.build()
 
-    def __init__(self, branch_index=10):
-        self.node_map = {}
-        self.branch_index = branch_index
-        self.G = {}
-        self.C = {}
-        self.inputs = []
+    def entries(matrix):
+        coo = matrix.tocoo()
+        return {(int(i), int(j)): float(v) for i, j, v in zip(coo.row, coo.col, coo.data)}
 
-    def node(self, name):
-        if name in ("0", "gnd"):
-            return -1
-        return self.node_map.setdefault(name, len(self.node_map))
-
-    def branch(self, element):
-        return self.branch_index
-
-    def add_G(self, i, j, value):
-        # mirror the real assembler: ground rows/cols and exact zeros are dropped
-        if i < 0 or j < 0 or value == 0.0:
-            return
-        self.G[(i, j)] = self.G.get((i, j), 0.0) + value
-
-    def add_C(self, i, j, value):
-        if i < 0 or j < 0 or value == 0.0:
-            return
-        self.C[(i, j)] = self.C.get((i, j), 0.0) + value
-
-    def add_input(self, i, waveform, scale):
-        if i < 0:
-            return
-        self.inputs.append((i, waveform, scale))
+    return mna, entries(mna.G_lin), entries(mna.C_lin), entries(mna.B)
 
 
 class TestResistor:
     def test_stamp_pattern(self):
-        st = FakeStamper()
-        Resistor("R1", "a", "b", 100.0).stamp(st)
-        a, b = st.node("a"), st.node("b")
-        assert st.G[(a, a)] == pytest.approx(0.01)
-        assert st.G[(b, b)] == pytest.approx(0.01)
-        assert st.G[(a, b)] == pytest.approx(-0.01)
-        assert st.G[(b, a)] == pytest.approx(-0.01)
-        assert not st.C
+        mna, G, C, _ = assemble(Resistor("R1", "a", "b", 100.0))
+        a, b = mna.node_index("a"), mna.node_index("b")
+        assert G[(a, a)] == pytest.approx(0.01)
+        assert G[(b, b)] == pytest.approx(0.01)
+        assert G[(a, b)] == pytest.approx(-0.01)
+        assert G[(b, a)] == pytest.approx(-0.01)
+        assert not C
 
     def test_grounded_resistor_stamps_single_entry(self):
-        st = FakeStamper()
-        Resistor("R1", "a", "0", 50.0).stamp(st)
-        a = st.node("a")
-        assert st.G == {(a, a): pytest.approx(0.02)}
+        mna, G, _, _ = assemble(Resistor("R1", "a", "0", 50.0))
+        a = mna.node_index("a")
+        assert G == {(a, a): pytest.approx(0.02)}
 
     def test_rejects_non_positive_resistance(self):
         with pytest.raises(ValueError):
@@ -79,12 +56,11 @@ class TestResistor:
 
 class TestCapacitor:
     def test_stamp_pattern(self):
-        st = FakeStamper()
-        Capacitor("C1", "a", "b", 1e-12).stamp(st)
-        a, b = st.node("a"), st.node("b")
-        assert st.C[(a, a)] == pytest.approx(1e-12)
-        assert st.C[(a, b)] == pytest.approx(-1e-12)
-        assert not st.G
+        mna, G, C, _ = assemble(Capacitor("C1", "a", "b", 1e-12))
+        a, b = mna.node_index("a"), mna.node_index("b")
+        assert C[(a, a)] == pytest.approx(1e-12)
+        assert C[(a, b)] == pytest.approx(-1e-12)
+        assert not G
 
     def test_coupling_capacitor_is_a_capacitor(self):
         cap = CouplingCapacitor("Cc", "x", "y", 2e-15)
@@ -92,21 +68,19 @@ class TestCapacitor:
         assert cap.capacitance == 2e-15
 
     def test_zero_capacitance_allowed(self):
-        st = FakeStamper()
-        Capacitor("C1", "a", "0", 0.0).stamp(st)
-        assert not st.C  # zero entries are dropped
+        _, _, C, _ = assemble(Capacitor("C1", "a", "0", 0.0))
+        assert not C  # zero entries are dropped
 
 
 class TestInductor:
     def test_branch_stamps(self):
-        st = FakeStamper(branch_index=5)
-        Inductor("L1", "a", "b", 1e-9).stamp(st)
-        a, b = st.node("a"), st.node("b")
-        assert st.G[(a, 5)] == 1.0
-        assert st.G[(b, 5)] == -1.0
-        assert st.G[(5, a)] == 1.0
-        assert st.G[(5, b)] == -1.0
-        assert st.C[(5, 5)] == pytest.approx(-1e-9)
+        mna, G, C, _ = assemble(Inductor("L1", "a", "b", 1e-9))
+        a, b, k = mna.node_index("a"), mna.node_index("b"), mna.branch_index_by_name("L1")
+        assert G[(a, k)] == 1.0
+        assert G[(b, k)] == -1.0
+        assert G[(k, a)] == 1.0
+        assert G[(k, b)] == -1.0
+        assert C == {(k, k): pytest.approx(-1e-9)}
 
     def test_needs_branch_current(self):
         assert Inductor("L1", "a", "b", 1e-9).needs_branch_current is True
@@ -118,17 +92,14 @@ class TestInductor:
 
 class TestVoltageSource:
     def test_stamps_and_input(self):
-        st = FakeStamper(branch_index=7)
-        VoltageSource("V1", "p", "n", DC(5.0)).stamp(st)
-        p, n = st.node("p"), st.node("n")
-        assert st.G[(p, 7)] == 1.0
-        assert st.G[(n, 7)] == -1.0
-        assert st.G[(7, p)] == 1.0
-        assert st.G[(7, n)] == -1.0
-        assert len(st.inputs) == 1
-        row, waveform, scale = st.inputs[0]
-        assert row == 7 and scale == 1.0
-        assert waveform.value(0.0) == 5.0
+        mna, G, _, B = assemble(VoltageSource("V1", "p", "n", DC(5.0)))
+        p, n, k = mna.node_index("p"), mna.node_index("n"), mna.branch_index_by_name("V1")
+        assert G[(p, k)] == 1.0
+        assert G[(n, k)] == -1.0
+        assert G[(k, p)] == 1.0
+        assert G[(k, n)] == -1.0
+        assert B == {(k, 0): 1.0}
+        assert mna.waveforms[0].value(0.0) == 5.0
 
     def test_numeric_value_becomes_dc(self):
         src = VoltageSource("V1", "p", "0", 1.8)
@@ -142,38 +113,32 @@ class TestVoltageSource:
 
 class TestCurrentSource:
     def test_stamps_two_rhs_rows(self):
-        st = FakeStamper()
-        CurrentSource("I1", "p", "n", DC(1e-3)).stamp(st)
-        p, n = st.node("p"), st.node("n")
-        rows = {(row, scale) for row, _, scale in st.inputs}
-        assert (p, -1.0) in rows
-        assert (n, 1.0) in rows
-        assert not st.G
+        mna, G, _, B = assemble(CurrentSource("I1", "p", "n", DC(1e-3)))
+        p, n = mna.node_index("p"), mna.node_index("n")
+        assert B == {(p, 0): -1.0, (n, 0): 1.0}
+        assert not G
 
     def test_grounded_side_is_dropped(self):
-        st = FakeStamper()
-        CurrentSource("I1", "p", "0", DC(1e-3)).stamp(st)
-        assert len(st.inputs) == 1
+        _, _, _, B = assemble(CurrentSource("I1", "p", "0", DC(1e-3)))
+        assert len(B) == 1
 
 
 class TestControlledSources:
     def test_vccs_stamp(self):
-        st = FakeStamper()
-        VCCS("G1", "op", "on", "cp", "cn", 1e-3).stamp(st)
-        op, on = st.node("op"), st.node("on")
-        cp, cn = st.node("cp"), st.node("cn")
-        assert st.G[(op, cp)] == pytest.approx(1e-3)
-        assert st.G[(op, cn)] == pytest.approx(-1e-3)
-        assert st.G[(on, cp)] == pytest.approx(-1e-3)
-        assert st.G[(on, cn)] == pytest.approx(1e-3)
+        mna, G, _, _ = assemble(VCCS("G1", "op", "on", "cp", "cn", 1e-3))
+        op, on = mna.node_index("op"), mna.node_index("on")
+        cp, cn = mna.node_index("cp"), mna.node_index("cn")
+        assert G[(op, cp)] == pytest.approx(1e-3)
+        assert G[(op, cn)] == pytest.approx(-1e-3)
+        assert G[(on, cp)] == pytest.approx(-1e-3)
+        assert G[(on, cn)] == pytest.approx(1e-3)
 
     def test_vcvs_stamp(self):
-        st = FakeStamper(branch_index=3)
-        VCVS("E1", "op", "on", "cp", "cn", 10.0).stamp(st)
-        op, on = st.node("op"), st.node("on")
-        cp, cn = st.node("cp"), st.node("cn")
-        assert st.G[(op, 3)] == 1.0
-        assert st.G[(3, op)] == 1.0
-        assert st.G[(3, cp)] == pytest.approx(-10.0)
-        assert st.G[(3, cn)] == pytest.approx(10.0)
+        mna, G, _, _ = assemble(VCVS("E1", "op", "on", "cp", "cn", 10.0))
+        op, cp, cn = mna.node_index("op"), mna.node_index("cp"), mna.node_index("cn")
+        k = mna.branch_index_by_name("E1")
+        assert G[(op, k)] == 1.0
+        assert G[(k, op)] == 1.0
+        assert G[(k, cp)] == pytest.approx(-10.0)
+        assert G[(k, cn)] == pytest.approx(10.0)
         assert VCVS("E2", "a", "b", "c", "d", 1.0).needs_branch_current

@@ -1,8 +1,20 @@
-"""Regression tests: ``run()`` must reuse the DC result cached by ``run_dc()``."""
+"""Regression tests: ``run()`` must reuse the DC result cached by ``run_dc()``.
+
+The DC result also carries the ordering of its last factorization, which
+the transient installs in its symbolic cache.
+"""
+
+import dataclasses
+import gc
+import weakref
 
 import numpy as np
+import pytest
 
+import repro.analysis.dc as dc_module
 import repro.core.simulator as simulator_module
+from repro.benchcircuits.inverter_chain import inverter_chain
+from repro.benchcircuits.power_grid import power_grid
 from repro.circuit.netlist import Circuit
 from repro.circuit.sources import PWL
 from repro.core.options import SimOptions
@@ -86,3 +98,63 @@ def test_cached_and_uncached_runs_agree(monkeypatch):
 
     assert cached.stats.num_steps == plain.stats.num_steps
     np.testing.assert_allclose(cached.voltage("out"), plain.voltage("out"))
+
+
+# -- the DC ordering handed to the transient -----------------------------------------
+
+
+def _runs_with_and_without_seed(circuit, method, options):
+    """A run seeded with the DC ordering and one whose DC result carries none."""
+    seeded = TransientSimulator(circuit, method=method, options=options)
+    dc = seeded.run_dc()
+    plain = TransientSimulator(circuit, method=method, options=options)
+    plain.seed_dc(dataclasses.replace(dc, ordering=None), seeded.dc_lu_stats)
+    return seeded.run(), plain.run()
+
+
+@pytest.mark.parametrize("method, build", [
+    ("er", lambda: power_grid(5, 5, num_loads=3)),
+    ("er-c", lambda: inverter_chain(3)),
+])
+def test_dc_ordering_spares_one_ordering_bit_identically(method, build):
+    options = SimOptions(t_stop=0.2e-9)
+    seeded, plain = _runs_with_and_without_seed(build(), method, options)
+    assert seeded.stats.completed and plain.stats.completed
+    np.testing.assert_array_equal(seeded.state_array, plain.state_array)
+    lu, lu_plain = seeded.stats.lu, plain.stats.lu
+    assert lu.num_orderings == lu_plain.num_orderings - 1
+    assert lu.num_symbolic_reuses == lu_plain.num_symbolic_reuses + 1
+    assert lu.num_factorizations == lu_plain.num_factorizations
+    assert lu.num_solves == lu_plain.num_solves
+
+
+def test_dc_ordering_travels_with_a_seeded_dc_result():
+    """The campaign DC cache hands the result, ordering included, to a new simulator."""
+    circuit = rc_circuit()
+    circuit.add_isource("Ibias", "out", "0", 1e-4)  # a DC solve that factorizes
+    first = TransientSimulator(circuit, method="er", options=SimOptions(t_stop=1e-9))
+    first.run()
+    second = TransientSimulator(circuit, method="er", options=SimOptions(t_stop=1e-9))
+    second.seed_dc(first.dc_result, first.dc_lu_stats)
+    result = second.run()
+    assert result.stats.lu.num_orderings == 1  # the DC's own; the transient reuses it
+    assert result.stats.lu.num_symbolic_reuses == 1
+
+
+def test_dc_factor_is_freed_after_run_dc(monkeypatch):
+    factors = []
+    original = dc_module.factorize
+
+    def recorded(*args, **kwargs):
+        lu = original(*args, **kwargs)
+        factors.append(weakref.ref(lu))
+        return lu
+
+    monkeypatch.setattr(dc_module, "factorize", recorded)
+    sim = TransientSimulator(inverter_chain(2), method="er", options=SimOptions(t_stop=1e-10))
+    dc = sim.run_dc()
+    gc.collect()
+    assert factors and all(ref() is None for ref in factors)
+    # the kept ordering owns its memory: a view of SuperLU's perm_c would
+    # keep the whole factor alive
+    assert dc.ordering.perm_c.base is None

@@ -63,9 +63,7 @@ from repro.campaign import (
     CircuitSpec,
     Scenario,
     ScenarioOutcome,
-    corner_sweep,
     grid_sweep,
-    monte_carlo_sweep,
     run_campaign,
 )
 
@@ -105,8 +103,6 @@ __all__ = [
     "Scenario",
     "ScenarioOutcome",
     "grid_sweep",
-    "corner_sweep",
-    "monte_carlo_sweep",
     "run_campaign",
     "__version__",
 ]

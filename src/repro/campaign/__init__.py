@@ -7,8 +7,8 @@ embarrassingly parallel sweep.  This subpackage turns the one-shot
 
 * :mod:`repro.campaign.scenario` -- declarative, picklable scenario
   descriptions (circuit factory + method + option overrides);
-* :mod:`repro.campaign.sweep` -- grid / corner / Monte-Carlo planners with
-  deterministic per-variant seeds;
+* :mod:`repro.campaign.sweep` -- the grid planner (circuits x parameters
+  x options x methods) with deterministic per-variant seeds;
 * :mod:`repro.campaign.backends` -- pluggable execution backends behind
   one ABC: in-process serial, process pool, and a durable job queue
   drained by ``python -m repro.service worker`` processes (lease expiry
@@ -48,12 +48,7 @@ from repro.campaign.scenario import (
     canonical_scenario_json,
     scenario_hash,
 )
-from repro.campaign.sweep import (
-    corner_sweep,
-    grid_sweep,
-    monte_carlo_sweep,
-    sample_distribution,
-)
+from repro.campaign.sweep import grid_sweep
 from repro.campaign.backends import (
     BACKEND_NAMES,
     ExecutionBackend,
@@ -85,9 +80,6 @@ __all__ = [
     "canonical_scenario_json",
     "scenario_hash",
     "grid_sweep",
-    "corner_sweep",
-    "monte_carlo_sweep",
-    "sample_distribution",
     "run_campaign",
     "execute_scenario",
     "default_workers",

@@ -162,7 +162,7 @@ class Scenario:
         Node names whose waveforms are sampled into the outcome summary
         (used for the error-vs-reference columns of the campaign table).
     tags:
-        Free-form metadata (sweep coordinates, corner names...) carried
+        Free-form metadata (sweep coordinates, for instance) carried
         into the aggregate tables untouched.
     """
 

@@ -461,12 +461,6 @@ class MNASystem:
             return np.zeros(1)
         return np.array([w.value(t) for w in self._waveforms])
 
-    def input_slope(self, t: float) -> np.ndarray:
-        """Return ``du/dt`` at time ``t``."""
-        if self.num_inputs == 0:
-            return np.zeros(1)
-        return np.array([w.slope(t) for w in self._waveforms])
-
     def source_vector(self, t: float) -> np.ndarray:
         """Return the dense RHS excitation ``B u(t)``."""
         return np.asarray(self.B @ self.input_vector(t)).ravel()

@@ -2,7 +2,7 @@
 
 from repro.core.options import SimOptions
 from repro.core.results import SimulationResult, StepRecord, RunStatistics
-from repro.core.rng import as_generator, derive_seed, spawn_seeds
+from repro.core.rng import as_generator, derive_seed
 from repro.core.simulator import TransientSimulator, simulate
 from repro.core.workspace import LinearizationCache
 
@@ -10,7 +10,6 @@ __all__ = [
     "LinearizationCache",
     "as_generator",
     "derive_seed",
-    "spawn_seeds",
     "SimOptions",
     "SimulationResult",
     "StepRecord",

@@ -1,7 +1,7 @@
 """Deterministic random-number plumbing.
 
 Every stochastic generator in the framework (the random coupling
-capacitors of the benchmark circuits, Monte-Carlo parameter draws of the
+capacitors of the benchmark circuits, the per-variant circuit seeds of the
 campaign planner) routes its randomness through these helpers instead of
 the global NumPy state, so any scenario can be reconstructed bit-exactly
 in a different process -- the property the parallel campaign runner relies
@@ -14,7 +14,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-__all__ = ["SeedLike", "as_generator", "derive_seed", "spawn_seeds"]
+__all__ = ["SeedLike", "as_generator", "derive_seed"]
 
 #: anything the generators accept as a seed
 SeedLike = Union[int, np.random.Generator, np.random.SeedSequence, None]
@@ -45,9 +45,3 @@ def derive_seed(base_seed: int, *keys: int) -> int:
     entropy = [int(base_seed)] + [int(k) for k in keys]
     return int(np.random.SeedSequence(entropy).generate_state(1, dtype=np.uint64)[0])
 
-
-def spawn_seeds(base_seed: int, count: int) -> list:
-    """Return ``count`` independent child seeds of ``base_seed``."""
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    return [derive_seed(base_seed, i) for i in range(count)]

@@ -45,34 +45,8 @@ from repro.campaign.backends._spawn import (
 from repro.fleet.policy import Decision, FleetObservation, FleetPolicy
 from repro.service import layout
 from repro.service.broker import JobBroker
-from repro.telemetry import metrics as telemetry
 
 __all__ = ["FleetSupervisor", "ManagedWorker"]
-
-_TM_TICKS = telemetry.counter(
-    "repro_fleet_supervisor_ticks_total",
-    "Control-loop iterations this supervisor has run.")
-_TM_SPAWNS = telemetry.counter(
-    "repro_fleet_supervisor_spawns_total",
-    "Worker processes launched, by trigger.", ("reason",))
-_TM_RETIRES = telemetry.counter(
-    "repro_fleet_supervisor_retirements_total",
-    "Surge workers that drained the queue and exited cleanly.")
-_TM_CRASHES = telemetry.counter(
-    "repro_fleet_supervisor_crashes_total",
-    "Supervised workers that exited uncleanly.")
-_TM_ZOMBIES = telemetry.counter(
-    "repro_fleet_supervisor_zombies_reaped_total",
-    "Live processes killed for a stale broker heartbeat.")
-_TM_BREAKER_TRIPS = telemetry.counter(
-    "repro_fleet_supervisor_breaker_trips_total",
-    "Times the crash-loop circuit breaker opened.")
-_TM_LIVE = telemetry.gauge(
-    "repro_fleet_supervisor_live_workers",
-    "Workers currently counted as live by the supervisor.")
-_TM_BREAKER_OPEN = telemetry.gauge(
-    "repro_fleet_supervisor_breaker_open",
-    "1 while the crash-loop circuit breaker is open.")
 
 
 class ManagedWorker:
@@ -153,14 +127,13 @@ class FleetSupervisor:
             args.append("--exit-when-idle")
         return spawn_module_worker("repro.service.worker", args)
 
-    def _spawn(self, kind: str, reason: str) -> ManagedWorker:
+    def _spawn(self, kind: str) -> ManagedWorker:
         worker_id = (f"fleet-{self.supervisor_id}-"
                      f"{uuid.uuid4().hex[:6]}")
         spawn = self._spawn_fn or self._default_spawn
         worker = ManagedWorker(spawn(worker_id, kind), worker_id, kind)
         self.workers.append(worker)
         self.spawns += 1
-        _TM_SPAWNS.labels(reason).inc()
         return worker
 
     # -- crash accounting --------------------------------------------------------------
@@ -168,7 +141,6 @@ class FleetSupervisor:
     def _record_crash(self, now_mono: float, uptime: float,
                       detail: str) -> None:
         self.crashes += 1
-        _TM_CRASHES.inc()
         self.last_crash_detail = detail
         if uptime < self.MIN_UPTIME:
             self.consecutive_crashes += 1
@@ -182,7 +154,6 @@ class FleetSupervisor:
                 and self._breaker_opened_at is None:
             self._breaker_opened_at = now_mono
             self.breaker_trips += 1
-            _TM_BREAKER_TRIPS.inc()
 
     def _breaker_open(self, now_mono: float) -> bool:
         if self._breaker_opened_at is None:
@@ -207,7 +178,6 @@ class FleetSupervisor:
             uptime = now_mono - worker.spawned_mono
             if worker.kind == "surge" and code == 0:
                 self.retires += 1
-                _TM_RETIRES.inc()
                 if uptime >= self.MIN_UPTIME:
                     self.consecutive_crashes = 0
                 close_worker_logs([worker.process])
@@ -242,7 +212,6 @@ class FleetSupervisor:
             self.workers.remove(worker)
             self._former_ids.add(worker.worker_id)
             self.zombies_reaped += 1
-            _TM_ZOMBIES.inc()
             self._record_crash(
                 now_mono, now_mono - worker.spawned_mono,
                 f"{worker.worker_id} reaped: heartbeat stale for "
@@ -272,7 +241,6 @@ class FleetSupervisor:
         now_mono = time.monotonic()
         now_wall = time.time()
         self.ticks += 1
-        _TM_TICKS.inc()
         self._reap_exits(now_mono)
         self._reap_zombies(now_mono, now_wall)
         obs = self.observe(now_mono)
@@ -281,13 +249,11 @@ class FleetSupervisor:
             for _ in range(decision.count):
                 kind = "floor" if len(self.workers) < self.policy.min_workers \
                     else "surge"
-                self._spawn(kind, reason="scale_up")
+                self._spawn(kind)
         # "retire" needs no action: surge workers carry --exit-when-idle
         # and leave on their own once nothing is queued or leased
         self.last_decision = decision
         live = self.observe(now_mono).live_workers
-        _TM_LIVE.set(live)
-        _TM_BREAKER_OPEN.set(1 if self._breaker_open(now_mono) else 0)
         self.publish(now_mono, now_wall, live)
         return decision
 

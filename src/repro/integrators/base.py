@@ -37,45 +37,47 @@ _TM_RUNS = telemetry.counter(
     "repro_integrator_runs_total",
     "Transient runs finished, by method and completion.",
     ("method", "completed"))
-_TM_STEPS = telemetry.counter(
-    "repro_integrator_steps_total",
-    "Accepted time steps, by method.", ("method",))
-_TM_REJECTIONS = telemetry.counter(
-    "repro_integrator_rejections_total",
-    "Rejected step attempts, by method.", ("method",))
-_TM_NEWTON = telemetry.counter(
-    "repro_integrator_newton_iterations_total",
-    "Newton iterations across all steps, by method.", ("method",))
-_TM_LU = telemetry.counter(
-    "repro_integrator_lu_factorizations_total",
-    "Real LU factorizations performed (the Table-I #LU work).", ("method",))
-_TM_LU_REUSED = telemetry.counter(
-    "repro_integrator_lu_reused_total",
-    "Exact cross-step LU reuses served by the linearization cache.",
-    ("method",))
-_TM_LU_ORDERINGS = telemetry.counter(
-    "repro_integrator_lu_orderings_total",
-    "Factorizations that computed a fresh fill-reducing ordering.",
-    ("method",))
-_TM_LU_SYMBOLIC = telemetry.counter(
-    "repro_integrator_lu_symbolic_reuses_total",
-    "Numeric refactorizations that reused a pattern-matched ordering.",
-    ("method",))
-_TM_LU_STALE = telemetry.counter(
-    "repro_integrator_lu_stale_reuses_total",
-    "Jacobian requests served by a stale cross-h factorization plus "
-    "iterative refinement.", ("method",))
-_TM_LU_FALLBACKS = telemetry.counter(
-    "repro_integrator_lu_refinement_fallbacks_total",
-    "Stale cross-h solves whose refinement stalled, forcing a fresh "
-    "factorization.", ("method",))
-_TM_LADDER_STEPS = telemetry.counter(
-    "repro_integrator_ladder_steps_total",
-    "Accepted steps taken exactly on a step-ladder rung.", ("method",))
-_TM_LADDER_HOLDS = telemetry.counter(
-    "repro_integrator_ladder_holds_total",
-    "Accepted on-rung steps that repeated the previous step's rung.",
-    ("method",))
+#: per-method counters, one ``(family, getter)`` per RunStatistics tally;
+#: each run adds the tally's growth over the run
+_TM_TALLIES = tuple(
+    (telemetry.counter(name, text, ("method",)), getter)
+    for name, text, getter in (
+        ("repro_integrator_steps_total",
+         "Accepted time steps, by method.",
+         lambda s: s.num_steps),
+        ("repro_integrator_rejections_total",
+         "Rejected step attempts, by method.",
+         lambda s: s.num_rejections),
+        ("repro_integrator_newton_iterations_total",
+         "Newton iterations across all steps, by method.",
+         lambda s: s.total_newton_iterations),
+        ("repro_integrator_lu_factorizations_total",
+         "Real LU factorizations performed (the Table-I #LU work).",
+         lambda s: s.lu.num_factorizations),
+        ("repro_integrator_lu_reused_total",
+         "Exact cross-step LU reuses served by the linearization cache.",
+         lambda s: s.lu.num_reused),
+        ("repro_integrator_lu_orderings_total",
+         "Factorizations that computed a fresh fill-reducing ordering.",
+         lambda s: s.lu.num_orderings),
+        ("repro_integrator_lu_symbolic_reuses_total",
+         "Numeric refactorizations that reused a pattern-matched ordering.",
+         lambda s: s.lu.num_symbolic_reuses),
+        ("repro_integrator_lu_stale_reuses_total",
+         "Jacobian requests served by a stale cross-h factorization plus "
+         "iterative refinement.",
+         lambda s: s.lu.num_stale_reuses),
+        ("repro_integrator_lu_refinement_fallbacks_total",
+         "Stale cross-h solves whose refinement stalled, forcing a fresh "
+         "factorization.",
+         lambda s: s.lu.num_refinement_fallbacks),
+        ("repro_integrator_ladder_steps_total",
+         "Accepted steps taken exactly on a step-ladder rung.",
+         lambda s: s.num_ladder_steps),
+        ("repro_integrator_ladder_holds_total",
+         "Accepted on-rung steps that repeated the previous step's rung.",
+         lambda s: s.num_ladder_holds),
+    ))
 _TM_RUN_SECONDS = telemetry.histogram(
     "repro_integrator_run_seconds",
     "Wall-clock seconds per transient run.", ("method",))
@@ -293,42 +295,13 @@ class Integrator(ABC):
 
     def _stats_snapshot(self):
         stats = self.stats
-        return (stats.num_steps, stats.num_rejections,
-                stats.total_newton_iterations, stats.lu.num_factorizations,
-                stats.lu.num_reused,
-                stats.lu.num_orderings, stats.lu.num_symbolic_reuses,
-                stats.lu.num_stale_reuses, stats.lu.num_refinement_fallbacks,
-                stats.num_ladder_steps, stats.num_ladder_holds,
-                stats.runtime_seconds)
+        return [getter(stats) for _, getter in _TM_TALLIES] + [stats.runtime_seconds]
 
     def _publish_telemetry(self, before) -> None:
         after = self._stats_snapshot()
-        deltas = [max(0, b - a) for a, b in zip(before, after)]
-        (steps, rejections, newton, lu, reused,
-         orderings, symbolic, stale, fallbacks, ladder_steps, ladder_holds,
-         seconds) = deltas
         method = self.name
         _TM_RUNS.labels(method, "yes" if self.stats.completed else "no").inc()
-        if steps:
-            _TM_STEPS.labels(method).inc(steps)
-        if rejections:
-            _TM_REJECTIONS.labels(method).inc(rejections)
-        if newton:
-            _TM_NEWTON.labels(method).inc(newton)
-        if lu:
-            _TM_LU.labels(method).inc(lu)
-        if reused:
-            _TM_LU_REUSED.labels(method).inc(reused)
-        if orderings:
-            _TM_LU_ORDERINGS.labels(method).inc(orderings)
-        if symbolic:
-            _TM_LU_SYMBOLIC.labels(method).inc(symbolic)
-        if stale:
-            _TM_LU_STALE.labels(method).inc(stale)
-        if fallbacks:
-            _TM_LU_FALLBACKS.labels(method).inc(fallbacks)
-        if ladder_steps:
-            _TM_LADDER_STEPS.labels(method).inc(ladder_steps)
-        if ladder_holds:
-            _TM_LADDER_HOLDS.labels(method).inc(ladder_holds)
-        _TM_RUN_SECONDS.labels(method).observe(seconds)
+        for (family, _), start, end in zip(_TM_TALLIES, before, after):
+            if end > start:
+                family.labels(method).inc(end - start)
+        _TM_RUN_SECONDS.labels(method).observe(max(0, after[-1] - before[-1]))

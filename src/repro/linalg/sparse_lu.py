@@ -270,8 +270,7 @@ class SymbolicCache:
     #: distinct sparsity patterns remembered (one per matrix family is typical)
     MAX_ENTRIES = 8
 
-    def __init__(self, max_entries: int = MAX_ENTRIES):
-        self.max_entries = int(max_entries)
+    def __init__(self):
         self._orderings: "OrderedDict[PatternKey, SymbolicOrdering]" = OrderedDict()
 
     @staticmethod
@@ -293,7 +292,7 @@ class SymbolicCache:
         """Remember the ordering a fresh analysis just computed."""
         self._orderings[key] = ordering
         self._orderings.move_to_end(key)
-        while len(self._orderings) > self.max_entries:
+        while len(self._orderings) > self.MAX_ENTRIES:
             self._orderings.popitem(last=False)
 
     def clear(self) -> None:

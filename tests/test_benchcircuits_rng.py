@@ -11,7 +11,7 @@ from repro.benchcircuits import (
     power_grid,
     rc_mesh,
 )
-from repro.core.rng import as_generator, derive_seed, spawn_seeds
+from repro.core.rng import as_generator, derive_seed
 
 
 def circuit_fingerprint(ckt):
@@ -77,11 +77,3 @@ class TestRngHelpers:
         assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
         assert derive_seed(1, 2) != derive_seed(1, 3)
         assert derive_seed(1, 2) != derive_seed(2, 2)
-
-    def test_spawn_seeds(self):
-        seeds = spawn_seeds(99, 5)
-        assert len(seeds) == 5
-        assert len(set(seeds)) == 5
-        assert seeds == spawn_seeds(99, 5)
-        with pytest.raises(ValueError):
-            spawn_seeds(0, -1)

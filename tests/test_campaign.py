@@ -15,16 +15,12 @@ from repro.campaign import (
     Scenario,
     ScenarioOutcome,
     apply_option_overrides,
-    corner_sweep,
     default_workers,
     execute_scenario,
     grid_sweep,
-    monte_carlo_sweep,
     run_campaign,
 )
-from repro.campaign.sweep import sample_distribution
 from repro.core.options import RETIRED_SIM_FIELDS, SimOptions
-from repro.core.rng import as_generator
 from repro.reporting import render_campaign_table, render_method_matrix
 from repro.wire import JobContext
 
@@ -160,79 +156,70 @@ class TestSweepPlanners:
         )
         assert scenarios[0].circuit.params["seed"] == 77
 
-    def test_corner_sweep(self):
-        scenarios = corner_sweep(
-            ["rc_ladder"], ["er", "trap"],
-            corners={
-                "slow": {"params": {"r_per_segment": 200.0}},
-                "fast": {"params": {"r_per_segment": 50.0}, "options": {"err_budget": 1e-5}},
-            },
+    def test_grid_sweep_is_reproducible(self):
+        kwargs = dict(
+            circuits=[("rc_mesh", {"rows": 4, "cols": 4})],
+            methods=["er", "benr"],
+            param_grid={"coupling_fraction": [0.2, 0.8]},
+            option_grid={"err_budget": [1e-3, 1e-4]},
+            base_seed=5,
         )
-        assert len(scenarios) == 4
-        fast_er = next(s for s in scenarios if s.tags.get("corner") == "fast" and s.method == "er")
-        assert fast_er.circuit.params["r_per_segment"] == 50.0
-        assert fast_er.options == {"err_budget": 1e-5}
+        first = grid_sweep(**kwargs)
+        second = grid_sweep(**kwargs)
+        assert [s.to_dict() for s in first] == [s.to_dict() for s in second]
+        reseeded = grid_sweep(**{**kwargs, "base_seed": 6})
+        assert [s.name for s in reseeded] == [s.name for s in first]
+        assert ({s.circuit.params["seed"] for s in reseeded}
+                .isdisjoint(s.circuit.params["seed"] for s in first))
 
-    def test_corner_sweep_option_only_corners_share_netlist_seed(self):
-        scenarios = corner_sweep(
-            [("rc_mesh", {"rows": 4, "cols": 4, "coupling_fraction": 0.5})], ["er"],
-            corners={
-                "tight": {"options": {"err_budget": 1e-5}},
-                "loose": {"options": {"err_budget": 1e-3}},
-                "dense": {"params": {"coupling_fraction": 0.9}},
-            },
+    def test_grid_sweep_option_variants_share_their_param_point_seed(self):
+        scenarios = grid_sweep(
+            circuits=[("rc_mesh", {"rows": 4, "cols": 4})],
+            methods=["er"],
+            param_grid={"coupling_fraction": [0.5, 0.9]},
+            option_grid={"err_budget": [1e-3, 1e-5]},
         )
-        by_corner = {s.tags["corner"]: s for s in scenarios}
-        assert (by_corner["tight"].circuit.params["seed"]
-                == by_corner["loose"].circuit.params["seed"]), \
-            "option-only corners must compare on the identical netlist"
-        assert (by_corner["dense"].circuit.params["seed"]
-                != by_corner["tight"].circuit.params["seed"])
+        seeds = {}
+        for s in scenarios:
+            seeds.setdefault(s.tags["coupling_fraction"], set()).add(
+                s.circuit.params["seed"])
+            assert s.seed == s.circuit.params["seed"]
+        assert all(len(group) == 1 for group in seeds.values()), \
+            "option-only variants must compare on the identical netlist"
+        assert seeds[0.5] != seeds[0.9]
+
+    def test_grid_sweep_names_and_tags_carry_coordinates(self):
+        scenarios = grid_sweep(
+            circuits=[("rc_mesh", {"rows": 4, "cols": 4})],
+            methods=["er"],
+            param_grid={"coupling_fraction": [0.25]},
+            option_grid={"err_budget": [1e-4]},
+            observe=["n0"],
+        )
+        (scenario,) = scenarios
+        assert scenario.name == "rc_mesh[coupling_fraction=0.25](err_budget=0.0001)/er"
+        assert scenario.tags == {"coupling_fraction": 0.25, "err_budget": 1e-4}
+        assert scenario.options == {"err_budget": 1e-4}
+        assert scenario.observe == ["n0"]
+
+    def test_grid_sweep_rejects_duplicate_scenario_names(self):
+        with pytest.raises(ValueError, match="duplicate scenario name"):
+            grid_sweep(["rc_ladder", "rc_ladder"], ["er"])
+
+    def test_grid_sweep_rejects_unknown_circuit_designator(self):
+        with pytest.raises(TypeError, match="circuits must be"):
+            grid_sweep([("rc_ladder", {}, "extra")], ["er"])
 
     def test_module_referenced_factory_gets_seed_injection(self):
         """A user factory referenced via CircuitSpec(module=...) must be
-        importable by the planner so Monte-Carlo draws receive their seeds."""
-        scenarios = monte_carlo_sweep(
+        importable by the planner so its variants receive their seeds."""
+        scenarios = grid_sweep(
             [CircuitSpec("user_random_mesh", module="_campaign_user_factory")],
-            ["er"], draws=3,
+            ["er"], param_grid={"rows": [3, 4, 5]},
         )
         seeds = [s.circuit.params.get("seed") for s in scenarios]
         assert all(seed is not None for seed in seeds)
-        assert len(set(seeds)) == 3, "each draw must build a distinct netlist"
-
-    def test_corner_sweep_rejects_unknown_corner_keys(self):
-        with pytest.raises(ValueError, match="unknown key"):
-            corner_sweep(["rc_ladder"], ["er"], corners={"bad": {"parms": {}}})
-
-    def test_monte_carlo_sweep_is_reproducible(self):
-        kwargs = dict(
-            circuits=[("rc_mesh", {"rows": 4, "cols": 4})],
-            methods=["er"],
-            draws=4,
-            param_distributions={"coupling_fraction": ("uniform", 0.0, 1.0)},
-            base_seed=5,
-        )
-        first = monte_carlo_sweep(**kwargs)
-        second = monte_carlo_sweep(**kwargs)
-        assert [s.to_dict() for s in first] == [s.to_dict() for s in second]
-        draws = [s.circuit.params["coupling_fraction"] for s in first]
-        assert len(set(draws)) == len(draws)
-
-    def test_monte_carlo_needs_draws(self):
-        with pytest.raises(ValueError):
-            monte_carlo_sweep(["rc_ladder"], ["er"], draws=0)
-
-    def test_sample_distribution_kinds(self):
-        rng = as_generator(0)
-        assert 0.0 <= sample_distribution(("uniform", 0.0, 1.0), rng) <= 1.0
-        lo, hi = 1e-6, 1e-3
-        assert lo <= sample_distribution(("loguniform", lo, hi), rng) <= hi
-        assert sample_distribution(("choice", ["a", "b"]), rng) in ("a", "b")
-        assert 2 <= sample_distribution(("randint", 2, 5), rng) < 5
-        assert isinstance(sample_distribution(("normal", 0.0, 1.0), rng), float)
-        assert sample_distribution(lambda r: 42, rng) == 42
-        with pytest.raises(ValueError):
-            sample_distribution(("bogus", 1), rng)
+        assert len(set(seeds)) == 3, "each variant must build a distinct netlist"
 
 
 class TestSerialExecution:

@@ -264,6 +264,34 @@ class TestPublication:
         assert broker.supervisor_state(max_age=60.0) is not None
         assert broker.supervisor_state(max_age=-1.0) is None
 
+    def test_metrics_carry_each_supervisor_series_once(self, tmp_path):
+        """The front end derives the supervisor families from the published
+        state; a supervisor sharing its process adds no second copy."""
+        import urllib.request
+
+        from repro.service.server import ServiceServer
+
+        server = ServiceServer(data_dir=tmp_path / "svc")
+        server.start()
+        try:
+            supervisor = FleetSupervisor(data_dir=tmp_path / "svc",
+                                         spawn_fn=lambda *_: FakeProcess())
+            supervisor.tick()
+            with urllib.request.urlopen(f"{server.url}/metrics",
+                                        timeout=10) as resp:
+                text = resp.read().decode()
+        finally:
+            server.shutdown()
+        series = [line.split(" ")[0] for line in text.splitlines()
+                  if line.startswith("repro_fleet_supervisor_")
+                  and "{" not in line.split(" ")[0]]
+        assert sorted(series) == [
+            "repro_fleet_supervisor_breaker_open",
+            "repro_fleet_supervisor_breaker_trips_total",
+            "repro_fleet_supervisor_live_workers",
+            "repro_fleet_supervisor_up",
+        ]
+
     def test_shutdown_terminates_the_fleet(self, broker):
         fill_queue(broker, 4)
         processes = []

@@ -122,7 +122,7 @@ class TestSources:
         ckt.add_resistor("R1", "a", "0", 1.0)
         mna = ckt.build()
         assert mna.input_vector(0.5e-9) == pytest.approx([1.0])
-        assert mna.input_slope(0.5e-9) == pytest.approx([2e9])
+        assert mna.input_slopes(0.25e-9, 0.75e-9) == pytest.approx([2e9])
 
 
 class TestEvaluate:

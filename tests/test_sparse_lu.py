@@ -148,8 +148,9 @@ class TestSymbolicCache:
         assert stats.num_symbolic_reuses == 0
         assert len(cache) == 2
 
-    def test_lru_eviction_bounds_the_cache(self):
-        cache = SymbolicCache(max_entries=2)
+    def test_lru_eviction_bounds_the_cache(self, monkeypatch):
+        monkeypatch.setattr(SymbolicCache, "MAX_ENTRIES", 2)
+        cache = SymbolicCache()
         stats = LUStats()
         matrices = [spd_matrix(20, seed=s) for s in range(3)]
         for A in matrices:

@@ -12,7 +12,9 @@ The ladder's contract:
   truncated size;
 * **run-level savings** -- with the ladder on, a breakpoint-dense PWL
   run visits only a handful of distinct step sizes, so the LU count
-  collapses while trajectories stay inside the verification band.
+  collapses while trajectories stay inside the verification band;
+* **telemetry** -- a run with the ladder and the stale bypass on moves
+  each per-method integrator counter by its ``RunStatistics`` tally.
 """
 
 import numpy as np
@@ -22,7 +24,9 @@ from repro.benchcircuits.rc_networks import rc_mesh
 from repro.circuit.sources import PWL
 from repro.core.options import SimOptions
 from repro.core.simulator import TransientSimulator
+from repro.integrators import INTEGRATOR_REGISTRY
 from repro.integrators.ladder import GeometricLadder
+from repro.telemetry.metrics import REGISTRY
 from repro.verify.oracles import DEFAULT_METHOD_BANDS
 
 
@@ -176,3 +180,52 @@ class TestLadderRuns:
         (it only quantizes the step sequence)."""
         result = run_mesh("er", step_ladder="geometric")
         assert result.stats.lu.num_factorizations <= 2
+
+
+class TestIntegratorRunTelemetry:
+    #: every per-method integrator counter and the RunStatistics tally it sums
+    TALLIES = {
+        "repro_integrator_steps_total": lambda s: s.num_steps,
+        "repro_integrator_rejections_total": lambda s: s.num_rejections,
+        "repro_integrator_newton_iterations_total":
+            lambda s: s.total_newton_iterations,
+        "repro_integrator_lu_factorizations_total":
+            lambda s: s.lu.num_factorizations,
+        "repro_integrator_lu_reused_total": lambda s: s.lu.num_reused,
+        "repro_integrator_lu_orderings_total": lambda s: s.lu.num_orderings,
+        "repro_integrator_lu_symbolic_reuses_total":
+            lambda s: s.lu.num_symbolic_reuses,
+        "repro_integrator_lu_stale_reuses_total":
+            lambda s: s.lu.num_stale_reuses,
+        "repro_integrator_lu_refinement_fallbacks_total":
+            lambda s: s.lu.num_refinement_fallbacks,
+        "repro_integrator_ladder_steps_total": lambda s: s.num_ladder_steps,
+        "repro_integrator_ladder_holds_total": lambda s: s.num_ladder_holds,
+    }
+
+    def test_benr_run_moves_each_family_by_its_statistic(self):
+        """Both reuse knobs on: the run takes ladder steps and holds, and
+        breakpoint landings take off-rung steps served stale."""
+        method = INTEGRATOR_REGISTRY["benr"].name
+
+        def value(name, *labels):
+            return REGISTRY.get(name).labels(method, *labels).value
+
+        seconds = REGISTRY.get("repro_integrator_run_seconds").labels(method)
+        before = {name: value(name) for name in self.TALLIES}
+        runs_before = value("repro_integrator_runs_total", "yes")
+        count_before, sum_before = seconds.count, seconds.sum
+
+        stats = run_mesh("benr", step_ladder="geometric",
+                         h_bypass_tol=0.05).stats
+        for name, tally in self.TALLIES.items():
+            assert value(name) - before[name] == tally(stats), name
+        # the run exercises the families no other test reads
+        assert stats.lu.num_orderings > 0
+        assert stats.lu.num_symbolic_reuses > 0
+        assert stats.lu.num_stale_reuses > 0
+        assert stats.num_ladder_steps > 0
+        assert stats.num_ladder_holds > 0
+        assert value("repro_integrator_runs_total", "yes") - runs_before == 1
+        assert seconds.count - count_before == 1
+        assert seconds.sum - sum_before == pytest.approx(stats.runtime_seconds)

@@ -19,22 +19,37 @@ checked on the outcomes: any failure other than BENR's budget failure on
 ckt6-ckt8 fails its case.
 
 The rendered table is written to ``benchmarks/output/table1.txt`` and the
-campaign itself to ``benchmarks/output/table1.json``.
+campaign itself to ``benchmarks/output/table1.json``.  At the default
+scale and horizon the counts of every case and method -- ``#step``,
+``#LU``, ``#NRa``, ``#ma``, peak factor nnz, completion and the fill-in
+budget, no timings -- also go to the committed
+``benchmarks/records/table1-smoke.json``, so a change that moves a Table-I
+count shows up in ``git diff -- benchmarks/records/``.
 
-Expected shape (the measured numbers are the rendered table of a run;
-none are committed): ER and ER-C complete every case with far fewer LU
+Usage::
+
+    PYTHONPATH=src python -m pytest benchmarks/bench_table1.py --benchmark-disable
+    PYTHONPATH=src python benchmarks/bench_table1.py   # outputs and record only
+
+The script form runs the same campaigns and writes the same outputs, but
+checks none of the claims; those are the pytest cases.
+
+Expected shape: ER and ER-C complete every case with far fewer LU
 factorizations and a bounded peak factor size; BENR's cost grows with
 nnzC and it fails on the strongly coupled ckt6-ckt8.
 """
 
+import os
+
 import pytest
 
+from _records import write_record
 from repro import CampaignResult, CircuitSpec, Scenario, run_campaign
 from repro.benchcircuits.testcases import TESTCASE_NAMES, make_ckt
 from repro.linalg.sparse_lu import FactorizationBudgetExceeded
 from repro.reporting import render_method_matrix
 
-from conftest import OUTPUT_DIR, bench_scale, bench_tstop
+from conftest import OUTPUT_DIR, bench_scale, bench_tstop, write_report
 
 METHODS = ("benr", "er", "er-c")
 
@@ -70,6 +85,30 @@ def table1_scenarios(name):
             for method in METHODS]
 
 
+#: the summary counters the committed record keeps per case and method
+RECORD_KEYS = ("#step", "#LU", "#NRa", "#ma", "peak_factor_nnz", "completed")
+
+
+def record_rows(campaign):
+    """The untimed Table-I rows of ``campaign``: one per case and method."""
+    return [{"case": outcome.scenario.circuit.factory,
+             "method": outcome.scenario.method,
+             "budget": outcome.scenario.options["max_factor_nnz"],
+             **{key: outcome.summary.get(key) for key in RECORD_KEYS}}
+            for outcome in campaign]
+
+
+def write_outputs(campaign, report_writer=write_report):
+    """Render Table I, save the campaign and, at the default scale and
+    horizon, write the committed record."""
+    report_writer("table1.txt", render_method_matrix(campaign, reference_method="benr"))
+    campaign.save(OUTPUT_DIR / "table1.json")
+    if any(knob in os.environ for knob in ("REPRO_BENCH_SCALE", "REPRO_BENCH_TSTOP")):
+        print("record: not written (REPRO_BENCH_SCALE/REPRO_BENCH_TSTOP set)")
+        return
+    print(f"record: {write_record('table1', 'smoke', record_rows(campaign), ())}")
+
+
 @pytest.mark.parametrize("circuit_name", TESTCASE_NAMES)
 def test_table1_case(benchmark, circuit_name):
     scenarios = table1_scenarios(circuit_name)
@@ -101,8 +140,7 @@ def test_table1_render(benchmark, report_writer):
         pytest.skip("per-case benchmarks did not run")
     campaign = CampaignResult(outcome for name in TESTCASE_NAMES
                               for outcome in _OUTCOMES[name])
-    report_writer("table1.txt", render_method_matrix(campaign, reference_method="benr"))
-    campaign.save(OUTPUT_DIR / "table1.json")
+    write_outputs(campaign, report_writer)
 
     def outcome(name, method):
         return campaign.outcome_for(f"{name}/{method}")
@@ -122,3 +160,15 @@ def test_table1_render(benchmark, report_writer):
         # (3) and needs far less factor memory on the coupled cases
         if name in ("ckt4", "ckt5"):
             assert er["peak_factor_nnz"] < benr.summary["peak_factor_nnz"]
+
+
+def main() -> int:
+    campaign = CampaignResult(outcome for name in TESTCASE_NAMES
+                              for outcome in run_campaign(table1_scenarios(name),
+                                                          backend="serial").outcomes)
+    write_outputs(campaign)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

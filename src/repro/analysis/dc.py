@@ -18,7 +18,12 @@ point passes it directly: ``simulator.run(x0=mna.initial_state())``.
 
 The result keeps the ordering of the solve's last factorization
 (:class:`~repro.linalg.sparse_lu.OrderingSeed`), so the transient's first
-factorization of the same pattern need not order it again.
+factorization of the same pattern need not order it again.  Jacobians with
+an unsymmetric pattern (device transconductances) share one
+:class:`~repro.linalg.sparse_lu.SymbolicCache` across the whole solve, so a
+pattern is ordered once; a hit there is bit-identical to the one-pass
+factorization.  Structurally symmetric (linear) Jacobians keep the
+one-pass factorization, whose last bits the cached path would move.
 """
 
 from __future__ import annotations
@@ -31,7 +36,14 @@ import scipy.sparse as sp
 
 from repro.circuit.mna import MNASystem
 from repro.integrators.newton import NewtonResult, NewtonSolver
-from repro.linalg.sparse_lu import LUStats, OrderingSeed, SparseLU, factorize
+from repro.linalg.sparse_lu import (
+    LUStats,
+    OrderingSeed,
+    SparseLU,
+    SymbolicCache,
+    factorize,
+    structurally_symmetric,
+)
 
 __all__ = ["DCResult", "dc_operating_point", "GMIN_STEPS", "SOURCE_STEPS"]
 
@@ -93,10 +105,14 @@ def dc_operating_point(
     factorization.
     """
     ordering: Optional[OrderingSeed] = None
+    unsymmetric = SymbolicCache()
 
     def factorizer(jacobian: sp.csc_matrix, label: str) -> SparseLU:
         nonlocal ordering
-        lu = factorize(jacobian, stats=lu_stats, max_factor_nnz=max_factor_nnz, label=label)
+        jacobian.sum_duplicates()
+        symmetric = structurally_symmetric(jacobian)
+        lu = factorize(jacobian, stats=lu_stats, max_factor_nnz=max_factor_nnz, label=label,
+                       symbolic=None if symmetric else unsymmetric, symmetric=symmetric)
         ordering = lu.ordering_seed(jacobian)
         return lu
 

@@ -20,6 +20,7 @@ Jacobians produce.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional
 
 import numpy as np
@@ -131,26 +132,27 @@ class ArnoldiProcess:
         w = np.asarray(self._apply(self.V[:, j]), dtype=float).ravel()
         if w.shape[0] != self.n:
             raise ValueError("operator returned a vector of the wrong length")
-        norm_before = np.linalg.norm(w)
+        # the 2-norm as np.linalg.norm computes it for a 1-D float vector
+        norm_before = math.sqrt(w.dot(w))
 
         # Blocked classical Gram-Schmidt (CGS2): project against the whole
         # basis with two matrix-vector products per pass.
         Vj = self.V[:, :j + 1]
         coeffs = Vj.T @ w
         w -= Vj @ coeffs
-        self.H[:j + 1, j] += coeffs
         if self._reorth:
             correction = Vj.T @ w
             w -= Vj @ correction
-            self.H[:j + 1, j] += correction
+            coeffs += correction
+        self.H[:j + 1, j] = coeffs
 
-        h_next = float(np.linalg.norm(w))
+        h_next = math.sqrt(w.dot(w))
         self.H[j + 1, j] = h_next
         self.m = j + 1
         if h_next <= self.BREAKDOWN_TOL * norm_before:
             self.breakdown = True
             raise ArnoldiBreakdown(self.m)
-        self.V[:, j + 1] = w / h_next
+        np.divide(w, h_next, out=self.V[:, j + 1])
         return self.m
 
     def trim(self, capacity: int = 0) -> None:

@@ -41,6 +41,7 @@ propagated mode by mode, so moving it to a later time costs O(m).
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -243,7 +244,7 @@ class IKSBasis:
             # 1-norm condition estimate: O(m^2) instead of the SVD behind
             # np.linalg.cond, which dominated the per-dimension convergence
             # checks of the hot loop
-            cond = np.linalg.norm(Hm, 1) * np.linalg.norm(hinv, 1)
+            cond = np.abs(Hm).sum(axis=0).max() * np.abs(hinv).sum(axis=0).max()
             if not np.isfinite(cond) or cond >= 1e12:
                 hinv = None
         self._hinv_cache[m] = hinv
@@ -289,10 +290,11 @@ class IKSBasis:
         hinv = self._hessenberg_inverse(m)
         col: Optional[np.ndarray] = None
         res_scalar = np.inf
-        if hinv is not None and np.max(np.abs(h * hinv)) < 1e8:
+        scaled = h * hinv if hinv is not None else None
+        if scaled is not None and np.max(np.abs(scaled)) < 1e8:
             if self._stats is not None:
                 self._stats.num_expm_calls += 1
-            col = expm_dense(h * hinv)[:, 0]
+            col = expm_dense(scaled)[:, 0]
             if np.all(np.isfinite(col)):
                 res_scalar = float(hinv[m - 1, :] @ col)
             else:
@@ -313,8 +315,8 @@ class IKSBasis:
 
     def _g_vnext_norm(self, m: int) -> float:
         if m not in self._gv_norm_cache:
-            v_next = self._process.next_basis_vector(m)
-            self._gv_norm_cache[m] = float(np.linalg.norm(self._G @ v_next))
+            gv = self._G @ self._process.next_basis_vector(m)
+            self._gv_norm_cache[m] = math.sqrt(gv.dot(gv))
         return self._gv_norm_cache[m]
 
     # -- Eq. 20 / Eq. 22 ------------------------------------------------------------------
@@ -501,7 +503,8 @@ class InvertKrylovMEVP:
 
     def _apply(self, v: np.ndarray) -> np.ndarray:
         """One Algorithm 1, line 3 application: solve ``-G w = C v``."""
-        return -self.lu_G.solve(np.asarray(self.C @ v).ravel())
+        w = self.lu_G.solve(self.C @ v)
+        return np.negative(w, out=w)
 
     def build(self, v: np.ndarray, h: Union[float, Lags], tol: float = 1e-7,
               max_dim: Optional[int] = None, start: int = 1,

@@ -25,6 +25,20 @@ SuperLU's default COLAMD (e.g. 175k vs 275k factor entries for a 3242-
 unknown PDN ``G``).  Unsymmetric patterns -- device Jacobians with
 one-sided transconductances -- keep COLAMD with partial pivoting, on which
 the symmetric ordering fills several times worse.
+
+SuperLU updates columns in panels, 20 columns wide by default.  That
+width pays off on wide supernodes; MNA factors that store up to about 200
+entries per column have narrow ones, and there the panel overhead
+dominates.  The panel width therefore follows the pattern's measured
+fill, ``nnz(L) + nnz(U)`` per column of its first factorization
+(:func:`panel_size`): width 1 unless that fill exceeds
+:data:`DENSE_FILL_PER_COLUMN`, SuperLU's default above it.  A pattern not
+yet factorized counts as sparse.  Width changes neither the ordering nor
+the factor fill, only the update order, so solutions move in the last
+bits at most.  Measured on the symmetric ``C/h + G`` of 2-layer PDNs
+(numeric pass only): width 1 is faster up to 211 entries per column
+(``pdn_benr`` at 41: 1.07 -> 0.81 ms), even at 226, 12% slower at 280 and
+1.4x slower at 413.
 """
 
 from __future__ import annotations
@@ -48,6 +62,7 @@ __all__ = [
     "SymbolicOrdering",
     "FactorizationBudgetExceeded",
     "factorize",
+    "panel_size",
     "structurally_symmetric",
 ]
 
@@ -158,6 +173,10 @@ SYMMETRIC_ORDERING = "MMD_AT_PLUS_A"
 #: is at least this fraction of the column maximum, so the zero-diagonal
 #: branch rows of inductors and voltage sources still pivot off-diagonal
 SYMMETRIC_PIVOT_THRESHOLD = 0.1
+#: factor fill (stored entries per column) above which a pattern counts as
+#: dense and SuperLU keeps its default panel width; below it the panel is
+#: one column wide (see the module docstring for the measured crossover)
+DENSE_FILL_PER_COLUMN = 225
 
 #: a symbolic-cache key: (shape, nnz, digest of the index structure)
 PatternKey = Tuple[Tuple[int, int], int, str]
@@ -179,19 +198,35 @@ def structurally_symmetric(matrix: sp.csc_matrix) -> bool:
     return bool((transposed == columns * n + rows).all())
 
 
-def _splu(matrix: sp.csc_matrix, symmetric: bool, natural: bool = False) -> spla.SuperLU:
+def panel_size(fill: Optional[float]) -> Optional[int]:
+    """SuperLU's panel width for a pattern whose factor stored ``fill``
+    entries per column: None (SuperLU's default) above
+    :data:`DENSE_FILL_PER_COLUMN`, else 1; an unknown fill (None) counts as
+    sparse."""
+    return None if fill is not None and fill > DENSE_FILL_PER_COLUMN else 1
+
+
+def _splu(matrix: sp.csc_matrix, symmetric: bool, natural: bool = False,
+          width: Optional[int] = 1) -> spla.SuperLU:
     """One SuperLU call under the ordering chosen for the pattern.
 
     ``natural`` skips the ordering phase (the matrix is already permuted).
     Unsymmetric patterns keep SuperLU's default COLAMD with partial pivoting.
+    ``width`` is the panel width (None: SuperLU's default); the default of 1
+    is :func:`panel_size` of a pattern not yet factorized.
     """
     if symmetric:
         return spla.splu(matrix, permc_spec="NATURAL" if natural else SYMMETRIC_ORDERING,
                          diag_pivot_thresh=SYMMETRIC_PIVOT_THRESHOLD,
-                         options={"SymmetricMode": True})
+                         panel_size=width, options={"SymmetricMode": True})
     if natural:
-        return spla.splu(matrix, permc_spec="NATURAL")
-    return spla.splu(matrix)
+        return spla.splu(matrix, permc_spec="NATURAL", panel_size=width)
+    return spla.splu(matrix, panel_size=width)
+
+
+def _fill(lu: spla.SuperLU) -> float:
+    """Stored factor entries per column of a factorization."""
+    return lu.nnz / lu.shape[1]
 
 
 @dataclass(frozen=True)
@@ -203,7 +238,9 @@ class SymbolicOrdering:
     original index ``i`` sits at ``rank[i]``.  ``indptr``/``indices`` are
     the CSC structure of the permuted matrix and ``gather`` maps its stored
     entries to those of the original, so a same-pattern matrix is permuted
-    by ``data[gather]``.
+    by ``data[gather]``.  ``fill`` is the stored factor entries per column
+    of the pattern's first factorization; it sets the panel width of every
+    later one (:func:`panel_size`).
     """
 
     symmetric: bool
@@ -212,10 +249,11 @@ class SymbolicOrdering:
     indptr: np.ndarray
     indices: np.ndarray
     gather: np.ndarray
+    fill: float
 
     @classmethod
     def from_permutation(cls, matrix: sp.csc_matrix, perm_c: np.ndarray,
-                         symmetric: bool) -> "SymbolicOrdering":
+                         symmetric: bool, fill: float) -> "SymbolicOrdering":
         """Maps for ``P A P^T`` (symmetric) or ``A P^T`` from SuperLU's ``perm_c``."""
         # a copy (SuperLU's array is a view that keeps the whole factor
         # alive) in the native index type, which NumPy gathers fastest
@@ -228,7 +266,8 @@ class SymbolicOrdering:
         indptr = np.zeros(n + 1, dtype=matrix.indptr.dtype)
         np.cumsum(np.bincount(columns, minlength=n), out=indptr[1:])
         return cls(symmetric, np.argsort(perm_c), perm_c, indptr,
-                   rows[gather].astype(matrix.indices.dtype, copy=False), gather)
+                   rows[gather].astype(matrix.indices.dtype, copy=False), gather,
+                   float(fill))
 
     def permute(self, matrix: sp.csc_matrix) -> sp.csc_matrix:
         """The permuted copy of a matrix with the remembered pattern."""
@@ -259,7 +298,15 @@ class SymbolicCache:
     * **Unsymmetric** patterns keep SuperLU's COLAMD with partial pivoting:
       the miss is the plain factorization and hits pre-permute columns
       only, ``A P^T`` -- the same computation SuperLU does after COLAMD,
-      so hits are bit-identical to a plain ``splu``.
+      so hits are bit-identical to a plain :func:`factorize` as long as
+      both run the same panel width, that is, unless the pattern filled
+      above :data:`DENSE_FILL_PER_COLUMN` (the miss, its fill not yet
+      known, runs width 1).
+
+    A symmetric miss runs its throwaway ordering pass at SuperLU's default
+    width: only its ``perm_c`` and fill are read, and neither depends on
+    the width, so a dense pattern's first factorization costs what it did
+    before the width rule.
 
     Reuses are tallied in ``LUStats.num_symbolic_reuses`` and fresh analyses
     in ``num_orderings``; the accounting invariant
@@ -309,27 +356,32 @@ class SymbolicCache:
 class OrderingSeed:
     """The ordering a factorization chose, detached from the factor.
 
-    The DC solve factorizes without a :class:`SymbolicCache`; it keeps the
-    ordering of its last factorization as a seed, which the transient
-    installs in its own cache.  The transient's first factorization of the
-    same pattern then skips the ordering pass, bit-identically: the
-    ordering depends on the pattern alone, and a symmetric miss would
-    compute it with the very ``splu`` call the DC made.
+    The DC solve factorizes its symmetric Jacobians in one pass each and
+    sends its unsymmetric ones through one :class:`SymbolicCache` of its
+    own; it keeps the ordering of its last factorization as a seed, which
+    the transient installs in its own cache.  The transient's first
+    factorization of the same pattern then skips the ordering pass,
+    bit-identically: the ordering depends on the pattern alone (not on the
+    panel width), and a symmetric miss would compute it with the same
+    ``splu`` ordering the DC ran.
 
     ``perm_c`` is a copy -- SuperLU's own array is a view that keeps the
     whole factor alive -- and only the pattern of ``matrix`` is read.
+    ``fill`` is the pattern's factor fill per column, which sets the panel
+    width of the transient's factorizations.
     """
 
     matrix: sp.csc_matrix
     perm_c: np.ndarray
     symmetric: bool
+    fill: float
 
     def install(self, symbolic: SymbolicCache) -> None:
         """Store the ordering in ``symbolic`` unless its pattern is known there."""
         key = SymbolicCache.pattern_key(self.matrix)
         if key not in symbolic:
             symbolic.store(key, SymbolicOrdering.from_permutation(
-                self.matrix, self.perm_c, self.symmetric))
+                self.matrix, self.perm_c, self.symmetric, self.fill))
 
 
 class SparseLU:
@@ -394,8 +446,9 @@ class SparseLU:
     def ordering_seed(self, matrix: sp.csc_matrix) -> OrderingSeed:
         """The ordering this factorization chose for ``matrix``, as a seed."""
         if self.ordering is not None:
-            return OrderingSeed(matrix, self.ordering.rank, self.symmetric)
-        return OrderingSeed(matrix, np.array(self._lu.perm_c, dtype=np.intp), self.symmetric)
+            return OrderingSeed(matrix, self.ordering.rank, self.symmetric, self.ordering.fill)
+        return OrderingSeed(matrix, np.array(self._lu.perm_c, dtype=np.intp), self.symmetric,
+                            _fill(self._lu))
 
     def rebind_stats(self, stats: Optional[LUStats]) -> None:
         """Attribute future solves to ``stats``.
@@ -577,6 +630,7 @@ def factorize(
     max_factor_nnz: Optional[int] = None,
     label: str = "",
     symbolic: Optional[SymbolicCache] = None,
+    symmetric: Optional[bool] = None,
 ) -> SparseLU:
     """LU-factorize a sparse matrix with instrumentation.
 
@@ -603,6 +657,10 @@ def factorize(
         the matrix is factorized in one SuperLU call under the ordering
         its pattern selects; for a symmetric pattern that one-pass result
         differs from the cached path's in the last bits.
+    symmetric:
+        The pattern's structural symmetry (:func:`structurally_symmetric`
+        of the summed matrix), when the caller has already tested it; else
+        it is tested here when needed.
     """
     matrix = matrix.tocsc()
     if matrix.shape[0] != matrix.shape[1]:
@@ -612,28 +670,33 @@ def factorize(
     start = time.perf_counter()
     ordering = None
     reused = False
-    symmetric = False
     try:
         if symbolic is None:
-            symmetric = structurally_symmetric(matrix)
+            if symmetric is None:
+                symmetric = structurally_symmetric(matrix)
             lu = _splu(matrix, symmetric)
         else:
             pattern = SymbolicCache.pattern_key(matrix)
             ordering = symbolic.lookup(pattern)
             reused = ordering is not None
             if ordering is not None:
-                lu = _splu(ordering.permute(matrix), ordering.symmetric, natural=True)
-            elif structurally_symmetric(matrix):
-                # the one-pass factorization only yields the ordering; it is
-                # freed before the numeric pass every later hit repeats
+                lu = _splu(ordering.permute(matrix), ordering.symmetric, natural=True,
+                           width=panel_size(ordering.fill))
+            elif structurally_symmetric(matrix) if symmetric is None else symmetric:
+                # the one-pass factorization, at SuperLU's default width, only
+                # yields the ordering and the fill; it is freed before the
+                # numeric pass every later hit repeats at the rule's width
+                first = _splu(matrix, True, width=None)
                 ordering = SymbolicOrdering.from_permutation(
-                    matrix, _splu(matrix, True).perm_c, True)
-                lu = _splu(ordering.permute(matrix), True, natural=True)
+                    matrix, first.perm_c, True, _fill(first))
+                del first
+                lu = _splu(ordering.permute(matrix), True, natural=True,
+                           width=panel_size(ordering.fill))
                 symbolic.store(pattern, ordering)
             else:
                 lu = _splu(matrix, False)
                 symbolic.store(pattern, SymbolicOrdering.from_permutation(
-                    matrix, lu.perm_c, False))
+                    matrix, lu.perm_c, False, _fill(lu)))
     except RuntimeError as exc:  # singular matrix
         raise np.linalg.LinAlgError(
             f"sparse LU factorization failed for {label or 'matrix'}: {exc}"
@@ -641,7 +704,7 @@ def factorize(
     elapsed = time.perf_counter() - start
 
     wrapped = SparseLU(lu, stats, label=label, ordering=ordering, reused_symbolic=reused,
-                       symmetric=symmetric)
+                       symmetric=bool(symmetric))
     if stats is not None:
         stats.num_factorizations += 1
         stats.factor_time += elapsed

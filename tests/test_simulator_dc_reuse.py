@@ -13,6 +13,7 @@ import pytest
 
 import repro.analysis.dc as dc_module
 import repro.core.simulator as simulator_module
+import repro.linalg.sparse_lu as sparse_lu_module
 from repro.benchcircuits.inverter_chain import inverter_chain
 from repro.benchcircuits.power_grid import power_grid
 from repro.circuit.netlist import Circuit
@@ -158,3 +159,48 @@ def test_dc_factor_is_freed_after_run_dc(monkeypatch):
     # the kept ordering owns its memory: a view of SuperLU's perm_c would
     # keep the whole factor alive
     assert dc.ordering.perm_c.base is None
+
+
+def test_dc_orders_an_unsymmetric_pattern_once_bit_identically(monkeypatch):
+    """Every Newton Jacobian of the DC shares one pattern: one ordering, the
+    rest symbolic reuses, and the same bytes as one-pass factorizations."""
+    mna = inverter_chain(3).build()
+    cached = TransientSimulator(mna, method="er-c")
+    dc = cached.run_dc()
+    lu = cached.dc_lu_stats
+    assert dc.strategy == "newton" and lu.num_factorizations > 2
+    assert lu.num_orderings == 1
+    assert lu.num_symbolic_reuses == lu.num_factorizations - 1
+
+    factorize = dc_module.factorize
+
+    def one_pass(matrix, symbolic=None, **kwargs):
+        return factorize(matrix, **kwargs)
+
+    monkeypatch.setattr(dc_module, "factorize", one_pass)
+    plain = TransientSimulator(inverter_chain(3).build(), method="er-c")
+    plain_dc = plain.run_dc()
+    assert plain.dc_lu_stats.num_orderings == lu.num_factorizations
+    assert plain_dc.iterations == dc.iterations
+    assert plain_dc.x.tobytes() == dc.x.tobytes()
+    np.testing.assert_array_equal(plain_dc.ordering.perm_c, dc.ordering.perm_c)
+
+
+@pytest.mark.parametrize("build", [lambda: inverter_chain(3).build(),
+                                   lambda: power_grid(4, 4).build()],
+                         ids=["unsymmetric", "symmetric"])
+def test_dc_tests_each_jacobian_for_symmetry_once(monkeypatch, build):
+    """The DC factorizer hands the symmetry it tested to factorize, which
+    does not sort the pattern a second time."""
+    calls = []
+    original = sparse_lu_module.structurally_symmetric
+
+    def counted(matrix):
+        calls.append(1)
+        return original(matrix)
+
+    monkeypatch.setattr(sparse_lu_module, "structurally_symmetric", counted)
+    monkeypatch.setattr(dc_module, "structurally_symmetric", counted)
+    sim = TransientSimulator(build(), method="er-c")
+    sim.run_dc()
+    assert len(calls) == sim.dc_lu_stats.num_factorizations > 0

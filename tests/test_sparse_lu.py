@@ -1,18 +1,24 @@
 """Unit tests for the instrumented LU wrapper (repro.linalg.sparse_lu)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from _factories import build_small, circuit_factory_names
 
-from repro.benchcircuits import inverter_chain, pdn_multilayer, rlc_line
+from repro.benchcircuits import inverter_chain, make_ckt, pdn_multilayer, rlc_line
+from repro.linalg import sparse_lu
 from repro.linalg.sparse_lu import (
+    DENSE_FILL_PER_COLUMN,
     SYMMETRIC_PIVOT_THRESHOLD,
     FactorizationBudgetExceeded,
     LUStats,
     RefinedLU,
     SymbolicCache,
     factorize,
+    panel_size,
     structurally_symmetric,
 )
 
@@ -274,18 +280,116 @@ class TestOrderingChoice:
         order = hit.ordering.order
         permuted = (A[order][:, order] if symmetric else A[:, order]).tocsc()
         permuted.sort_indices()
+        width = panel_size(hit.ordering.fill)
         if symmetric:
             raw = spla.splu(permuted, permc_spec="NATURAL",
                             diag_pivot_thresh=SYMMETRIC_PIVOT_THRESHOLD,
-                            options={"SymmetricMode": True})
+                            panel_size=width, options={"SymmetricMode": True})
         else:
-            raw = spla.splu(permuted, permc_spec="NATURAL")
+            raw = spla.splu(permuted, permc_spec="NATURAL", panel_size=width)
         np.testing.assert_array_equal(hit.ordering.permute(A).toarray(), permuted.toarray())
         b = np.random.default_rng(4).standard_normal(A.shape[0])
         y = raw.solve(b[order] if symmetric else b)
         expected = np.empty_like(y)
         expected[order] = y
         np.testing.assert_array_equal(hit.solve(b), expected)
+
+
+class TestPanelWidth:
+    """SuperLU's panel width follows the fill a pattern's first factor stored."""
+
+    def test_rule_is_width_one_unless_the_fill_is_known_dense(self):
+        assert panel_size(None) == 1
+        assert panel_size(0.0) == 1
+        assert panel_size(DENSE_FILL_PER_COLUMN) == 1
+        assert panel_size(DENSE_FILL_PER_COLUMN + 1) is None  # SuperLU's default
+
+    @pytest.mark.parametrize("name", circuit_factory_names())
+    def test_fill_is_equal_at_both_widths(self, name):
+        # lu.nnz is the Fig.-1 and Table-I quantity: the width may only
+        # change the order of the updates, never what is stored
+        system = build_small(name).build()
+        ev = system.evaluate(np.full(system.n, 0.5))
+        for A in (ev.G.tocsc(), (ev.C / 1e-12 + ev.G).tocsc()):
+            A.sum_duplicates()
+            symmetric = structurally_symmetric(A)
+            narrow = sparse_lu._splu(A, symmetric)
+            default = sparse_lu._splu(A, symmetric, width=None)
+            assert narrow.nnz == default.nnz
+            # a symmetric miss reads its ordering off a default-width pass
+            np.testing.assert_array_equal(narrow.perm_c, default.perm_c)
+
+    def test_factorizations_pass_the_rule_width(self, monkeypatch):
+        widths = []
+        splu = spla.splu
+
+        def spy(matrix, **kwargs):
+            widths.append(kwargs.get("panel_size"))
+            return splu(matrix, **kwargs)
+
+        monkeypatch.setattr(sparse_lu.spla, "splu", spy)
+        A = symmetric_mna_cases()[2][1]
+        factorize(A)  # an unknown pattern counts as sparse
+        cache = SymbolicCache()
+        # a miss: the throwaway ordering pass at SuperLU's default width,
+        # then the numeric pass at the rule's
+        miss = factorize(A, symbolic=cache)
+        assert 0.0 < miss.ordering.fill < DENSE_FILL_PER_COLUMN
+        factorize(A, symbolic=cache)
+        assert widths == [1, None, 1, 1]
+
+        # the same pattern, recorded as dense
+        key = SymbolicCache.pattern_key(A)
+        cache.store(key, dataclasses.replace(cache.lookup(key),
+                                             fill=DENSE_FILL_PER_COLUMN + 1.0))
+        hit = factorize(A, symbolic=cache)
+        assert hit.reused_symbolic and widths[-1] is None
+        assert hit.nnz_factors == miss.nnz_factors
+
+        # the DC seed carries the fill into the transient's cache
+        widths.clear()
+        seed = factorize(A).ordering_seed(A)
+        assert seed.fill == miss.ordering.fill
+        dense_seed = dataclasses.replace(seed, fill=DENSE_FILL_PER_COLUMN + 1.0)
+        transient = SymbolicCache()
+        dense_seed.install(transient)
+        assert factorize(A, symbolic=transient).reused_symbolic
+        assert widths == [1, None]
+
+    def test_dense_pattern_runs_the_default_width_from_its_first_numeric_pass(
+            self, monkeypatch):
+        widths = []
+        splu = spla.splu
+
+        def spy(matrix, **kwargs):
+            widths.append(kwargs.get("panel_size"))
+            return splu(matrix, **kwargs)
+
+        monkeypatch.setattr(sparse_lu.spla, "splu", spy)
+        A = spd_matrix(400, seed=3)
+        cache = SymbolicCache()
+        miss = factorize(A, symbolic=cache)
+        assert miss.ordering.fill > DENSE_FILL_PER_COLUMN
+        hit = factorize(A, symbolic=cache)
+        # the miss's ordering pass and numeric pass both run the default
+        # width, as before the rule; the numeric pass matches every later hit
+        assert widths == [None, None, None]
+        b = np.random.default_rng(7).standard_normal(A.shape[0])
+        np.testing.assert_array_equal(hit.solve(b), miss.solve(b))
+
+    def test_unsymmetric_hit_is_bit_identical_to_plain_factorize(self):
+        mna = make_ckt("ckt4", scale=0.4).circuit.build()
+        G = mna.evaluate(np.full(mna.n, 0.5)).G.tocsc()
+        assert not structurally_symmetric(G)
+        cache = SymbolicCache()
+        factorize(G, symbolic=cache)
+        B = G.copy()
+        B.data = B.data * np.linspace(0.9, 1.1, B.nnz)
+        hit = factorize(B, symbolic=cache)
+        plain = factorize(B)
+        assert hit.reused_symbolic and hit.nnz_factors == plain.nnz_factors
+        b = np.random.default_rng(6).standard_normal(G.shape[0])
+        np.testing.assert_array_equal(hit.solve(b), plain.solve(b))
 
 
 class TestBudget:
